@@ -4,14 +4,11 @@ from .errors import (
     DimensionError,
     DomainError,
     ParseError,
-    QuadratureError,
     ReplacementError,
     TameCubeError,
     TamenessError,
 )
 from .kernels import (
-    DEFAULT_QUADRATURE,
-    QuadratureConfig,
     SmashParams,
     gamma,
     lambda_,
@@ -38,7 +35,6 @@ from .maps import (
     fd_partial_refined,
     parse_map,
     serialize_map,
-    slice_homotopy,
 )
 from .tame import (
     TamenessReport,

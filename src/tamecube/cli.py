@@ -14,9 +14,7 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
-from .cubes import CubicalComplex, boundary_complex, full_cube, j_complex, skeleton
+from .cubes import Box, CubicalComplex, boundary_complex, box_grid, full_cube, j_complex, skeleton
 from .errors import TameCubeError
 from .maps import parse_map
 from .suites import SuiteConfig, report_schema_version, run_suite
@@ -117,11 +115,16 @@ def _cmd_sample(args) -> int:
     source = args.map
     path = Path(source)
     try:
-        if path.exists() and path.is_file():
+        is_file = path.is_file()
+    except OSError:
+        # e.g. an inline expression longer than the file-name limit
+        is_file = False
+    if is_file:
+        try:
             source = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"tamecube sample: cannot read map file: {exc}", file=sys.stderr)
-        return 3
+        except OSError as exc:
+            print(f"tamecube sample: cannot read map file: {exc}", file=sys.stderr)
+            return 3
     try:
         f = parse_map(source)
         if args.grid < 2:
@@ -130,9 +133,7 @@ def _cmd_sample(args) -> int:
         print(f"tamecube sample: {exc}", file=sys.stderr)
         return 2
     n, m = f.in_dim, f.out_dim
-    axes = [np.linspace(0.0, 1.0, args.grid)] * n
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in mesh], axis=1)
+    pts = box_grid(Box(((0.0, 1.0),) * n), args.grid)
     vals = f.eval_many(pts)
     header = ",".join([f"t{i}" for i in range(1, n + 1)] + [f"y{i}" for i in range(1, m + 1)])
     lines = [header]

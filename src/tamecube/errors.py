@@ -22,14 +22,6 @@ class ParseError(TameCubeError, ValueError):
         self.col = col
 
 
-class QuadratureError(TameCubeError, ArithmeticError):
-    """Adaptive quadrature did not converge within the configured depth."""
-
-    def __init__(self, message: str, achieved: float):
-        super().__init__(f"{message} (achieved error estimate {achieved:.3e})")
-        self.achieved = achieved
-
-
 class TamenessError(TameCubeError, ValueError):
     """An input map failed a tameness/admissibility precondition."""
 

@@ -2,40 +2,45 @@
 
 ``gamma`` is the classical flat exponential (identically zero for t <= 0,
 exp(-1/t) for t > 0, all derivatives vanishing at 0) and ``lambda_`` the
-smooth monotone step built from it.  ``smash_T`` is a non-decreasing smooth
-surjection R -> [0, 1] that is 0 up to ``sigma``, the identity on
-[tau, 1-tau], 1 from ``1-sigma`` on, and symmetric about 1/2.  Its integral
-helper ``smash_F`` is evaluated by an adaptive Simpson rule with panel
-memoization; outside the transition band both functions short-circuit to
-exact values, so the flat zones are exact in floating point.
+smooth monotone step built from it.  ``smash`` is the smash function
+T_{sigma,tau}: a non-decreasing smooth surjection R -> [0, 1] that is 0 up
+to ``sigma``, the identity on [tau, 1-tau], 1 from ``1-sigma`` on, and
+symmetric about 1/2.
 
-Everything here is a pure function of its arguments.  The memoization
-caches are keyed on exact float values and are safe to share between
-threads.
+In the transition band sigma < t <= 1/2 the substitution
+r = (t - sigma) / (tau - sigma) turns the smash integral into
+
+    T(t) = (tau - sigma) * Lambda(r) + (tau + sigma) / 2 * lambda(r),
+
+where Lambda(s) = int_0^s lambda is a single function with no parameters;
+the other half follows from T(t) = 1 - T(1 - t).  ``lambda_integral``
+evaluates Lambda from a table of panel sums built once at import
+(composite Gauss-Legendre, 64 panels x 12 nodes) plus a 12-node rule over
+the partial panel.  Outside the transition band ``smash`` short-circuits
+to exact values, so the flat zones are exact in floating point.
+
+Everything here is a pure function of its arguments.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError
+from .errors import DomainError
 
 __all__ = [
     "SmashParams",
-    "QuadratureConfig",
-    "DEFAULT_QUADRATURE",
     "gamma",
     "lambda_",
     "gamma_many",
     "lambda_many",
+    "lambda_integral",
+    "smash",
     "smash_F",
     "smash_T",
-    "smash_T_many",
-    "smash_T_dyn_many",
 ]
 
 
@@ -58,23 +63,6 @@ class SmashParams:
                 f"smash parameters need 0 <= sigma < tau <= 1/2, "
                 f"got sigma={self.sigma!r}, tau={self.tau!r}"
             )
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Adaptive-Simpson settings for the smash integral."""
-
-    abs_tol: float = 1e-12
-    max_depth: int = 40
-
-    def __post_init__(self):
-        if not self.abs_tol > 0:
-            raise DomainError("abs_tol must be positive")
-        if self.max_depth < 1:
-            raise DomainError("max_depth must be at least 1")
-
-
-DEFAULT_QUADRATURE = QuadratureConfig()
 
 
 def _require_finite(t: float) -> float:
@@ -135,127 +123,83 @@ def lambda_many(ts) -> np.ndarray:
     return out
 
 
-def _ramp(sigma: float, tau: float, x: float) -> float:
-    # argument of the step inside the smash integrand
-    return (tau * x - sigma) / (tau - sigma)
+_PANELS = 64
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 
-@lru_cache(maxsize=1 << 16)
-def _panel(sigma: float, tau: float, a: float, b: float):
-    """Simpson estimate of the smash integrand over one panel."""
-    m = 0.5 * (a + b)
-    fa = lambda_(_ramp(sigma, tau, a))
-    fm = lambda_(_ramp(sigma, tau, m))
-    fb = lambda_(_ramp(sigma, tau, b))
-    return m, (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+def _gauss(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """12-node Gauss-Legendre value of int_a^b lambda, elementwise."""
+    half = 0.5 * (b - a)
+    x = (0.5 * (a + b))[..., None] + half[..., None] * _NODES
+    return half * (lambda_many(x) @ _WEIGHTS)
 
 
-def _adaptive(sigma, tau, a, b, whole, tol, depth, max_depth):
-    mid = 0.5 * (a + b)
-    _, left = _panel(sigma, tau, a, mid)
-    _, right = _panel(sigma, tau, mid, b)
-    delta = left + right - whole
-    if abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0
-    if depth >= max_depth:
-        raise QuadratureError(
-            f"smash quadrature did not converge on [{a}, {b}]", abs(delta) / 15.0
-        )
-    return _adaptive(sigma, tau, a, mid, left, 0.5 * tol, depth + 1, max_depth) + _adaptive(
-        sigma, tau, mid, b, right, 0.5 * tol, depth + 1, max_depth
+_EDGES = np.arange(_PANELS + 1) / _PANELS
+# _CUMULATIVE[k] = Lambda(k / _PANELS)
+_CUMULATIVE = np.concatenate([[0.0], np.cumsum(_gauss(_EDGES[:-1], _EDGES[1:]))])
+
+
+def lambda_integral(s) -> np.ndarray:
+    """Lambda(s) = int_0^s lambda, vectorized.
+
+    Exactly 0 for s <= 0 and Lambda(1) + (s - 1) for s >= 1, where
+    Lambda(1) = 1/2 to rounding.  Satisfies Lambda(1 - s) = 1/2 - s + Lambda(s).
+    """
+    s = np.asarray(s, dtype=float)
+    inside = np.clip(s, 0.0, 1.0)
+    k = np.minimum((inside * _PANELS).astype(int), _PANELS - 1)
+    return _CUMULATIVE[k] + _gauss(_EDGES[k], inside) + np.maximum(s - 1.0, 0.0)
+
+
+def smash(ts, sigma, tau) -> np.ndarray:
+    """The smash function T_{sigma,tau}, vectorized.
+
+    ``sigma`` and ``tau`` are scalars or per-element arrays; all three
+    arguments broadcast together.  Values in the flat and identity bands
+    are exact; transition values are clamped into [0, 1].  Raises
+    ``DomainError`` if a ``t`` is not finite or a parameter pair violates
+    0 <= sigma < tau <= 1/2; the latter guards construction bugs in
+    parameter schedules.
+    """
+    ts, sigma, tau = np.broadcast_arrays(
+        np.asarray(ts, dtype=float), np.asarray(sigma, dtype=float), np.asarray(tau, dtype=float)
     )
-
-
-@lru_cache(maxsize=1 << 18)
-def _smash_integral(sigma, tau, t, abs_tol, max_depth):
-    """Integral of the smash integrand from its zero set up to t in (sigma/tau, 1)."""
-    lo = sigma / tau
-    _, whole = _panel(sigma, tau, lo, t)
-    return _adaptive(sigma, tau, lo, t, whole, abs_tol, 0, max_depth)
-
-
-def smash_F(p: SmashParams, t: float, q: QuadratureConfig | None = None) -> float:
-    """Integral form of the smash function.
-
-    Non-decreasing; exactly 0 for t <= sigma/tau and exactly t for t >= 1
-    (both returned without quadrature).
-    """
-    t = _require_finite(t)
-    q = q or DEFAULT_QUADRATURE
-    if t <= p.sigma / p.tau:
-        return 0.0
-    if t >= 1.0:
-        return t
-    integral = _smash_integral(p.sigma, p.tau, t, q.abs_tol, q.max_depth)
-    corr = (p.tau + p.sigma) / (2.0 * p.tau) * lambda_(_ramp(p.sigma, p.tau, t))
-    return integral + corr
-
-
-def smash_T(p: SmashParams, t: float, q: QuadratureConfig | None = None) -> float:
-    """Smooth band function: 0 below sigma, identity on [tau, 1-tau], 1 above 1-sigma.
-
-    Satisfies smash_T(1-t) = 1 - smash_T(t).  Values in the flat and
-    identity bands are exact; transition values are clamped into [0, 1]
-    to absorb quadrature noise.
-    """
-    t = _require_finite(t)
-    sigma, tau = p.sigma, p.tau
-    if t <= sigma:
-        return 0.0
-    if t >= 1.0 - sigma:
-        return 1.0
-    if tau <= t <= 1.0 - tau:
-        return t
-    if t <= 0.5:
-        val = tau * smash_F(p, t / tau, q)
-    else:
-        val = 1.0 - tau * smash_F(p, (1.0 - t) / tau, q)
-    return min(1.0, max(0.0, val))
-
-
-def smash_T_many(p: SmashParams, ts, q: QuadratureConfig | None = None) -> np.ndarray:
-    """Vectorized ``smash_T``; transition-band values fall back to the scalar path."""
-    ts = np.asarray(ts, dtype=float)
-    out = np.empty_like(ts)
-    flat0 = ts <= p.sigma
-    flat1 = ts >= 1.0 - p.sigma
-    ident = (ts >= p.tau) & (ts <= 1.0 - p.tau)
-    out[flat0] = 0.0
-    out[flat1] = 1.0
-    out[ident] = ts[ident]
-    rest = ~(flat0 | flat1 | ident)
-    if np.any(rest):
-        out[rest] = [smash_T(p, float(t), q) for t in ts[rest]]
-    return out
-
-
-def smash_T_dyn_many(ts, sigmas, taus, q: QuadratureConfig | None = None) -> np.ndarray:
-    """``smash_T`` with per-element (sigma, tau) parameters.
-
-    Raises ``DomainError`` if any parameter pair violates the smash bounds;
-    this guards construction bugs in parameter schedules.
-    """
-    ts = np.asarray(ts, dtype=float)
-    sigmas = np.asarray(sigmas, dtype=float)
-    taus = np.asarray(taus, dtype=float)
-    if np.any(sigmas < 0.0) or np.any(sigmas >= taus) or np.any(taus > 0.5):
-        bad = np.argmax(~((sigmas >= 0.0) & (sigmas < taus) & (taus <= 0.5)))
+    valid = (sigma >= 0.0) & (sigma < tau) & (tau <= 0.5)
+    if not np.all(valid):
+        bad = int(np.argmin(valid.ravel()))
         raise DomainError(
             f"smash parameter schedule out of range at element {bad}: "
-            f"sigma={sigmas.flat[bad]!r}, tau={taus.flat[bad]!r}"
+            f"sigma={sigma.flat[bad]!r}, tau={tau.flat[bad]!r}"
         )
-    out = np.empty_like(ts)
-    flat0 = ts <= sigmas
-    flat1 = ts >= 1.0 - sigmas
-    ident = (ts >= taus) & (ts <= 1.0 - taus)
-    out[flat0] = 0.0
-    out[flat1] = 1.0
+    if not np.all(np.isfinite(ts)):
+        raise DomainError("expected finite reals")
+    out = np.where(ts >= 1.0 - sigma, 1.0, 0.0)
+    ident = (ts >= tau) & (ts <= 1.0 - tau)
     out[ident] = ts[ident]
-    rest = ~(flat0 | flat1 | ident)
-    if np.any(rest):
-        idx = np.nonzero(rest)[0]
-        out[idx] = [
-            smash_T(SmashParams(float(sigmas[i]), float(taus[i])), float(ts[i]), q)
-            for i in idx
-        ]
+    band = (ts > sigma) & (ts < 1.0 - sigma) & ~ident
+    if np.any(band):
+        t, s, w = ts[band], sigma[band], tau[band]
+        low = t <= 0.5
+        r = (np.where(low, t, 1.0 - t) - s) / (w - s)
+        val = (w - s) * lambda_integral(r) + 0.5 * (w + s) * lambda_many(r)
+        out[band] = np.clip(np.where(low, val, 1.0 - val), 0.0, 1.0)
     return out
+
+
+def smash_F(p: SmashParams, t: float) -> float:
+    """Integral form of the smash function, T(tau * t) / tau.
+
+    Non-decreasing; exactly 0 for t <= sigma/tau and exactly t for t >= 1.
+    """
+    t = _require_finite(t)
+    if t >= 1.0:
+        return t
+    return float(smash(p.tau * t, p.sigma, p.tau)) / p.tau
+
+
+def smash_T(p: SmashParams, t: float) -> float:
+    """Smooth band function: 0 below sigma, identity on [tau, 1-tau], 1 above 1-sigma.
+
+    Satisfies smash_T(1-t) = 1 - smash_T(t).
+    """
+    return float(smash(_require_finite(t), p.sigma, p.tau))

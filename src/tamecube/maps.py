@@ -27,8 +27,7 @@ from .kernels import (
     SmashParams,
     gamma_many,
     lambda_many,
-    smash_T_dyn_many,
-    smash_T_many,
+    smash,
 )
 
 __all__ = [
@@ -72,7 +71,6 @@ __all__ = [
     "drop_time",
     "fd_partial",
     "fd_partial_refined",
-    "slice_homotopy",
     "constant_homotopy",
     "parse_map",
     "serialize_map",
@@ -385,7 +383,7 @@ class Smash(SmoothMap):
         return 1
 
     def _apply(self, X, memo):
-        return smash_T_many(self.params, X[:, 0]).reshape(-1, 1)
+        return smash(X[:, 0], self.params.sigma, self.params.tau).reshape(-1, 1)
 
 
 @dataclass(frozen=True)
@@ -401,7 +399,7 @@ class SmashDyn(SmoothMap):
         return 1
 
     def _apply(self, X, memo):
-        return smash_T_dyn_many(X[:, 0], X[:, 1], X[:, 2]).reshape(-1, 1)
+        return smash(X[:, 0], X[:, 1], X[:, 2]).reshape(-1, 1)
 
 
 @dataclass(frozen=True)
@@ -628,10 +626,6 @@ class Homotopy:
         n = self.space_dim
         out = Compose(self.map.without_domain(), embed_time(n, u))
         return _dc_replace(out, domain=unit_box(n))
-
-
-def slice_homotopy(H: Homotopy, u: float) -> SmoothMap:
-    return H.slice(u)
 
 
 def constant_homotopy(f: SmoothMap) -> Homotopy:

@@ -8,8 +8,6 @@ samples is an exact max, so they do not depend on evaluation order.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,25 +151,25 @@ def _kernels_suite(cfg: SuiteConfig) -> list[PropertyResult]:
 
     for sigma, tau in SMASH_PAIRS:
         p = kr.SmashParams(sigma, tau)
-        tv = kr.smash_T_many(p, ts)
-        tv_m = kr.smash_T_many(p, 1.0 - ts)
+        tv = kr.smash(ts, sigma, tau)
+        tv_m = kr.smash(1.0 - ts, sigma, tau)
         sym = float(np.max(np.abs(tv_m - (1.0 - tv))))
         out.append(
             PropertyResult("smash-symmetry", {"sigma": sigma, "tau": tau}, sym, 1e-9, sym <= 1e-9)
         )
-        tsort = kr.smash_T_many(p, order)
+        tsort = kr.smash(order, sigma, tau)
         mono = float(max(0.0, (-np.diff(tsort)).max()))
         out.append(
             PropertyResult("smash-monotone", {"sigma": sigma, "tau": tau}, mono, 1e-9, mono <= 1e-9)
         )
         band = np.linspace(tau, 1.0 - tau, 101)
-        ident = float(np.max(np.abs(kr.smash_T_many(p, band) - band)))
+        ident = float(np.max(np.abs(kr.smash(band, sigma, tau) - band)))
         out.append(
             PropertyResult("smash-identity-band", {"sigma": sigma, "tau": tau}, ident, 1e-9, ident <= 1e-9)
         )
         if sigma > 0:
             flat = np.concatenate([np.linspace(-0.3, sigma, 41), np.linspace(1 - sigma, 1.3, 41)])
-            vals = kr.smash_T_many(p, flat)
+            vals = kr.smash(flat, sigma, tau)
             expected = np.where(flat <= 0.5, 0.0, 1.0)
             worst_flat = float(np.max(np.abs(vals - expected)))
             out.append(
@@ -194,18 +192,12 @@ def _kernels_suite(cfg: SuiteConfig) -> list[PropertyResult]:
     return out
 
 
-def _grid(n: int, res: int) -> np.ndarray:
-    axes = [np.linspace(0.0, 1.0, res)] * n
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
-
-
 def _retract_suite(cfg: SuiteConfig) -> list[PropertyResult]:
     out = []
     for n in cfg.ns:
         for eps in cfg.eps_list:
             R = approx_retraction(RetractionParams.from_eps(n, eps))
-            pts = _grid(n, 21)
+            pts = cb.box_grid(cb.Box(((0.0, 1.0),) * n), 21)
             dist = float(cb.dist_to_complex(cb.j_complex(n), R.eval_many(pts)).max())
             out.append(
                 PropertyResult("retraction-containment", {"n": n, "eps": eps}, dist, 1e-9, dist <= 1e-9)
@@ -219,7 +211,7 @@ def _retract_suite(cfg: SuiteConfig) -> list[PropertyResult]:
         eps = 0.3
         H = deformation_retraction_homotopy(n, eps)
         delta = deformation_schedule(n, eps)["retraction_eps"]
-        pts = _grid(n, 9 if n >= 3 else 21)
+        pts = cb.box_grid(cb.Box(((0.0, 1.0),) * n), 9 if n >= 3 else 21)
         z = np.concatenate([pts, np.zeros((len(pts), 1))], axis=1)
         o = np.concatenate([pts, np.ones((len(pts), 1))], axis=1)
         dev0 = float(np.max(np.abs(H.map.eval_many(z) - pts)))
@@ -387,23 +379,10 @@ SUITES = {
 SUITE_NAMES = frozenset(SUITES)
 
 
-def _thread_cap() -> int:
-    try:
-        return max(1, int(os.environ.get("TAMECUBE_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def run_suite(cfg: SuiteConfig) -> dict:
     """Execute a suite (or all of them) and assemble the JSON report."""
     names = sorted(SUITES) if cfg.suite == "all" else [cfg.suite]
-    cap = _thread_cap()
-    if cap > 1 and len(names) > 1:
-        with ThreadPoolExecutor(max_workers=min(cap, len(names))) as pool:
-            batches = list(pool.map(lambda s: SUITES[s](cfg), names))
-    else:
-        batches = [SUITES[s](cfg) for s in names]
-    results = [r for batch in batches for r in batch]
+    results = [r for s in names for r in SUITES[s](cfg)]
     failures = sum(1 for r in results if not r.passed)
     return {
         "schema": SCHEMA_VERSION,

@@ -24,9 +24,11 @@ from dataclasses import dataclass, replace as _dc_replace
 import numpy as np
 
 from .cubes import (
+    Box,
     BoxRegion,
     CubicalComplex,
     Face,
+    box_grid,
     complex_grid,
     complex_random,
     dist_to_complex,
@@ -398,12 +400,6 @@ def extend_to_jdelta(
     return _dc_replace(out, domain=unit_box(n))
 
 
-def _grid_points(n: int, res: int) -> np.ndarray:
-    axes = [np.linspace(0.0, 1.0, res)] * n
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
-
-
 def _max_gap(f: SmoothMap, g: SmoothMap, pts: np.ndarray) -> float:
     if len(pts) == 0:
         return 0.0
@@ -417,7 +413,7 @@ def concat_homotopy(F: Homotopy, G: Homotopy, cfg: ToleranceConfig | None = None
     if G.space_dim != n or F.map.out_dim != G.map.out_dim:
         raise DimensionError("homotopies do not share space and target dimensions")
     res = min(cfg.grid_res, 9) if n >= 3 else cfg.grid_res
-    gap = _max_gap(F.slice(1.0), G.slice(0.0), _grid_points(n, res))
+    gap = _max_gap(F.slice(1.0), G.slice(0.0), box_grid(Box(((0.0, 1.0),) * n), res))
     if gap > cfg.eq_tol:
         raise DomainError(
             f"homotopy endpoints disagree by {gap:.3e} (> eq_tol {cfg.eq_tol})"
@@ -439,13 +435,10 @@ def concat_maps(phi: SmoothMap, psi: SmoothMap, cfg: ToleranceConfig | None = No
     n = phi.in_dim
     if psi.in_dim != n or phi.out_dim != psi.out_dim:
         raise DimensionError("maps do not share input and target dimensions")
-    if n == 1:
-        gap = float(np.max(np.abs(phi.eval([1.0]) - psi.eval([0.0]))))
-    else:
-        rest = _grid_points(n - 1, min(cfg.grid_res, 9) if n >= 4 else cfg.grid_res)
-        at1 = np.concatenate([np.ones((len(rest), 1)), rest], axis=1)
-        at0 = np.concatenate([np.zeros((len(rest), 1)), rest], axis=1)
-        gap = float(np.max(np.abs(phi.eval_many(at1) - psi.eval_many(at0))))
+    rest = box_grid(Box(((0.0, 1.0),) * (n - 1)), min(cfg.grid_res, 9) if n >= 4 else cfg.grid_res)
+    at1 = np.concatenate([np.ones((len(rest), 1)), rest], axis=1)
+    at0 = np.concatenate([np.zeros((len(rest), 1)), rest], axis=1)
+    gap = float(np.max(np.abs(phi.eval_many(at1) - psi.eval_many(at0))))
     if gap > cfg.eq_tol:
         raise DomainError(f"face values disagree by {gap:.3e} (> eq_tol {cfg.eq_tol})")
     rest_coords = [coord(k, n) for k in range(2, n + 1)]
@@ -520,10 +513,7 @@ def seam_report(
     cfg = cfg or DEFAULT_TOLERANCES
     n = pw.in_dim
     res = min(cfg.grid_res, 9) if n >= 3 else cfg.grid_res
-    if n == 1:
-        rest = np.zeros((1, 0))
-    else:
-        rest = _grid_points(n - 1, res)
+    rest = box_grid(Box(((0.0, 1.0),) * (n - 1)), res)
     worst_val = 0.0
     worst_fd = 0.0
     for i, b in enumerate(pw.breakpoints):

@@ -24,7 +24,7 @@ from tamecube.cubes import (
 )
 from tamecube.errors import DomainError
 from tamecube.genmaps import random_map_admissible_on, random_tame_map
-from tamecube.kernels import SmashParams, lambda_, lambda_many, smash_F, smash_T_many
+from tamecube.kernels import SmashParams, lambda_, lambda_many, smash, smash_F
 from tamecube.maps import Coord
 from tamecube.replace import admissible_replace
 from tamecube.retract import RetractionParams, approx_retraction, deformation_retraction_homotopy
@@ -57,14 +57,14 @@ def test_criterion_1_kernel_identities():
     exact_ok = True
     for sigma, tau in ((0.1, 0.25), (0.05, 0.5), (0.0, 0.3), (0.2, 0.45), (0.15, 0.3)):
         p = SmashParams(sigma, tau)
-        vals = smash_T_many(p, ts)
-        worst_sym = max(worst_sym, float(np.max(np.abs(smash_T_many(p, 1.0 - ts) - (1.0 - vals)))))
+        vals = smash(ts, p.sigma, p.tau)
+        worst_sym = max(worst_sym, float(np.max(np.abs(smash(1.0 - ts, p.sigma, p.tau) - (1.0 - vals)))))
         band = np.linspace(tau, 1.0 - tau, 201)
-        worst_band = max(worst_band, float(np.max(np.abs(smash_T_many(p, band) - band))))
+        worst_band = max(worst_band, float(np.max(np.abs(smash(band, p.sigma, p.tau) - band))))
         low = ts[ts <= sigma]
         high = ts[ts >= 1.0 - sigma]
-        exact_ok &= bool(np.all(smash_T_many(p, low) == 0.0))
-        exact_ok &= bool(np.all(smash_T_many(p, high) == 1.0))
+        exact_ok &= bool(np.all(smash(low, p.sigma, p.tau) == 0.0))
+        exact_ok &= bool(np.all(smash(high, p.sigma, p.tau) == 1.0))
     ok = lam_gap <= 1e-12 and worst_sym <= 1e-9 and worst_band <= 1e-9 and exact_ok
     _report(
         "criterion-1 kernel-identities",

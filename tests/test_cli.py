@@ -3,7 +3,7 @@ import json
 import pytest
 
 from tamecube.cli import main
-from tamecube.suites import SuiteConfig, report_schema_version, run_suite
+from tamecube.suites import SuiteConfig, report_schema_version
 
 
 def test_schema_version(capsys):
@@ -32,6 +32,13 @@ def test_verify_kernels_report(tmp_path):
     assert "timestamp" in rep
     names = {r["name"] for r in rep["results"]}
     assert "lambda-symmetry" in names and "smash-F-riemann-oracle" in names
+
+
+def test_verify_all_rows_unique(tmp_path):
+    out = tmp_path / "all.json"
+    assert main(["verify", "--suite", "all", "--seed", "2", "--out", str(out)]) == 0
+    keys = [(r["name"], json.dumps(r["params"], sort_keys=True)) for r in json.loads(out.read_text())["results"]]
+    assert len(keys) == len(set(keys))
 
 
 def test_verify_deterministic_reports(tmp_path):
@@ -73,6 +80,15 @@ def test_sample_from_file_and_row_major_order(tmp_path):
     assert rows[0][0] == 0.0 and rows[3][0] == 0.5
 
 
+def test_sample_long_inline_expression(tmp_path):
+    # longer than the file-name limit, so it cannot be probed as a path
+    expr = "(sum " + " ".join(["(lambda (coord 1))"] * 24) + ")"
+    assert len(expr) > 400
+    out = tmp_path / "long.csv"
+    assert main(["sample", "--map", expr, "--grid", "3", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1:] == ["0,0", "0.5,12", "1,24"]
+
+
 def test_sample_parse_error_exit_2(tmp_path, capsys):
     rc = main(["sample", "--map", "(lambda (coord", "--grid", "5", "--out", str(tmp_path / "x.csv")])
     assert rc == 2
@@ -89,15 +105,6 @@ def test_sample_dimension_error_exit_2(tmp_path):
 def test_sample_io_error_exit_3(tmp_path):
     rc = main(["sample", "--map", "(coord 1)", "--grid", "3", "--out", str(tmp_path / "no" / "x.csv")])
     assert rc == 3
-
-
-def test_run_suite_threads_env(monkeypatch, tmp_path):
-    monkeypatch.setenv("TAMECUBE_THREADS", "2")
-    cfg = SuiteConfig(suite="all", ns=(1, 2), eps_list=(0.25,), grid_res=9, seed=1)
-    rep = run_suite(cfg)
-    monkeypatch.setenv("TAMECUBE_THREADS", "1")
-    rep2 = run_suite(cfg)
-    assert rep == rep2
 
 
 def test_suite_config_validation():

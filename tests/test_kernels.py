@@ -7,16 +7,16 @@ from hypothesis import strategies as st
 
 from tamecube.errors import DomainError
 from tamecube.kernels import (
-    QuadratureConfig,
     SmashParams,
     gamma,
     lambda_,
+    lambda_integral,
     lambda_many,
+    smash,
     smash_F,
     smash_T,
-    smash_T_dyn_many,
-    smash_T_many,
 )
+from tamecube.suites import SMASH_PAIRS
 
 P = SmashParams(0.1, 0.25)
 
@@ -101,6 +101,29 @@ def test_smash_F_monotone():
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
+def test_smash_F_interior_against_simpson():
+    # cumulative composite Simpson on 10^5 panels of the integrand of smash_F
+    panels = 10**5
+    for sigma, tau in SMASH_PAIRS:
+        lo = sigma / tau
+        xs = np.linspace(lo, 1.0, 2 * panels + 1)
+        ys = lambda_many((tau * xs - sigma) / (tau - sigma))
+        h = (1.0 - lo) / (2 * panels)
+        steps = h / 3.0 * (ys[0:-2:2] + 4.0 * ys[1:-1:2] + ys[2::2])
+        integral = np.concatenate([[0.0], np.cumsum(steps)])
+        nodes = xs[::2]
+        pick = np.linspace(1, panels - 1, 64).astype(int)
+        for k in pick:
+            t = float(nodes[k])
+            oracle = integral[k] + (tau + sigma) / (2.0 * tau) * lambda_((tau * t - sigma) / (tau - sigma))
+            assert abs(smash_F(SmashParams(sigma, tau), t) - oracle) <= 1e-10, (sigma, tau, t)
+
+
+def test_lambda_integral_reflection():
+    s = np.linspace(0.0, 1.0, 1001)
+    assert np.max(np.abs(lambda_integral(1.0 - s) - (0.5 - s + lambda_integral(s)))) <= 1e-14
+
+
 def test_smash_F_riemann_oracle():
     for sigma, tau in ((0.1, 0.25), (0.05, 0.5), (0.0, 0.3)):
         x = (np.arange(200000) + 0.5) / 200000
@@ -131,11 +154,11 @@ def test_smash_T_bands_exact():
 def test_smash_T_symmetry_and_monotone(sigma, tau):
     p = SmashParams(sigma, tau)
     ts = np.linspace(-0.5, 1.5, 401)
-    vals = smash_T_many(p, ts)
-    mirror = smash_T_many(p, 1.0 - ts)
+    vals = smash(ts, p.sigma, p.tau)
+    mirror = smash(1.0 - ts, p.sigma, p.tau)
     assert np.max(np.abs(mirror - (1.0 - vals))) <= 1e-9
     order = np.sort(ts)
-    ovals = smash_T_many(p, order)
+    ovals = smash(order, p.sigma, p.tau)
     assert np.all(np.diff(ovals) >= -1e-9)
     assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
 
@@ -149,37 +172,23 @@ def test_smash_T_seam_consistency():
 
 def test_smash_scalar_vector_agree():
     ts = np.linspace(-0.2, 1.2, 57)
-    vec = smash_T_many(P, ts)
+    vec = smash(ts, P.sigma, P.tau)
     scal = np.array([smash_T(P, float(t)) for t in ts])
     assert np.array_equal(vec, scal)
 
 
 def test_smash_dyn_matches_fixed_params():
-    ts = np.linspace(0.0, 1.0, 31)
-    sig = np.full_like(ts, P.sigma)
-    tau = np.full_like(ts, P.tau)
-    assert np.array_equal(smash_T_dyn_many(ts, sig, tau), smash_T_many(P, ts))
+    grid = np.linspace(0.0, 1.0, 31)
+    band = np.random.default_rng(5).uniform(P.sigma, 1.0 - P.sigma, 200)
+    for ts in (grid, band):
+        sig = np.full_like(ts, P.sigma)
+        tau = np.full_like(ts, P.tau)
+        assert np.array_equal(smash(ts, sig, tau), smash(ts, P.sigma, P.tau))
 
 
 def test_smash_dyn_rejects_bad_schedule():
     with pytest.raises(DomainError):
-        smash_T_dyn_many(np.array([0.5]), np.array([0.3]), np.array([0.2]))
-
-
-def test_quadrature_config_validation():
-    with pytest.raises(DomainError):
-        QuadratureConfig(abs_tol=0.0)
-    with pytest.raises(DomainError):
-        QuadratureConfig(max_depth=0)
-
-
-def test_quadrature_error_carries_estimate():
-    from tamecube.errors import QuadratureError
-
-    cfg = QuadratureConfig(abs_tol=1e-16, max_depth=1)
-    with pytest.raises(QuadratureError) as err:
-        smash_F(P, 0.7, cfg)
-    assert err.value.achieved > 0.0
+        smash(np.array([0.5]), np.array([0.3]), np.array([0.2]))
 
 
 def test_kernels_thread_safe():

@@ -123,9 +123,9 @@ def test_tame_replace_identity_line():
     g, H = tame_replace(f, 0.1, 0.25)
     band = SmashParams(0.1, 0.25)
     ts = np.linspace(0, 1, 41).reshape(-1, 1)
-    from tamecube.kernels import smash_T_many
+    from tamecube.kernels import smash
 
-    assert np.array_equal(g.eval_many(ts)[:, 0], smash_T_many(band, ts[:, 0]))
+    assert np.array_equal(g.eval_many(ts)[:, 0], smash(ts[:, 0], band.sigma, band.tau))
     assert check_tame(g, full_cube(1), 0.1).passed
     # homotopy is constant on the chamber for all sampled times
     for t in (0.25, 0.5, 0.75):
