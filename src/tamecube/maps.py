@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace as _dc_replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -34,7 +35,6 @@ __all__ = [
     "SmoothMap",
     "Const",
     "Coord",
-    "Project",
     "Affine",
     "Sum",
     "Product",
@@ -51,20 +51,16 @@ __all__ = [
     "unit_box",
     "const",
     "coord",
-    "proj",
     "affine",
     "affine_row",
-    "identity_map",
     "compose",
     "tup",
     "add",
     "mul",
-    "gamma_map",
     "lambda_map",
     "smash_map",
     "smashdyn_map",
     "recip_map",
-    "clamp01_map",
     "piecewise",
     "one_minus",
     "embed_time",
@@ -95,17 +91,21 @@ def _eval(node: "SmoothMap", X: np.ndarray, memo: dict) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SmoothMap:
-    """Base node.  ``domain`` restricts evaluation to a box when set."""
+    """Base node.  ``domain`` restricts evaluation to a box when set.
+
+    ``in_dim`` and ``out_dim`` are fixed when a node is built: leaf nodes of
+    fixed arity carry them as class constants, the others set them in
+    ``__post_init__``.  They are not dataclass fields, so equality, hashing
+    and ``repr`` see only the tree itself.
+    """
 
     domain: tuple[tuple[float, float], ...] | None = field(default=None, kw_only=True)
+    in_dim: ClassVar[int]
+    out_dim: ClassVar[int]
 
-    @property
-    def in_dim(self) -> int:
-        raise NotImplementedError
-
-    @property
-    def out_dim(self) -> int:
-        raise NotImplementedError
+    def _set_dims(self, in_dim: int, out_dim: int) -> None:
+        object.__setattr__(self, "in_dim", in_dim)
+        object.__setattr__(self, "out_dim", out_dim)
 
     def _apply(self, X: np.ndarray, memo: dict) -> np.ndarray:
         raise NotImplementedError
@@ -151,35 +151,15 @@ class Const(SmoothMap):
             raise DimensionError("const needs at least one component")
         if self.dim < 1:
             raise DimensionError("const in_dim must be >= 1")
-
-    @property
-    def in_dim(self):
-        return self.dim
-
-    @property
-    def out_dim(self):
-        return len(self.values)
+        self._set_dims(self.dim, len(self.values))
 
     def _apply(self, X, memo):
         return np.broadcast_to(np.array(self.values), (len(X), len(self.values)))
 
 
-class _Selector(SmoothMap):
-    @property
-    def in_dim(self):
-        return self.dim
-
-    @property
-    def out_dim(self):
-        return 1
-
-    def _apply(self, X, memo):
-        return X[:, self.index - 1 : self.index]
-
-
 @dataclass(frozen=True)
-class Coord(_Selector):
-    """Selects input coordinate ``index`` (1-based)."""
+class Coord(SmoothMap):
+    """Selects input coordinate ``index`` (1-based); ``(project k)`` reads as this."""
 
     index: int
     dim: int
@@ -187,18 +167,10 @@ class Coord(_Selector):
     def __post_init__(self):
         if not 1 <= self.index <= self.dim:
             raise DimensionError(f"coord {self.index} out of range 1..{self.dim}")
+        self._set_dims(self.dim, 1)
 
-
-@dataclass(frozen=True)
-class Project(_Selector):
-    """Selects component ``index`` of a computed vector (same action as Coord)."""
-
-    index: int
-    dim: int
-
-    def __post_init__(self):
-        if not 1 <= self.index <= self.dim:
-            raise DimensionError(f"project {self.index} out of range 1..{self.dim}")
+    def _apply(self, X, memo):
+        return X[:, self.index - 1 : self.index]
 
 
 @dataclass(frozen=True)
@@ -219,14 +191,7 @@ class Affine(SmoothMap):
             raise DimensionError(
                 f"affine offset length {len(self.offset)} != row count {len(m)}"
             )
-
-    @property
-    def in_dim(self):
-        return len(self.matrix[0])
-
-    @property
-    def out_dim(self):
-        return len(self.matrix)
+        self._set_dims(cols, len(m))
 
     def _apply(self, X, memo):
         return X @ np.array(self.matrix).T + np.array(self.offset)
@@ -254,16 +219,9 @@ class Sum(SmoothMap):
     def __post_init__(self):
         if not self.children:
             raise DimensionError("sum needs at least one child")
-        _common_in(self.children, "sum")
-        _broadcast_out(self.children, "sum")
-
-    @property
-    def in_dim(self):
-        return self.children[0].in_dim
-
-    @property
-    def out_dim(self):
-        return _broadcast_out(self.children, "sum")
+        self._set_dims(
+            _common_in(self.children, "sum"), _broadcast_out(self.children, "sum")
+        )
 
     def _apply(self, X, memo):
         acc = np.zeros((len(X), self.out_dim))
@@ -279,16 +237,9 @@ class Product(SmoothMap):
     def __post_init__(self):
         if not self.children:
             raise DimensionError("prod needs at least one child")
-        _common_in(self.children, "prod")
-        _broadcast_out(self.children, "prod")
-
-    @property
-    def in_dim(self):
-        return self.children[0].in_dim
-
-    @property
-    def out_dim(self):
-        return _broadcast_out(self.children, "prod")
+        self._set_dims(
+            _common_in(self.children, "prod"), _broadcast_out(self.children, "prod")
+        )
 
     def _apply(self, X, memo):
         acc = np.ones((len(X), self.out_dim))
@@ -308,14 +259,7 @@ class Compose(SmoothMap):
                 f"compose: outer expects {self.outer.in_dim} inputs, "
                 f"inner produces {self.inner.out_dim}"
             )
-
-    @property
-    def in_dim(self):
-        return self.inner.in_dim
-
-    @property
-    def out_dim(self):
-        return self.outer.out_dim
+        self._set_dims(self.inner.in_dim, self.outer.out_dim)
 
     def _apply(self, X, memo):
         return _eval(self.outer, _eval(self.inner, X, memo), memo)
@@ -328,15 +272,9 @@ class TupleMap(SmoothMap):
     def __post_init__(self):
         if not self.children:
             raise DimensionError("tuple needs at least one child")
-        _common_in(self.children, "tuple")
-
-    @property
-    def in_dim(self):
-        return self.children[0].in_dim
-
-    @property
-    def out_dim(self):
-        return sum(c.out_dim for c in self.children)
+        self._set_dims(
+            _common_in(self.children, "tuple"), sum(c.out_dim for c in self.children)
+        )
 
     def _apply(self, X, memo):
         return np.concatenate([_eval(c, X, memo) for c in self.children], axis=1)
@@ -344,13 +282,7 @@ class TupleMap(SmoothMap):
 
 @dataclass(frozen=True)
 class Gamma(SmoothMap):
-    @property
-    def in_dim(self):
-        return 1
-
-    @property
-    def out_dim(self):
-        return 1
+    in_dim = out_dim = 1
 
     def _apply(self, X, memo):
         return gamma_many(X[:, 0]).reshape(-1, 1)
@@ -358,13 +290,7 @@ class Gamma(SmoothMap):
 
 @dataclass(frozen=True)
 class Lambda(SmoothMap):
-    @property
-    def in_dim(self):
-        return 1
-
-    @property
-    def out_dim(self):
-        return 1
+    in_dim = out_dim = 1
 
     def _apply(self, X, memo):
         return lambda_many(X[:, 0]).reshape(-1, 1)
@@ -374,13 +300,7 @@ class Lambda(SmoothMap):
 class Smash(SmoothMap):
     params: SmashParams
 
-    @property
-    def in_dim(self):
-        return 1
-
-    @property
-    def out_dim(self):
-        return 1
+    in_dim = out_dim = 1
 
     def _apply(self, X, memo):
         return smash(X[:, 0], self.params.sigma, self.params.tau).reshape(-1, 1)
@@ -390,13 +310,8 @@ class Smash(SmoothMap):
 class SmashDyn(SmoothMap):
     """Smash kernel with runtime parameters: inputs are (t, sigma, tau)."""
 
-    @property
-    def in_dim(self):
-        return 3
-
-    @property
-    def out_dim(self):
-        return 1
+    in_dim = 3
+    out_dim = 1
 
     def _apply(self, X, memo):
         return smash(X[:, 0], X[:, 1], X[:, 2]).reshape(-1, 1)
@@ -406,13 +321,7 @@ class SmashDyn(SmoothMap):
 class Recip(SmoothMap):
     """1/x on strictly positive inputs."""
 
-    @property
-    def in_dim(self):
-        return 1
-
-    @property
-    def out_dim(self):
-        return 1
+    in_dim = out_dim = 1
 
     def _apply(self, X, memo):
         x = X[:, 0]
@@ -428,14 +337,7 @@ class Clamp01(SmoothMap):
     def __post_init__(self):
         if self.dim < 1:
             raise DimensionError("clamp01 dimension must be >= 1")
-
-    @property
-    def in_dim(self):
-        return self.dim
-
-    @property
-    def out_dim(self):
-        return self.dim
+        self._set_dims(self.dim, self.dim)
 
     def _apply(self, X, memo):
         return np.clip(X, 0.0, 1.0)
@@ -474,14 +376,7 @@ class PiecewiseAxis(SmoothMap):
             raise DimensionError(f"piece: children out_dims {sorted(outs)} differ")
         if not 1 <= self.axis <= n:
             raise DimensionError(f"piece axis {self.axis} out of range 1..{n}")
-
-    @property
-    def in_dim(self):
-        return self.pieces[0].in_dim
-
-    @property
-    def out_dim(self):
-        return self.pieces[0].out_dim
+        self._set_dims(n, outs.pop())
 
     def _apply(self, X, memo):
         t = X[:, self.axis - 1]
@@ -508,10 +403,6 @@ def coord(index: int, n: int) -> Coord:
     return Coord(index, n)
 
 
-def proj(index: int, n: int) -> Project:
-    return Project(index, n)
-
-
 def affine(matrix, offset) -> Affine:
     return Affine(tuple(tuple(row) for row in matrix), tuple(offset))
 
@@ -522,11 +413,6 @@ def affine_row(n: int, coeffs: dict[int, float], offset: float = 0.0) -> Affine:
     for a, cval in coeffs.items():
         row[a - 1] = float(cval)
     return Affine((tuple(row),), (float(offset),))
-
-
-def identity_map(n: int) -> Affine:
-    eye = tuple(tuple(1.0 if i == j else 0.0 for j in range(n)) for i in range(n))
-    return Affine(eye, (0.0,) * n)
 
 
 def compose(*fs: SmoothMap) -> SmoothMap:
@@ -551,10 +437,6 @@ def mul(*fs: SmoothMap) -> Product:
     return Product(tuple(fs))
 
 
-def gamma_map(f: SmoothMap | None = None) -> SmoothMap:
-    return Gamma() if f is None else Compose(Gamma(), f)
-
-
 def lambda_map(f: SmoothMap | None = None) -> SmoothMap:
     return Lambda() if f is None else Compose(Lambda(), f)
 
@@ -570,10 +452,6 @@ def smashdyn_map(t: SmoothMap, sigma: SmoothMap, tau: SmoothMap) -> SmoothMap:
 
 def recip_map(f: SmoothMap) -> SmoothMap:
     return Compose(Recip(), f)
-
-
-def clamp01_map(f: SmoothMap) -> SmoothMap:
-    return Compose(Clamp01(f.out_dim), f)
 
 
 def piecewise(axis: int, breakpoints, pieces) -> PiecewiseAxis:
@@ -624,15 +502,13 @@ class Homotopy:
             raise DomainError(f"time value {u!r} outside [0, 1]")
         u = min(1.0, max(0.0, u))
         n = self.space_dim
-        out = Compose(self.map.without_domain(), embed_time(n, u))
-        return _dc_replace(out, domain=unit_box(n))
+        return Compose(self.map.without_domain(), embed_time(n, u)).on_unit_box()
 
 
 def constant_homotopy(f: SmoothMap) -> Homotopy:
     """The homotopy that ignores its time coordinate."""
     n = f.in_dim
-    out = Compose(f.without_domain(), drop_time(n))
-    return Homotopy(_dc_replace(out, domain=unit_box(n + 1)))
+    return Homotopy(Compose(f.without_domain(), drop_time(n)).on_unit_box())
 
 
 # ---------------------------------------------------------------------------
@@ -898,10 +774,8 @@ def _build(ast, n: int) -> SmoothMap:
         raise ParseError(f"unknown atom {name!r}", ast[2], ast[3])
     name, args, line, col = _head(ast)
     try:
-        if name == "coord":
-            return Coord(_expect_int(args[0], "coord index"), n)
-        if name == "project":
-            return Project(_expect_int(args[0], "project index"), n)
+        if name in ("coord", "project"):
+            return Coord(_expect_int(args[0], f"{name} index"), n)
         if name == "const":
             return Const(tuple(_expect_num(a, "const value") for a in args), n)
         if name == "affine":
@@ -989,8 +863,6 @@ def serialize_map(f: SmoothMap) -> str:
         return "(const " + " ".join(_fmt(v) for v in f.values) + ")"
     if isinstance(f, Coord):
         return f"(coord {f.index})"
-    if isinstance(f, Project):
-        return f"(project {f.index})"
     if isinstance(f, Affine):
         rows = " ".join("[" + " ".join(_fmt(v) for v in row) + "]" for row in f.matrix)
         offset = " ".join(_fmt(v) for v in f.offset)

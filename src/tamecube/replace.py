@@ -31,7 +31,6 @@ from .maps import (
     constant_homotopy,
     embed_time,
     piecewise,
-    unit_box,
 )
 from .tame import (
     TamenessReport,
@@ -201,7 +200,7 @@ def admissible_replace(
         raise DomainError("L is not a subcomplex of K")
     # cheap internal config for per-step verification; the caller's cfg is
     # used for the final admissibility report
-    quick = ToleranceConfig(eq_tol=cfg.eq_tol, deriv_tol=cfg.deriv_tol, grid_res=min(cfg.grid_res, 11))
+    quick = _dc_replace(cfg, grid_res=min(cfg.grid_res, 11))
     if not L.is_empty:
         pre = check_admissible(f, L, eps, quick, seed)
         if not pre.passed:
@@ -211,7 +210,7 @@ def admissible_replace(
                 pre,
             )
     if K.is_empty or K.dim == 0 or K.is_subcomplex_of(L):
-        g = _dc_replace(f, domain=unit_box(n))
+        g = f.on_unit_box()
         final = check_admissible(g, K, eps, cfg, seed) if not K.is_empty else TamenessReport(
             True, eps, 0.0, None, 0
         )
@@ -298,7 +297,7 @@ def admissible_replace(
         current = L.union(skeleton(K, j)) if not L.is_empty else skeleton(K, j)
         union = _route_union(current, formulas, cert, fallback)
 
-    h_ind = Homotopy(_dc_replace(union, domain=unit_box(n + 1)))
+    h_ind = Homotopy(union.on_unit_box())
     H = concat_homotopy(h_tame, h_ind, cfg)
     g = h_ind.slice(1.0)
     final = check_admissible(g, K, eps, cfg, seed)

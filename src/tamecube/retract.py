@@ -33,9 +33,7 @@ from .maps import (
     smash_map,
     smashdyn_map,
     tup,
-    unit_box,
 )
-from dataclasses import replace as _dc_replace
 
 __all__ = [
     "RetractionParams",
@@ -100,7 +98,7 @@ def approx_retraction(p: RetractionParams) -> SmoothMap:
     last output hits 1 whenever no side output is pinned, which is what
     keeps the image inside the complex.
     """
-    return _dc_replace(_retraction_tree(p), domain=unit_box(p.n))
+    return _retraction_tree(p).on_unit_box()
 
 
 def deformation_schedule(n: int, eps: float) -> dict:
@@ -149,7 +147,7 @@ def deformation_retraction_homotopy(n: int, eps: float) -> Homotopy:
     u = coord(dim, dim)
     if n == 1:
         h = add(mul(one_minus(u), coord(1, dim)), u)
-        return Homotopy(_dc_replace(h, domain=unit_box(dim)))
+        return Homotopy(h.on_unit_box())
     R = _retraction_tree(RetractionParams.from_eps(n, sched["retraction_eps"]))
     ramp = lambda_map(affine_row(dim, {n: 1.0 / sched["ramp_scale"]}, 0.0))
     sigma_t = compose(
@@ -163,4 +161,4 @@ def deformation_retraction_homotopy(n: int, eps: float) -> Homotopy:
     squeezed = [smashdyn_map(coord(k, dim), sigma_t, tau_t) for k in range(1, n)]
     retracted = compose(R, tup(*squeezed, coord(n, dim)))
     h = add(mul(one_minus(u), drop_time(n)), mul(u, retracted))
-    return Homotopy(_dc_replace(h, domain=unit_box(dim)))
+    return Homotopy(h.on_unit_box())

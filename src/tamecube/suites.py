@@ -8,7 +8,7 @@ samples is an exact max, so they do not depend on evaluation order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace as _dc_replace
 
 import numpy as np
 
@@ -61,7 +61,10 @@ class PropertyResult:
     params: dict
     worst: float
     tol: float
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.worst <= self.tol
 
     def to_json(self) -> dict:
         return {
@@ -126,19 +129,15 @@ def _kernels_suite(cfg: SuiteConfig) -> list[PropertyResult]:
     ts = _sample_ts(cfg.seed)
     lam = kr.lambda_many(ts)
     lam_m = kr.lambda_many(1.0 - ts)
-    out.append(
-        PropertyResult(
-            "lambda-symmetry", {"samples": len(ts)}, float(np.max(np.abs(lam_m - (1 - lam)))), 1e-12,
-            bool(np.max(np.abs(lam_m - (1 - lam))) <= 1e-12),
-        )
-    )
+    sym = float(np.max(np.abs(lam_m - (1 - lam))))
+    out.append(PropertyResult("lambda-symmetry", {"samples": len(ts)}, sym, 1e-12))
     order = np.sort(ts)
     drops = -np.diff(kr.lambda_many(order))
     worst = float(max(0.0, drops.max())) if len(drops) else 0.0
-    out.append(PropertyResult("lambda-monotone", {"samples": len(ts)}, worst, 1e-12, worst <= 1e-12))
+    out.append(PropertyResult("lambda-monotone", {"samples": len(ts)}, worst, 1e-12))
     integral = _simpson_integral(kr.lambda_, 0.0, 1.0)
     gap = abs(integral - 0.5)
-    out.append(PropertyResult("lambda-integral-half", {"panels": 4096}, gap, 1e-8, gap <= 1e-8))
+    out.append(PropertyResult("lambda-integral-half", {"panels": 4096}, gap, 1e-8))
     worst_fd = 0.0
     for t0, sgn in ((0.0, 1.0), (1.0, -1.0)):
         prev = None
@@ -147,48 +146,34 @@ def _kernels_suite(cfg: SuiteConfig) -> list[PropertyResult]:
             if prev is not None and d > prev:
                 worst_fd = max(worst_fd, d - prev)
             prev = d
-    out.append(PropertyResult("lambda-flat-ends", {"steps": [1e-2, 1e-3]}, worst_fd, 0.0, worst_fd <= 0.0))
+    out.append(PropertyResult("lambda-flat-ends", {"steps": [1e-2, 1e-3]}, worst_fd, 0.0))
 
     for sigma, tau in SMASH_PAIRS:
         p = kr.SmashParams(sigma, tau)
         tv = kr.smash(ts, sigma, tau)
         tv_m = kr.smash(1.0 - ts, sigma, tau)
         sym = float(np.max(np.abs(tv_m - (1.0 - tv))))
-        out.append(
-            PropertyResult("smash-symmetry", {"sigma": sigma, "tau": tau}, sym, 1e-9, sym <= 1e-9)
-        )
+        out.append(PropertyResult("smash-symmetry", {"sigma": sigma, "tau": tau}, sym, 1e-9))
         tsort = kr.smash(order, sigma, tau)
         mono = float(max(0.0, (-np.diff(tsort)).max()))
-        out.append(
-            PropertyResult("smash-monotone", {"sigma": sigma, "tau": tau}, mono, 1e-9, mono <= 1e-9)
-        )
+        out.append(PropertyResult("smash-monotone", {"sigma": sigma, "tau": tau}, mono, 1e-9))
         band = np.linspace(tau, 1.0 - tau, 101)
         ident = float(np.max(np.abs(kr.smash(band, sigma, tau) - band)))
-        out.append(
-            PropertyResult("smash-identity-band", {"sigma": sigma, "tau": tau}, ident, 1e-9, ident <= 1e-9)
-        )
+        out.append(PropertyResult("smash-identity-band", {"sigma": sigma, "tau": tau}, ident, 1e-9))
         if sigma > 0:
             flat = np.concatenate([np.linspace(-0.3, sigma, 41), np.linspace(1 - sigma, 1.3, 41)])
             vals = kr.smash(flat, sigma, tau)
             expected = np.where(flat <= 0.5, 0.0, 1.0)
             worst_flat = float(np.max(np.abs(vals - expected)))
-            out.append(
-                PropertyResult(
-                    "smash-flat-bands-exact", {"sigma": sigma, "tau": tau}, worst_flat, 0.0, worst_flat <= 0.0
-                )
-            )
+            out.append(PropertyResult("smash-flat-bands-exact", {"sigma": sigma, "tau": tau}, worst_flat, 0.0))
         fv = tau * kr.smash_F(p, 0.5 / tau)
         seam = abs(fv - (1.0 - fv))
-        out.append(
-            PropertyResult("smash-seam-half", {"sigma": sigma, "tau": tau}, seam, 1e-9, seam <= 1e-9)
-        )
+        out.append(PropertyResult("smash-seam-half", {"sigma": sigma, "tau": tau}, seam, 1e-9))
     for sigma, tau in ((0.1, 0.25), (0.05, 0.5), (0.0, 0.3)):
         oracle = _riemann_smash_F1(sigma, tau)
         got = kr.smash_F(kr.SmashParams(sigma, tau), 1.0)
         gap = abs(got - oracle)
-        out.append(
-            PropertyResult("smash-F-riemann-oracle", {"sigma": sigma, "tau": tau}, gap, 1e-8, gap <= 1e-8)
-        )
+        out.append(PropertyResult("smash-F-riemann-oracle", {"sigma": sigma, "tau": tau}, gap, 1e-8))
     return out
 
 
@@ -199,14 +184,10 @@ def _retract_suite(cfg: SuiteConfig) -> list[PropertyResult]:
             R = approx_retraction(RetractionParams.from_eps(n, eps))
             pts = cb.box_grid(cb.Box(((0.0, 1.0),) * n), 21)
             dist = float(cb.dist_to_complex(cb.j_complex(n), R.eval_many(pts)).max())
-            out.append(
-                PropertyResult("retraction-containment", {"n": n, "eps": eps}, dist, 1e-9, dist <= 1e-9)
-            )
+            out.append(PropertyResult("retraction-containment", {"n": n, "eps": eps}, dist, 1e-9))
             ch = cb.region_grid(cb.chamber_region(cb.j_complex(n), eps), 9)
             dev = float(np.max(np.abs(R.eval_many(ch) - ch))) if len(ch) else 0.0
-            out.append(
-                PropertyResult("retraction-chamber-identity", {"n": n, "eps": eps}, dev, 1e-12, dev <= 1e-12)
-            )
+            out.append(PropertyResult("retraction-chamber-identity", {"n": n, "eps": eps}, dev, 1e-12))
     for n in [n for n in cfg.ns if n >= 2]:
         eps = 0.3
         H = deformation_retraction_homotopy(n, eps)
@@ -215,30 +196,28 @@ def _retract_suite(cfg: SuiteConfig) -> list[PropertyResult]:
         z = np.concatenate([pts, np.zeros((len(pts), 1))], axis=1)
         o = np.concatenate([pts, np.ones((len(pts), 1))], axis=1)
         dev0 = float(np.max(np.abs(H.map.eval_many(z) - pts)))
-        out.append(PropertyResult("deformation-identity-at-0", {"n": n, "eps": eps}, dev0, 1e-12, dev0 <= 1e-12))
+        out.append(PropertyResult("deformation-identity-at-0", {"n": n, "eps": eps}, dev0, 1e-12))
         dist1 = float(cb.dist_to_complex(cb.j_complex(n), H.map.eval_many(o)).max())
-        out.append(PropertyResult("deformation-containment-at-1", {"n": n, "eps": eps}, dist1, 1e-9, dist1 <= 1e-9))
+        out.append(PropertyResult("deformation-containment-at-1", {"n": n, "eps": eps}, dist1, 1e-9))
         ch = cb.region_grid(cb.chamber_region(cb.j_complex(n), delta), 7)
         worst = 0.0
         for u in (0.0, 0.25, 0.5, 0.75, 1.0):
             su = np.concatenate([ch, np.full((len(ch), 1), u)], axis=1)
             worst = max(worst, float(np.max(np.abs(H.map.eval_many(su) - ch))))
-        out.append(PropertyResult("deformation-chamber-fixed", {"n": n, "eps": eps}, worst, 1e-12, worst <= 1e-12))
+        out.append(PropertyResult("deformation-chamber-fixed", {"n": n, "eps": eps}, worst, 1e-12))
         region = cb.j_delta_region(n, delta)
         rp = cb.region_grid(region, 9)
         worst_in = 0.0
         for u in (0.25, 0.5, 0.75, 1.0):
             su = np.concatenate([rp, np.full((len(rp), 1), u)], axis=1)
             worst_in = max(worst_in, float(cb.dist_to_region(region, H.map.eval_many(su)).max()))
-        out.append(
-            PropertyResult("deformation-collar-region-stable", {"n": n, "eps": eps}, worst_in, 1e-9, worst_in <= 1e-9)
-        )
+        out.append(PropertyResult("deformation-collar-region-stable", {"n": n, "eps": eps}, worst_in, 1e-9))
     try:
         RetractionParams(2, eps=0.2, sigma=0.05, eps_prime=0.3)
         rejected = 1.0
     except DomainError:
         rejected = 0.0
-    out.append(PropertyResult("retraction-bad-params-rejected", {}, rejected, 0.0, rejected <= 0.0))
+    out.append(PropertyResult("retraction-bad-params-rejected", {}, rejected, 0.0))
     return out
 
 
@@ -251,20 +230,18 @@ def _tame_suite(cfg: SuiteConfig) -> list[PropertyResult]:
         if not rep.passed and rep.witness is not None:
             depth = abs(rep.witness.point[rep.witness.axis - 1] - rep.witness.alpha)
             witness_gap = abs(rep.worst_violation - depth)
-        out.append(
-            PropertyResult("identity-not-tame", {"eps": eps}, witness_gap, 1e-12, witness_gap <= 1e-12)
-        )
+        out.append(PropertyResult("identity-not-tame", {"eps": eps}, witness_gap, 1e-12))
     g, H = tame_replace(mp.Coord(1, 1).on_unit_box(), 0.1, 0.25)
     rep = check_tame(g, cb.full_cube(1), 0.1, tol, cfg.seed)
     out.append(
-        PropertyResult("taming-produces-tame", {"sigma": 0.1, "eps": 0.25}, rep.worst_violation, tol.eq_tol, rep.passed)
+        PropertyResult("taming-produces-tame", {"sigma": 0.1, "eps": 0.25}, rep.worst_violation, tol.eq_tol)
     )
     ch = cb.region_grid(cb.chamber_region(cb.full_cube(1), 0.25), 9)
     worst = 0.0
     for u in (0.0, 0.5, 1.0):
         su = np.concatenate([ch, np.full((len(ch), 1), u)], axis=1)
         worst = max(worst, float(np.max(np.abs(H.map.eval_many(su) - ch))))
-    out.append(PropertyResult("taming-relative-to-chamber", {"sigma": 0.1, "eps": 0.25}, worst, tol.eq_tol, worst <= tol.eq_tol))
+    out.append(PropertyResult("taming-relative-to-chamber", {"sigma": 0.1, "eps": 0.25}, worst, tol.eq_tol))
 
     for i, n in enumerate([n for n in cfg.ns if n <= 3][:3]):
         eps, sigma = 0.25, 0.1
@@ -273,15 +250,13 @@ def _tame_suite(cfg: SuiteConfig) -> list[PropertyResult]:
         gext = extend_tame(f, eps=eps, sigma=sigma, cfg=tol, seed=cfg.seed)
         pts = cb.complex_grid(cb.j_complex(n), min(cfg.grid_res, 17))
         gap = float(np.max(np.abs(gext.eval_many(pts) - f.on_unit_box().eval_many(pts))))
-        out.append(PropertyResult("extension-restriction", {"n": n, "eps": eps}, gap, tol.eq_tol, gap <= tol.eq_tol))
-        quick = ToleranceConfig(tol.eq_tol, tol.deriv_tol, min(cfg.grid_res, 17))
+        out.append(PropertyResult("extension-restriction", {"n": n, "eps": eps}, gap, tol.eq_tol))
+        quick = _dc_replace(tol, grid_res=min(cfg.grid_res, 17))
         rep = check_tame(gext, cb.full_cube(n), sigma, quick, cfg.seed)
-        out.append(PropertyResult("extension-tame", {"n": n, "sigma": sigma}, rep.worst_violation, tol.eq_tol, rep.passed))
+        out.append(PropertyResult("extension-tame", {"n": n, "sigma": sigma}, rep.worst_violation, tol.eq_tol))
         bottom = cb.CubicalComplex(n, (cb.Face(n, ((n, 0),)),))
         repb = check_tame(gext, bottom, 0.5 * (sigma + eps), quick, cfg.seed)
-        out.append(
-            PropertyResult("extension-bottom-tame", {"n": n}, repb.worst_violation, tol.eq_tol, repb.passed)
-        )
+        out.append(PropertyResult("extension-bottom-tame", {"n": n}, repb.worst_violation, tol.eq_tol))
 
     rng = np.random.default_rng(cfg.seed + 200)
     f1 = random_tame_map(rng, 2, 0.25)
@@ -289,8 +264,8 @@ def _tame_suite(cfg: SuiteConfig) -> list[PropertyResult]:
     g2, h2 = tame_replace(g1, 0.05, 0.1)
     hh = concat_homotopy(h1, h2, tol)
     val, fd, ok = seam_report(hh.map, tol)
-    out.append(PropertyResult("concat-seam-value", {"n": 2}, val, tol.eq_tol, val <= tol.eq_tol))
-    out.append(PropertyResult("concat-seam-derivative", {"n": 2}, fd, tol.deriv_tol, fd <= tol.deriv_tol))
+    out.append(PropertyResult("concat-seam-value", {"n": 2}, val, tol.eq_tol))
+    out.append(PropertyResult("concat-seam-derivative", {"n": 2}, fd, tol.deriv_tol))
 
     rng = np.random.default_rng(cfg.seed + 300)
     base = random_tame_map(rng, 2, 0.2)
@@ -308,22 +283,22 @@ def _tame_suite(cfg: SuiteConfig) -> list[PropertyResult]:
     star = concat_maps(flat, flat, tol)
     bpts = cb.complex_grid(cb.boundary_complex(2), min(cfg.grid_res, 17))
     worst = float(np.max(np.abs(star.eval_many(bpts) - np.asarray(c0))))
-    out.append(PropertyResult("concat-constant-boundary", {"n": 2}, worst, tol.eq_tol, worst <= tol.eq_tol))
+    out.append(PropertyResult("concat-constant-boundary", {"n": 2}, worst, tol.eq_tol))
 
     p = kr.SmashParams(0.2, 0.35)
     fc = mp.tup(*[mp.smash_map(p, mp.coord(k, 2)) for k in (1, 2)]).on_unit_box()
-    rep = check_fiber_constant(fc, 0.2, 0.35, ToleranceConfig(tol.eq_tol, tol.deriv_tol, 9), cfg.seed)
-    out.append(PropertyResult("fiber-constant-smash", {"eps": 0.2}, rep.worst_violation, tol.eq_tol, rep.passed))
+    rep = check_fiber_constant(fc, 0.2, 0.35, _dc_replace(tol, grid_res=9), cfg.seed)
+    out.append(PropertyResult("fiber-constant-smash", {"eps": 0.2}, rep.worst_violation, tol.eq_tol))
 
     rng = np.random.default_rng(cfg.seed + 400)
     for n in [n for n in cfg.ns if 2 <= n <= 3][:2]:
         eps = 0.3
         # exactly eps-tame, hence eps-admissible; push onto the collared region
         f = random_tame_map(rng, n, eps)
-        fe = extend_to_jdelta(f, eps, cfg=ToleranceConfig(tol.eq_tol, tol.deriv_tol, 9), seed=cfg.seed)
+        fe = extend_to_jdelta(f, eps, cfg=_dc_replace(tol, grid_res=9), seed=cfg.seed)
         pts = cb.complex_grid(cb.j_complex(n), 9)
         gap = float(np.max(np.abs(fe.eval_many(pts) - f.on_unit_box().eval_many(pts))))
-        out.append(PropertyResult("jdelta-agrees-on-walls", {"n": n, "eps": eps}, gap, tol.eq_tol, gap <= tol.eq_tol))
+        out.append(PropertyResult("jdelta-agrees-on-walls", {"n": n, "eps": eps}, gap, tol.eq_tol))
     return out
 
 
@@ -339,7 +314,7 @@ def _replace_suite(cfg: SuiteConfig) -> list[PropertyResult]:
     for n, K, L, seed in cases:
         rng = np.random.default_rng(seed)
         f = random_map_admissible_on(rng, n, L, eps)
-        quick = ToleranceConfig(tol.eq_tol, tol.deriv_tol, min(cfg.grid_res, 17 if n == 3 else 33))
+        quick = _dc_replace(tol, grid_res=min(cfg.grid_res, 17 if n == 3 else 33))
         g, H, trace = admissible_replace(f, K, L, eps, quick, seed=seed)
         out.append(
             PropertyResult(
@@ -347,7 +322,6 @@ def _replace_suite(cfg: SuiteConfig) -> list[PropertyResult]:
                 {"n": n, "L": L.describe(), "eps": eps},
                 trace.final_report.worst_violation,
                 tol.eq_tol,
-                trace.final_report.passed,
             )
         )
         pts = cb.complex_grid(K, quick.grid_res)
@@ -355,18 +329,14 @@ def _replace_suite(cfg: SuiteConfig) -> list[PropertyResult]:
         e0 = float(np.max(np.abs(H.slice(0.0).eval_many(pts) - f_unit.eval_many(pts))))
         e1 = float(np.max(np.abs(H.slice(1.0).eval_many(pts) - g.eval_many(pts))))
         worst = max(e0, e1)
-        out.append(
-            PropertyResult("replace-endpoints", {"n": n, "L": L.describe()}, worst, tol.eq_tol, worst <= tol.eq_tol)
-        )
+        out.append(PropertyResult("replace-endpoints", {"n": n, "L": L.describe()}, worst, tol.eq_tol))
         lpts = cb.complex_grid(L, quick.grid_res)
         fl = f_unit.eval_many(lpts)
         worst = 0.0
         for u in (0.0, 0.25, 0.5, 0.75, 1.0):
             su = np.concatenate([lpts, np.full((len(lpts), 1), u)], axis=1)
             worst = max(worst, float(np.max(np.abs(H.map.eval_many(su) - fl))))
-        out.append(
-            PropertyResult("replace-relative-on-L", {"n": n, "L": L.describe()}, worst, tol.eq_tol, worst <= tol.eq_tol)
-        )
+        out.append(PropertyResult("replace-relative-on-L", {"n": n, "L": L.describe()}, worst, tol.eq_tol))
     return out
 
 

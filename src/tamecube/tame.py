@@ -19,7 +19,7 @@ seams at 1/2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as _dc_replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,7 +59,6 @@ from .maps import (
     smash_map,
     smashdyn_map,
     tup,
-    unit_box,
 )
 from .retract import RetractionParams, approx_retraction
 
@@ -263,7 +262,7 @@ def tame_replace(f: SmoothMap, sigma: float, eps: float) -> tuple[SmoothMap, Hom
         )
     n = f.in_dim
     params = SmashParams(sigma, eps)
-    g = _dc_replace(compose(f, _coordwise_smash(params, n)), domain=unit_box(n))
+    g = compose(f, _coordwise_smash(params, n)).on_unit_box()
     dim = n + 1
     u = coord(dim, dim)
     moved = [
@@ -273,7 +272,7 @@ def tame_replace(f: SmoothMap, sigma: float, eps: float) -> tuple[SmoothMap, Hom
         )
         for k in range(1, n + 1)
     ]
-    H = _dc_replace(compose(f, tup(*moved)), domain=unit_box(dim))
+    H = compose(f, tup(*moved)).on_unit_box()
     return g, Homotopy(H)
 
 
@@ -286,7 +285,6 @@ def extend_tame(
     *,
     cfg: ToleranceConfig | None = None,
     seed: int = 0,
-    check_input: bool = True,
 ) -> SmoothMap:
     """Extend an eps-tame map on the walls-plus-top complex over the whole cube.
 
@@ -310,30 +308,26 @@ def extend_tame(
             f"need sigma < sigma_prime < eps_prime, got "
             f"sigma={sigma!r}, sigma_prime={sigma_prime!r}, eps_prime={eps_prime!r}"
         )
-    if check_input:
-        rep = check_tame(f, j_complex(n), eps, cfg, seed)
-        if not rep.passed:
+    rep = check_tame(f, j_complex(n), eps, cfg, seed)
+    if not rep.passed:
+        raise TamenessError(
+            f"input map is not {eps}-tame on the walls-plus-top complex "
+            f"(worst violation {rep.worst_violation:.3e})",
+            rep,
+        )
+    if n >= 2:
+        # the wider bottom-boundary tameness is what lets the relaxed
+        # widths near the bottom reproduce f on the walls there
+        rim = CubicalComplex(
+            n, tuple(_bottom_rim_face(n, j, v) for j in range(1, n) for v in (0, 1))
+        )
+        rim_rep = check_tame(f, rim, eps_prime, cfg, seed)
+        if not rim_rep.passed:
             raise TamenessError(
-                f"input map is not {eps}-tame on the walls-plus-top complex "
-                f"(worst violation {rep.worst_violation:.3e})",
-                rep,
+                f"input map is not {eps_prime}-tame on the bottom rim "
+                f"(worst violation {rim_rep.worst_violation:.3e})",
+                rim_rep,
             )
-        if n >= 2:
-            # the wider bottom-boundary tameness is what lets the relaxed
-            # widths near the bottom reproduce f on the walls there
-            rim = CubicalComplex(
-                n,
-                tuple(
-                    _bottom_rim_face(n, j, v) for j in range(1, n) for v in (0, 1)
-                ),
-            )
-            rim_rep = check_tame(f, rim, eps_prime, cfg, seed)
-            if not rim_rep.passed:
-                raise TamenessError(
-                    f"input map is not {eps_prime}-tame on the bottom rim "
-                    f"(worst violation {rim_rep.worst_violation:.3e})",
-                    rim_rep,
-                )
     R = approx_retraction(RetractionParams.from_eps(n, eps)).without_domain()
     # widths relax from (sigma', eps') at the bottom to (sigma, eps) once the
     # smashed time leaves its flat band; driving the ramp by the smashed time
@@ -345,8 +339,7 @@ def extend_tame(
     b_u = compose(affine_row(1, {1: eps_prime - eps}, eps), ramp)
     args = [smashdyn_map(coord(k, n), a_u, b_u) for k in range(1, n)]
     args.append(squashed_time)
-    g = compose(f, R, tup(*args))
-    return _dc_replace(g, domain=unit_box(n))
+    return compose(f, R, tup(*args)).on_unit_box()
 
 
 def jdelta_collar(n: int, eps: float) -> tuple[float, float, float]:
@@ -372,7 +365,6 @@ def extend_to_jdelta(
     *,
     cfg: ToleranceConfig | None = None,
     seed: int = 0,
-    check_input: bool = True,
 ) -> SmoothMap:
     """Extend an eps-admissible map on walls-plus-top over the collared boundary.
 
@@ -381,14 +373,13 @@ def extend_to_jdelta(
     """
     cfg = cfg or DEFAULT_TOLERANCES
     n = f.in_dim
-    if check_input:
-        rep = check_admissible(f, j_complex(n), eps, cfg, seed)
-        if not rep.passed:
-            raise TamenessError(
-                f"input map is not {eps}-admissible on the walls-plus-top complex "
-                f"(worst violation {rep.worst_violation:.3e})",
-                rep,
-            )
+    rep = check_admissible(f, j_complex(n), eps, cfg, seed)
+    if not rep.passed:
+        raise TamenessError(
+            f"input map is not {eps}-admissible on the walls-plus-top complex "
+            f"(worst violation {rep.worst_violation:.3e})",
+            rep,
+        )
     if n == 1:
         return f
     flat, band, delta = jdelta_collar(n, eps)
@@ -396,8 +387,7 @@ def extend_to_jdelta(
     bottom = compose(
         f, tup(*[smash_map(params, coord(k, n)) for k in range(1, n)], coord(n, n))
     )
-    out = piecewise(n, (delta,), (bottom, f))
-    return _dc_replace(out, domain=unit_box(n))
+    return piecewise(n, (delta,), (bottom, f)).on_unit_box()
 
 
 def _max_gap(f: SmoothMap, g: SmoothMap, pts: np.ndarray) -> float:
@@ -423,7 +413,7 @@ def concat_homotopy(F: Homotopy, G: Homotopy, cfg: ToleranceConfig | None = None
     first = compose(F.map, tup(*xs, lambda_map(affine_row(dim, {dim: 3.0}, 0.0))))
     second = compose(G.map, tup(*xs, lambda_map(affine_row(dim, {dim: 3.0}, -2.0))))
     H = piecewise(dim, (0.5,), (first, second))
-    return Homotopy(_dc_replace(H, domain=unit_box(dim)))
+    return Homotopy(H.on_unit_box())
 
 
 def concat_maps(phi: SmoothMap, psi: SmoothMap, cfg: ToleranceConfig | None = None) -> SmoothMap:
@@ -448,8 +438,7 @@ def concat_maps(phi: SmoothMap, psi: SmoothMap, cfg: ToleranceConfig | None = No
     second = compose(
         psi, tup(lambda_map(affine_row(n, {1: 3.0}, -2.0)), *rest_coords)
     )
-    out = piecewise(1, (0.5,), (first, second))
-    return _dc_replace(out, domain=unit_box(n))
+    return piecewise(1, (0.5,), (first, second)).on_unit_box()
 
 
 def check_fiber_constant(

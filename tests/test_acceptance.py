@@ -85,7 +85,7 @@ def test_criterion_2_quadrature_oracle():
         )
         p = SmashParams(sigma, tau)
         worst = max(worst, abs(smash_F(p, 1.0) - oracle))
-        # also pin the adaptive path right below the exact branch
+        # also pin the table-based transition band just below t = 1
         worst = max(worst, abs(smash_F(p, 1.0 - 1e-12) - oracle))
     _report("criterion-2 quadrature-oracle", worst <= 1e-8, f"worst gap {worst:.1e}", time.time() - t0, 10.0)
 

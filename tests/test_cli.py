@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +13,14 @@ from tamecube.suites import SuiteConfig, report_schema_version
 def test_schema_version(capsys):
     assert main(["schema"]) == 0
     assert capsys.readouterr().out.strip() == report_schema_version() == "1.0.0"
+
+
+def test_module_entry_point_runs():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    out = subprocess.run(
+        [sys.executable, "-m", "tamecube.cli", "schema"], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "1.0.0"
 
 
 def test_unknown_suite_is_usage_error(capsys):

@@ -10,10 +10,11 @@ from tamecube.maps import (
     Clamp01,
     Compose,
     Const,
+    Coord,
     Gamma,
     PiecewiseAxis,
-    Project,
     Smash,
+    add,
     affine,
     affine_row,
     compose,
@@ -26,7 +27,6 @@ from tamecube.maps import (
     mul,
     parse_map,
     piecewise,
-    proj,
     recip_map,
     serialize_map,
     smash_map,
@@ -90,8 +90,21 @@ def test_associativity_of_compose_values():
 
 
 def test_projection_node():
-    f = Compose(Project(2, 3), tup(coord(1, 2), lambda_map(coord(2, 2)), const(5.0, 2)))
+    f = Compose(Coord(2, 3), tup(coord(1, 2), lambda_map(coord(2, 2)), const(5.0, 2)))
     assert f.eval([0.3, 0.5])[0] == pytest.approx(0.5, abs=1e-15)
+
+
+def test_project_form_reads_as_coord():
+    f = parse_map("(project 2)")
+    assert f == parse_map("(coord 2)") == Coord(2, 2)
+    assert serialize_map(f) == "(coord 2)"
+
+
+def test_deep_sum_chain_builds():
+    f = coord(1, 1)
+    for _ in range(1000):
+        f = add(f)
+    assert f.in_dim == f.out_dim == 1
 
 
 def test_clamp01():
@@ -246,7 +259,7 @@ def test_smashdyn_sugar():
 
 def test_unit_box():
     assert unit_box(2) == ((0.0, 1.0), (0.0, 1.0))
-    f = proj(1, 2)
+    f = coord(1, 2)
     assert f.on_unit_box().domain == unit_box(2)
 
 
