@@ -92,7 +92,6 @@ def _cmd_verify(args) -> int:
             eq_tol=args.eq_tol,
             deriv_tol=args.deriv_tol,
             seed=args.seed,
-            out=args.out,
         )
     except (TameCubeError, ValueError) as exc:
         print(f"tamecube verify: {exc}", file=sys.stderr)
@@ -100,9 +99,9 @@ def _cmd_verify(args) -> int:
     report = run_suite(cfg)
     report["timestamp"] = datetime.now(timezone.utc).isoformat()
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if cfg.out:
+    if args.out:
         try:
-            Path(cfg.out).write_text(text, encoding="utf-8")
+            Path(args.out).write_text(text, encoding="utf-8")
         except OSError as exc:
             print(f"tamecube verify: cannot write report: {exc}", file=sys.stderr)
             return 3

@@ -4,8 +4,10 @@ A ``Face`` pins a subset of coordinates of ``I^n`` to 0 or 1; a
 ``CubicalComplex`` is a downward-closed union of faces stored by its
 maximal faces.  ``BoxRegion`` is a finite union of axis-aligned closed
 boxes and carries the shrunken chambers and boundary collars, which are
-not unions of faces.  All values are immutable after construction and
-safe to share between threads.
+not unions of faces.  A face is a box whose pinned axes are degenerate,
+so grids, random draws and distances are defined on box regions only and
+a complex is read as its ``region``.  All values are immutable after
+construction and safe to share between threads.
 
 Coordinate axes are 1-based throughout the public surface.
 """
@@ -36,9 +38,7 @@ __all__ = [
     "intersect_region_face",
     "dist_to_complex",
     "dist_to_region",
-    "face_grid",
     "complex_grid",
-    "complex_random",
     "region_grid",
     "region_random",
 ]
@@ -82,15 +82,15 @@ class Face:
         mine = dict(self.pinned)
         return all(mine.get(a) == v for a, v in other.pinned)
 
-    def contains(self, point, tol: float = MEMBERSHIP_TOL) -> bool:
-        point = np.asarray(point, dtype=float)
-        if point.shape != (self.ambient_dim,):
-            raise DimensionError(
-                f"point of dimension {point.shape} against ambient {self.ambient_dim}"
+    def box(self, lo: float = 0.0, hi: float = 1.0) -> "Box":
+        """The face as a box: pinned axes are degenerate, free axes span [lo, hi]."""
+        pins = dict(self.pinned)
+        return Box(
+            tuple(
+                (float(pins[a]), float(pins[a])) if a in pins else (lo, hi)
+                for a in range(1, self.ambient_dim + 1)
             )
-        if np.any(point < -tol) or np.any(point > 1.0 + tol):
-            return False
-        return all(abs(point[a - 1] - v) <= tol for a, v in self.pinned)
+        )
 
     def describe(self) -> str:
         if not self.pinned:
@@ -135,8 +135,10 @@ class CubicalComplex:
     def is_empty(self) -> bool:
         return not self.maximal_faces
 
-    def contains(self, point, tol: float = MEMBERSHIP_TOL) -> bool:
-        return any(f.contains(point, tol) for f in self.maximal_faces)
+    @property
+    def region(self) -> "BoxRegion":
+        """One box per maximal face, in maximal-face order."""
+        return BoxRegion(tuple(f.box() for f in self.maximal_faces))
 
     def faces(self, min_dim: int = 0) -> tuple[Face, ...]:
         """All subfaces of the complex with dimension >= min_dim."""
@@ -183,12 +185,6 @@ class Box:
     def ambient_dim(self) -> int:
         return len(self.intervals)
 
-    def contains(self, point, tol: float = MEMBERSHIP_TOL) -> bool:
-        point = np.asarray(point, dtype=float)
-        return all(
-            lo - tol <= point[i] <= hi + tol for i, (lo, hi) in enumerate(self.intervals)
-        )
-
 
 @dataclass(frozen=True)
 class BoxRegion:
@@ -204,9 +200,6 @@ class BoxRegion:
     @property
     def ambient_dim(self) -> int:
         return self.boxes[0].ambient_dim if self.boxes else 0
-
-    def contains(self, point, tol: float = MEMBERSHIP_TOL) -> bool:
-        return any(b.contains(point, tol) for b in self.boxes)
 
 
 def full_cube(n: int) -> CubicalComplex:
@@ -248,15 +241,7 @@ def chamber_region(K: CubicalComplex, eps: float) -> BoxRegion:
     """Per maximal face, shrink the free coordinates to [eps, 1-eps]."""
     if not 0.0 < eps <= 0.5:
         raise DomainError(f"chamber width must satisfy 0 < eps <= 1/2, got {eps!r}")
-    boxes = []
-    for f in K.maximal_faces:
-        pins = dict(f.pinned)
-        ivals = tuple(
-            (float(pins[a]), float(pins[a])) if a in pins else (eps, 1.0 - eps)
-            for a in range(1, K.ambient_dim + 1)
-        )
-        boxes.append(Box(ivals))
-    return BoxRegion(tuple(boxes))
+    return BoxRegion(tuple(f.box(eps, 1.0 - eps) for f in K.maximal_faces))
 
 
 def j_delta_region(n: int, delta: float) -> BoxRegion:
@@ -270,17 +255,7 @@ def j_delta_region(n: int, delta: float) -> BoxRegion:
         raise DomainError("need dimension >= 1")
     if not 0.0 < delta < 0.5:
         raise DomainError(f"collar width must satisfy 0 < delta < 1/2, got {delta!r}")
-    boxes = []
-    for f in j_complex(n).maximal_faces:
-        pins = dict(f.pinned)
-        boxes.append(
-            Box(
-                tuple(
-                    (float(pins[a]), float(pins[a])) if a in pins else (0.0, 1.0)
-                    for a in range(1, n + 1)
-                )
-            )
-        )
+    boxes = list(j_complex(n).region.boxes)
     for k in range(1, n):
         for lo, hi in ((0.0, delta), (1.0 - delta, 1.0)):
             ivals = [(0.0, 1.0)] * n
@@ -344,22 +319,8 @@ def intersect_region_face(R: BoxRegion, F: Face) -> BoxRegion:
 # vectorized distances and sampling
 
 
-def _dist_to_face(F: Face, pts: np.ndarray) -> np.ndarray:
-    """Max-norm distance from each row to the face as a subset of [0,1]^n."""
-    d = np.zeros(len(pts))
-    # distance to the ambient box in the free coordinates
-    excess = np.maximum(np.maximum(-pts, pts - 1.0), 0.0)
-    d = np.max(excess, axis=1, initial=0.0)
-    for a, v in F.pinned:
-        d = np.maximum(d, np.abs(pts[:, a - 1] - v))
-    return d
-
-
 def dist_to_complex(K: CubicalComplex, pts) -> np.ndarray:
-    pts = np.asarray(pts, dtype=float)
-    if K.is_empty:
-        return np.full(len(pts), np.inf)
-    return np.min([_dist_to_face(f, pts) for f in K.maximal_faces], axis=0)
+    return dist_to_region(K.region, pts)
 
 
 def _dist_to_box(b: Box, pts: np.ndarray) -> np.ndarray:
@@ -387,33 +348,9 @@ def box_grid(b: Box, res: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def face_grid(F: Face, res: int) -> np.ndarray:
-    pins = dict(F.pinned)
-    ivals = tuple(
-        (float(pins[a]), float(pins[a])) if a in pins else (0.0, 1.0)
-        for a in range(1, F.ambient_dim + 1)
-    )
-    return box_grid(Box(ivals), res)
-
-
 def complex_grid(K: CubicalComplex, res: int) -> np.ndarray:
-    if K.is_empty:
-        return np.zeros((0, K.ambient_dim))
-    pts = np.concatenate([face_grid(f, res) for f in K.maximal_faces], axis=0)
-    return np.unique(pts, axis=0)
-
-
-def complex_random(K: CubicalComplex, count: int, rng: np.random.Generator) -> np.ndarray:
-    """``count`` seeded uniform points on each maximal face."""
-    if K.is_empty or count <= 0:
-        return np.zeros((0, K.ambient_dim))
-    chunks = []
-    for f in K.maximal_faces:
-        pts = rng.uniform(size=(count, K.ambient_dim))
-        for a, v in f.pinned:
-            pts[:, a - 1] = float(v)
-        chunks.append(pts)
-    return np.concatenate(chunks, axis=0)
+    # an empty region has no boxes to carry the ambient dimension
+    return np.zeros((0, K.ambient_dim)) if K.is_empty else region_grid(K.region, res)
 
 
 def region_grid(R: BoxRegion, res: int) -> np.ndarray:

@@ -9,6 +9,7 @@ samples is an exact max, so they do not depend on evaluation order.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace as _dc_replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -78,6 +79,12 @@ class PropertyResult:
 
 @dataclass(frozen=True)
 class SuiteConfig:
+    """Suite name and parameter grid.
+
+    ``tolerances`` is built, and so validated, once in ``__post_init__``;
+    it is not a dataclass field.
+    """
+
     suite: str
     ns: tuple[int, ...] = (1, 2, 3)
     eps_list: tuple[float, ...] = (0.1, 0.25, 0.4)
@@ -85,19 +92,18 @@ class SuiteConfig:
     eq_tol: float = 1e-9
     deriv_tol: float = 1e-6
     seed: int = 0
-    out: str | None = None
+    tolerances: ClassVar[ToleranceConfig]
 
     def __post_init__(self):
         if self.suite not in SUITE_NAMES and self.suite != "all":
             raise DomainError(f"unknown suite {self.suite!r}; known: {sorted(SUITE_NAMES)}")
-        if any(not 1 <= n <= 4 for n in self.ns):
-            raise DomainError(f"dimensions must be within 1..4, got {self.ns}")
-        if self.grid_res < 3:
-            raise DomainError("grid resolution must be at least 3")
-
-    @property
-    def tolerances(self) -> ToleranceConfig:
-        return ToleranceConfig(self.eq_tol, self.deriv_tol, self.grid_res)
+        if not self.ns or any(not 1 <= n <= 4 for n in self.ns):
+            raise DomainError(f"dimensions must be a non-empty list within 1..4, got {self.ns}")
+        if not self.eps_list or any(not 0.0 < e < 0.5 for e in self.eps_list):
+            raise DomainError(f"widths must be a non-empty list within (0, 1/2), got {self.eps_list}")
+        object.__setattr__(
+            self, "tolerances", ToleranceConfig(self.eq_tol, self.deriv_tol, self.grid_res)
+        )
 
 
 def _sample_ts(seed: int, count: int = 1000) -> np.ndarray:

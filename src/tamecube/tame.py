@@ -3,10 +3,11 @@
 A map on a subset of I^n is eps-tame when its value at a point equals its
 value at the orthogonal projection onto any face whose coordinate is
 within eps, whenever that projection stays in the subset.  Admissibility
-grades the width by the dimension of the face being tested.  Checks are
-grid-based: structured grids per maximal face or box plus seeded
-pseudo-random points, compared with exact max reduction so the worst
-violation and its witness are deterministic.
+grades the width by the dimension of the face being tested.  Every check
+is one collar scan over a box region (a complex is read as one box per
+maximal face): a structured grid per box plus seeded pseudo-random
+points, compared with exact max reduction so the worst violation and its
+witness are deterministic.
 
 The operators: ``tame_replace`` composes with a coordinatewise smash to
 produce a tame map together with the straight-line homotopy; ``extend_tame``
@@ -29,9 +30,6 @@ from .cubes import (
     CubicalComplex,
     Face,
     box_grid,
-    complex_grid,
-    complex_random,
-    dist_to_complex,
     dist_to_region,
     full_cube,
     intersect_complex_face,
@@ -132,25 +130,57 @@ class TamenessReport:
         }
 
 
-def _sample_domain(K, res: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    if isinstance(K, CubicalComplex):
-        grid = complex_grid(K, res)
-        extra = complex_random(K, res, rng)
-    elif isinstance(K, BoxRegion):
-        grid = region_grid(K, res)
-        extra = region_random(K, res, rng)
-    else:
-        raise DimensionError(f"cannot sample a {type(K).__name__}")
+def _collar_scan(
+    f: SmoothMap,
+    R: BoxRegion,
+    eps: float,
+    depths: tuple[float | None, ...],
+    cfg: ToleranceConfig,
+    seed: int,
+) -> TamenessReport:
+    """Compare f at sampled points of R against f pushed to each collar depth.
+
+    R is sampled on a per-box grid plus ``cfg.grid_res`` seeded uniform
+    points per box.  For every axis j and side alpha, each sample whose
+    coordinate j lies within eps of alpha is moved to depth d from that
+    face (coordinate j set to d or 1 - d) for every d in ``depths``; a
+    depth of ``None`` draws one uniform depth in [0, eps] per axis and
+    side.  Moved points outside R are skipped.  The report counts the
+    comparisons and keeps the first worst one as the witness.
+    """
+    pts = region_grid(R, cfg.grid_res)
+    extra = region_random(R, cfg.grid_res, np.random.default_rng(seed))
     if len(extra):
-        return np.concatenate([grid, extra], axis=0)
-    return grid
-
-
-def _distance(K, pts: np.ndarray) -> np.ndarray:
-    if isinstance(K, CubicalComplex):
-        return dist_to_complex(K, pts)
-    return dist_to_region(K, pts)
+        pts = np.concatenate([pts, extra], axis=0)
+    if len(pts) == 0:
+        return TamenessReport(True, eps, 0.0, None, 0)
+    vals = f.eval_many(pts)
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    witness = None
+    comparisons = 0
+    for j in range(1, R.ambient_dim + 1):
+        for alpha in (0, 1):
+            near = np.abs(pts[:, j - 1] - alpha) <= eps
+            if not np.any(near):
+                continue
+            P, v = pts[near], vals[near]
+            for d in depths:
+                if d is None:
+                    d = float(rng.uniform(0, eps))
+                Q = P.copy()
+                Q[:, j - 1] = d if alpha == 0 else 1.0 - d
+                inside = dist_to_region(R, Q) <= MEMBERSHIP_TOL
+                if not np.any(inside):
+                    continue
+                gap = np.max(np.abs(v[inside] - f.eval_many(Q[inside])), axis=1)
+                comparisons += len(gap)
+                k = int(np.argmax(gap))
+                if gap[k] > worst:
+                    worst = float(gap[k])
+                    witness = Witness(tuple(float(x) for x in P[inside][k]), j, alpha)
+    passed = worst <= cfg.eq_tol
+    return TamenessReport(passed, eps, worst, witness if not passed else None, comparisons)
 
 
 def check_tame(
@@ -170,38 +200,11 @@ def check_tame(
     cfg = cfg or DEFAULT_TOLERANCES
     if not 0.0 < eps <= 0.5:
         raise DomainError(f"tameness width must satisfy 0 < eps <= 1/2, got {eps!r}")
-    n = K.ambient_dim
-    if f.in_dim != n:
-        raise DimensionError(f"map has in_dim {f.in_dim}, domain has ambient {n}")
-    pts = _sample_domain(K, cfg.grid_res, seed)
-    if len(pts) == 0:
-        return TamenessReport(True, eps, 0.0, None, 0)
-    vals = f.eval_many(pts)
-    worst = 0.0
-    witness = None
-    comparisons = 0
-    for j in range(1, n + 1):
-        col = pts[:, j - 1]
-        for alpha in (0, 1):
-            near = np.abs(col - alpha) <= eps
-            if not np.any(near):
-                continue
-            P = pts[near]
-            Q = P.copy()
-            Q[:, j - 1] = float(alpha)
-            inside = _distance(K, Q) <= MEMBERSHIP_TOL
-            if not np.any(inside):
-                continue
-            gap = np.max(
-                np.abs(vals[near][inside] - f.eval_many(Q[inside])), axis=1
-            )
-            comparisons += len(gap)
-            k = int(np.argmax(gap))
-            if gap[k] > worst:
-                worst = float(gap[k])
-                witness = Witness(tuple(float(v) for v in P[inside][k]), j, alpha)
-    passed = worst <= cfg.eq_tol
-    return TamenessReport(passed, eps, worst, witness if not passed else None, comparisons)
+    if f.in_dim != K.ambient_dim:
+        raise DimensionError(f"map has in_dim {f.in_dim}, domain has ambient {K.ambient_dim}")
+    if isinstance(K, CubicalComplex):
+        K = K.region
+    return _collar_scan(f, K, eps, (0.0,), cfg, seed)
 
 
 def check_admissible(
@@ -222,13 +225,12 @@ def check_admissible(
     breakdown = []
     for F in positive_faces(n):
         if isinstance(K, CubicalComplex):
-            KF = intersect_complex_face(K, F)
-            if KF.is_empty:
-                continue
+            # the normalized intersection fixes the boxes, hence the random draws
+            KF = intersect_complex_face(K, F).region
         else:
             KF = intersect_region_face(K, F)
-            if not KF.boxes:
-                continue
+        if not KF.boxes:
+            continue
         rep = check_tame(f, KF, eps ** F.dim, cfg, seed)
         samples += rep.samples_checked
         breakdown.append((F.describe(), eps ** F.dim, rep.worst_violation, rep.passed))
@@ -462,32 +464,8 @@ def check_fiber_constant(
         raise TamenessError(
             f"map is not {eps}-tame on the cube (worst {pre.worst_violation:.3e})", pre
         )
-    n = f.in_dim
-    rng = np.random.default_rng(seed)
-    pts = _sample_domain(full_cube(n), cfg.grid_res, seed)
-    vals = f.eval_many(pts)
-    worst = 0.0
-    witness = None
-    comparisons = 0
-    for j in range(1, n + 1):
-        col = pts[:, j - 1]
-        for alpha in (0, 1):
-            band = np.abs(col - alpha) <= eps
-            if not np.any(band):
-                continue
-            P = pts[band]
-            offsets = [0.0, eps / 3.0, 2.0 * eps / 3.0, eps, float(rng.uniform(0, eps))]
-            for off in offsets:
-                Q = P.copy()
-                Q[:, j - 1] = off if alpha == 0 else 1.0 - off
-                gap = np.max(np.abs(vals[band] - f.eval_many(Q)), axis=1)
-                comparisons += len(gap)
-                k = int(np.argmax(gap))
-                if gap[k] > worst:
-                    worst = float(gap[k])
-                    witness = Witness(tuple(float(v) for v in P[k]), j, alpha)
-    passed = worst <= cfg.eq_tol
-    return TamenessReport(passed, eps, worst, witness if not passed else None, comparisons)
+    depths = (0.0, eps / 3.0, 2.0 * eps / 3.0, eps, None)
+    return _collar_scan(f, full_cube(f.in_dim).region, eps, depths, cfg, seed)
 
 
 def seam_report(

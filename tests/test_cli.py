@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 from tamecube.cli import main
+from tamecube.errors import DomainError
 from tamecube.suites import SuiteConfig, report_schema_version
+from tamecube.tame import ToleranceConfig
 
 
 def test_schema_version(capsys):
@@ -31,6 +33,9 @@ def test_unknown_suite_is_usage_error(capsys):
 def test_bad_arguments_exit_2():
     assert main(["verify"]) == 2
     assert main(["frobnicate"]) == 2
+    # usage errors in the numeric flags, not failed properties
+    for flags in (["--eps", "0.6"], ["--eps", "0"], ["--eq-tol", "-1"], ["--n", ""], ["--eps", ""]):
+        assert main(["verify", "--suite", "retract", *flags]) == 2
 
 
 def test_verify_kernels_report(tmp_path):
@@ -124,6 +129,10 @@ def test_suite_config_validation():
         SuiteConfig(suite="kernels", ns=(5,))
     with pytest.raises(Exception):
         SuiteConfig(suite="kernels", grid_res=2)
+    for bad in ({"eps_list": (0.5,)}, {"eps_list": ()}, {"ns": ()}, {"deriv_tol": 0.0}):
+        with pytest.raises(DomainError):
+            SuiteConfig(suite="retract", **bad)
+    assert SuiteConfig(suite="tame", grid_res=9).tolerances == ToleranceConfig(grid_res=9)
 
 
 def test_complex_descriptors():

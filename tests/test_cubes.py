@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 
 from tamecube.cubes import (
+    MEMBERSHIP_TOL,
     Box,
     BoxRegion,
     CubicalComplex,
     Face,
     boundary_complex,
+    box_grid,
     chamber_region,
     complex_grid,
     dist_to_complex,
-    face_grid,
+    dist_to_region,
     face_projection,
     full_cube,
     intersect_complex_face,
@@ -77,11 +79,11 @@ def test_chamber_contained_in_complex():
 
 def test_j_delta_region_membership():
     r = j_delta_region(3, 0.2)
-    assert not r.contains((0.5, 0.5, 0.0))
-    assert r.contains((0.1, 0.5, 0.0))  # bottom collar
-    assert r.contains((0.5, 0.95, 0.0))
-    for p in complex_grid(j_complex(3), 5):
-        assert r.contains(p)
+    d = dist_to_region(r, [(0.5, 0.5, 0.0), (0.1, 0.5, 0.0), (0.5, 0.95, 0.0)])
+    assert d[0] > MEMBERSHIP_TOL
+    assert d[1] <= MEMBERSHIP_TOL  # bottom collar
+    assert d[2] <= MEMBERSHIP_TOL
+    assert np.all(dist_to_region(r, complex_grid(j_complex(3), 5)) <= MEMBERSHIP_TOL)
     with pytest.raises(DomainError):
         j_delta_region(3, 0.5)
 
@@ -109,8 +111,7 @@ def test_downward_closure_membership():
     for n in (2, 3):
         K = j_complex(n)
         for f in K.faces():
-            for p in face_grid(f, 3):
-                assert K.contains(p)
+            assert np.all(dist_to_complex(K, box_grid(f.box(), 3)) <= MEMBERSHIP_TOL)
 
 
 def test_j_union_bottom_equals_boundary():
@@ -155,7 +156,23 @@ def test_region_validation():
     with pytest.raises(DomainError):
         Box(((0.5, 0.2),))
     r = BoxRegion((Box(((0.0, 1.0),)),))
-    assert r.contains((0.5,)) and not r.contains((1.5,))
+    d = dist_to_region(r, [(0.5,), (1.5,)])
+    assert d[0] <= MEMBERSHIP_TOL < d[1]
+
+
+def test_face_box_and_complex_region():
+    f = Face(3, ((3, 1), (1, 0)))
+    assert f.box() == Box(((0.0, 0.0), (0.0, 1.0), (1.0, 1.0)))
+    assert f.box(0.2, 0.8) == Box(((0.0, 0.0), (0.2, 0.8), (1.0, 1.0)))
+    K = boundary_complex(2)
+    assert K.region == BoxRegion(tuple(g.box() for g in K.maximal_faces))
+    assert CubicalComplex(2, ()).region.boxes == ()
+
+
+def test_empty_complex_grid_and_distance():
+    empty = CubicalComplex(3, ())
+    assert complex_grid(empty, 5).shape == (0, 3)
+    assert np.all(np.isinf(dist_to_complex(empty, np.zeros((2, 3)))))
 
 
 def test_chamber_containment_at_spec_resolution():

@@ -331,3 +331,24 @@ def test_fiber_constant():
     assert check_fiber_constant(const(1.0, 1), 0.2, 0.35, QUICK).passed
     with pytest.raises(TamenessError):
         check_fiber_constant(Coord(1, 1).on_unit_box(), 0.2, 0.35, QUICK)
+
+
+def test_collar_scan_pinned_values():
+    # sample counts, worst gaps and witnesses fix the grid, the seeded draws
+    # and the scan order; a change to any of them moves these values
+    f = random_smooth_map(np.random.default_rng(11), 3).on_unit_box()
+    cfg = ToleranceConfig(grid_res=9)
+    cases = [
+        (check_admissible(f, boundary_complex(3), 0.2, cfg, seed=4),
+         1840, 0.5741267706151589, Witness((0.1776925857619811, 0.0, 0.0), 1, 0)),
+        (check_tame(f, j_delta_region(3, 0.2), 0.2, cfg, seed=4),
+         1433, 1.0207321780187129, Witness((0.0, 0.125, 0.25), 2, 0)),
+        (check_tame(f, full_cube(3), 0.2, cfg, seed=4),
+         985, 1.0882512359908554, Witness((0.125, 0.125, 0.375), 2, 0)),
+    ]
+    for rep, samples, worst, witness in cases:
+        assert (rep.samples_checked, rep.worst_violation, rep.witness) == (samples, worst, witness)
+    band = SmashParams(0.2, 0.35)
+    fc = tup(smash_map(band, coord(1, 2)), smash_map(band, coord(2, 2))).on_unit_box()
+    rep = check_fiber_constant(fc, 0.2, 0.35, cfg, 0)
+    assert (rep.samples_checked, rep.worst_violation) == (415, 0.0)
