@@ -10,10 +10,10 @@ from .errors import (
 )
 from .kernels import (
     SmashParams,
-    gamma,
-    lambda_,
+    gamma_many,
+    lambda_many,
+    smash,
     smash_F,
-    smash_T,
 )
 from .cubes import (
     Box,
@@ -31,8 +31,6 @@ from .cubes import (
 from .maps import (
     Homotopy,
     SmoothMap,
-    fd_partial,
-    fd_partial_refined,
     parse_map,
     serialize_map,
 )

@@ -65,8 +65,6 @@ __all__ = [
     "one_minus",
     "embed_time",
     "drop_time",
-    "fd_partial",
-    "fd_partial_refined",
     "constant_homotopy",
     "parse_map",
     "serialize_map",
@@ -509,51 +507,6 @@ def constant_homotopy(f: SmoothMap) -> Homotopy:
     """The homotopy that ignores its time coordinate."""
     n = f.in_dim
     return Homotopy(Compose(f.without_domain(), drop_time(n)).on_unit_box())
-
-
-# ---------------------------------------------------------------------------
-# finite differences
-
-
-def _in_domain(f: SmoothMap, P: np.ndarray) -> bool:
-    if f.domain is None:
-        return True
-    return all(
-        lo - DOMAIN_TOL <= P[i] <= hi + DOMAIN_TOL for i, (lo, hi) in enumerate(f.domain)
-    )
-
-
-def fd_partial(f: SmoothMap, P, axis: int, h: float = 1e-4) -> np.ndarray:
-    """Finite-difference partial derivative along ``axis`` (1-based).
-
-    Central difference when both offsets stay in the domain box, one-sided
-    at the boundary.
-    """
-    if h <= 0:
-        raise DomainError(f"step must be positive, got {h!r}")
-    P = np.asarray(P, dtype=float)
-    if P.shape != (f.in_dim,):
-        raise DimensionError(f"point shape {P.shape} against in_dim {f.in_dim}")
-    if not 1 <= axis <= f.in_dim:
-        raise DimensionError(f"axis {axis} out of range 1..{f.in_dim}")
-    e = np.zeros_like(P)
-    e[axis - 1] = h
-    fwd_ok = _in_domain(f, P + e)
-    bwd_ok = _in_domain(f, P - e)
-    if fwd_ok and bwd_ok:
-        return (f.eval(P + e) - f.eval(P - e)) / (2.0 * h)
-    if fwd_ok:
-        return (f.eval(P + e) - f.eval(P)) / h
-    if bwd_ok:
-        return (f.eval(P) - f.eval(P - e)) / h
-    raise DomainError(f"step {h} does not fit in the domain box at {tuple(P)}")
-
-
-def fd_partial_refined(f: SmoothMap, P, axis: int, h: float = 1e-4) -> np.ndarray:
-    """Richardson-refined finite difference: (4 D(h/2) - D(h)) / 3."""
-    d1 = fd_partial(f, P, axis, h)
-    d2 = fd_partial(f, P, axis, 0.5 * h)
-    return (4.0 * d2 - d1) / 3.0
 
 
 # ---------------------------------------------------------------------------

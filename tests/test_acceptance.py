@@ -24,7 +24,7 @@ from tamecube.cubes import (
 )
 from tamecube.errors import DomainError
 from tamecube.genmaps import random_map_admissible_on, random_tame_map
-from tamecube.kernels import SmashParams, lambda_, lambda_many, smash, smash_F
+from tamecube.kernels import SmashParams, lambda_many, smash, smash_F
 from tamecube.maps import Coord
 from tamecube.replace import admissible_replace
 from tamecube.retract import RetractionParams, approx_retraction, deformation_retraction_homotopy

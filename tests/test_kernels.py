@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,13 +9,11 @@ from hypothesis import strategies as st
 from tamecube.errors import DomainError
 from tamecube.kernels import (
     SmashParams,
-    gamma,
-    lambda_,
+    gamma_many,
     lambda_integral,
     lambda_many,
     smash,
     smash_F,
-    smash_T,
 )
 from tamecube.suites import SMASH_PAIRS
 
@@ -22,37 +21,46 @@ P = SmashParams(0.1, 0.25)
 
 
 def test_gamma_piecewise():
-    assert gamma(0.0) == 0.0
-    assert gamma(-3.7) == 0.0
-    assert gamma(1.0) == pytest.approx(math.exp(-1.0), abs=1e-15)
+    assert gamma_many(0.0) == 0.0
+    assert gamma_many(-3.7) == 0.0
+    assert gamma_many(1.0) == pytest.approx(math.exp(-1.0), abs=1e-15)
 
 
 def test_gamma_rejects_non_finite():
     with pytest.raises(DomainError):
-        gamma(float("nan"))
+        gamma_many(float("nan"))
     with pytest.raises(DomainError):
-        lambda_(float("inf"))
+        lambda_many(float("inf"))
+
+
+def test_kernels_underflow_silently_below_smallest_normal():
+    # -1/t overflows to -inf here; exp(-inf) = 0 is the right value
+    ts = np.array([5e-324, 1e-310])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert gamma_many(ts).tolist() == [0.0, 0.0]
+        assert lambda_many(ts).tolist() == [0.0, 0.0]
 
 
 def test_lambda_endpoints_and_midpoint():
-    assert lambda_(0.0) == 0.0
-    assert lambda_(-2.0) == 0.0
-    assert lambda_(1.0) == 1.0
-    assert lambda_(0.5) == pytest.approx(0.5, abs=1e-15)
-    assert lambda_(0.25) + lambda_(0.75) == pytest.approx(1.0, abs=1e-14)
+    assert lambda_many(0.0) == 0.0
+    assert lambda_many(-2.0) == 0.0
+    assert lambda_many(1.0) == 1.0
+    assert lambda_many(0.5) == pytest.approx(0.5, abs=1e-15)
+    assert lambda_many(0.25) + lambda_many(0.75) == pytest.approx(1.0, abs=1e-14)
 
 
 @given(st.floats(-0.5, 1.5))
 @settings(max_examples=200, deadline=None)
 def test_lambda_symmetry(t):
-    assert abs(lambda_(1.0 - t) - (1.0 - lambda_(t))) <= 1e-12
+    assert abs(lambda_many(1.0 - t) - (1.0 - lambda_many(t))) <= 1e-12
 
 
 @given(st.floats(-0.5, 1.5), st.floats(-0.5, 1.5))
 @settings(max_examples=200, deadline=None)
 def test_lambda_monotone(a, b):
     lo, hi = min(a, b), max(a, b)
-    assert lambda_(lo) <= lambda_(hi) + 1e-12
+    assert lambda_many(lo) <= lambda_many(hi) + 1e-12
 
 
 def test_lambda_integral_against_simpson():
@@ -66,7 +74,7 @@ def test_lambda_integral_against_simpson():
 
 def test_lambda_flat_at_ends():
     for t0, sgn in ((0.0, 1.0), (1.0, -1.0)):
-        slopes = [abs(lambda_(t0 + sgn * h) - lambda_(t0)) / h for h in (1e-2, 1e-3)]
+        slopes = [abs(lambda_many(t0 + sgn * h) - lambda_many(t0)) / h for h in (1e-2, 1e-3)]
         assert slopes[1] <= slopes[0]
         assert slopes[1] <= 1e-6
 
@@ -87,6 +95,13 @@ def test_smash_F_examples():
     assert smash_F(P, 0.3) == 0.0  # below sigma/tau = 0.4
     assert smash_F(P, 1.3) == 1.3
     assert smash_F(P, 1.0) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_smash_F_rejects_non_finite():
+    # the exact t >= 1 branch must not let t = inf through
+    for t in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError):
+            smash_F(P, t)
 
 
 def test_smash_F_quadrature_path_matches_shortcut():
@@ -115,7 +130,7 @@ def test_smash_F_interior_against_simpson():
         pick = np.linspace(1, panels - 1, 64).astype(int)
         for k in pick:
             t = float(nodes[k])
-            oracle = integral[k] + (tau + sigma) / (2.0 * tau) * lambda_((tau * t - sigma) / (tau - sigma))
+            oracle = integral[k] + (tau + sigma) / (2.0 * tau) * lambda_many((tau * t - sigma) / (tau - sigma))
             assert abs(smash_F(SmashParams(sigma, tau), t) - oracle) <= 1e-10, (sigma, tau, t)
 
 
@@ -135,19 +150,19 @@ def test_smash_F_riemann_oracle():
 
 
 def test_smash_T_examples():
-    assert smash_T(P, 0.5) == 0.5
-    assert smash_T(P, 0.05) == 0.0
-    assert smash_T(P, 0.93) == 1.0
-    assert smash_T(P, 0.3) == 0.3  # identity band
+    assert smash(0.5, P.sigma, P.tau) == 0.5
+    assert smash(0.05, P.sigma, P.tau) == 0.0
+    assert smash(0.93, P.sigma, P.tau) == 1.0
+    assert smash(0.3, P.sigma, P.tau) == 0.3  # identity band
 
 
 def test_smash_T_bands_exact():
     for t in np.linspace(-0.5, 0.1, 20):
-        assert smash_T(P, float(t)) == 0.0
+        assert smash(float(t), P.sigma, P.tau) == 0.0
     for t in np.linspace(0.9, 1.5, 20):
-        assert smash_T(P, float(t)) == 1.0
+        assert smash(float(t), P.sigma, P.tau) == 1.0
     for t in np.linspace(0.25, 0.75, 21):
-        assert smash_T(P, float(t)) == float(t)
+        assert smash(float(t), P.sigma, P.tau) == float(t)
 
 
 @pytest.mark.parametrize("sigma,tau", [(0.1, 0.25), (0.05, 0.5), (0.0, 0.3), (0.2, 0.45), (0.15, 0.3)])
@@ -171,10 +186,11 @@ def test_smash_T_seam_consistency():
 
 
 def test_smash_scalar_vector_agree():
+    # a kernel value must not depend on the batch it is computed in
     ts = np.linspace(-0.2, 1.2, 57)
     vec = smash(ts, P.sigma, P.tau)
-    scal = np.array([smash_T(P, float(t)) for t in ts])
-    assert np.array_equal(vec, scal)
+    one = np.array([smash(ts[i : i + 1], P.sigma, P.tau)[0] for i in range(len(ts))])
+    assert vec.tobytes() == one.tobytes()
 
 
 def test_smash_dyn_matches_fixed_params():
@@ -197,7 +213,7 @@ def test_kernels_thread_safe():
     ts = np.linspace(-0.2, 1.2, 301)
 
     def work(_):
-        return [smash_T(P, float(t)) for t in ts]
+        return [smash(float(t), P.sigma, P.tau) for t in ts]
 
     with ThreadPoolExecutor(max_workers=4) as pool:
         results = list(pool.map(work, range(8)))

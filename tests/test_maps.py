@@ -21,8 +21,6 @@ from tamecube.maps import (
     const,
     constant_homotopy,
     coord,
-    fd_partial,
-    fd_partial_refined,
     lambda_map,
     mul,
     parse_map,
@@ -142,34 +140,6 @@ def test_homotopy_slice():
     )
     with pytest.raises(DomainError):
         H.slice(1.5)
-
-
-def test_fd_partial_examples():
-    assert fd_partial(const(5.0, 2), [0.3, 0.3], 1)[0] == 0.0
-    assert fd_partial(coord(1, 2), [0.3, 0.3], 1)[0] == pytest.approx(1.0, abs=1e-8)
-    flat = fd_partial(lambda_map(coord(1, 1)).on_unit_box(), [0.0], 1, 1e-3)
-    assert abs(flat[0]) <= 1e-6
-    with pytest.raises(DomainError):
-        fd_partial(coord(1, 1), [0.5], 1, h=0.0)
-
-
-def test_fd_one_sided_at_boundary():
-    f = coord(1, 1).on_unit_box()
-    assert fd_partial(f, [0.0], 1)[0] == pytest.approx(1.0, abs=1e-9)
-    assert fd_partial(f, [1.0], 1)[0] == pytest.approx(1.0, abs=1e-9)
-
-
-def test_fd_richardson_on_smash_is_second_order():
-    f = smash_map(SmashParams(0.1, 0.4), coord(1, 1))
-    for t in (0.17, 0.22, 0.31):
-        d1 = fd_partial(f, [t], 1, 2e-3)[0]
-        d2 = fd_partial(f, [t], 1, 1e-3)[0]
-        d4 = fd_partial(f, [t], 1, 5e-4)[0]
-        # halving the step shrinks the increment roughly fourfold
-        if abs(d2 - d4) > 1e-12:
-            assert abs(d1 - d2) / abs(d2 - d4) == pytest.approx(4.0, rel=0.8)
-        refined = fd_partial_refined(f, [t], 1, 1e-3)[0]
-        assert abs(refined - d4) <= abs(d1 - d4)
 
 
 # --- text format ---------------------------------------------------------

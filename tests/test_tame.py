@@ -216,9 +216,9 @@ def test_extend_to_jdelta_n2_collar_value():
     got = fe.eval([0.1, 0.0])
     assert np.max(np.abs(got - f.eval([0.0, 0.0]))) <= 1e-9
     band = SmashParams(0.09, 0.3)
-    from tamecube.kernels import smash_T
+    from tamecube.kernels import smash
 
-    assert np.max(np.abs(got - f.eval([smash_T(band, 0.1), 0.0]))) <= 1e-12
+    assert np.max(np.abs(got - f.eval([smash(0.1, band.sigma, band.tau), 0.0]))) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 3])
