@@ -28,7 +28,7 @@ def main() -> int:
 
     R = approx_retraction(RetractionParams.from_eps(args.n, args.eps))
     text = serialize_map(R)
-    assert parse_map(text) == R.without_domain(), "text format failed to round-trip"
+    assert parse_map(text) == R, "text format failed to round-trip"
 
     with tempfile.NamedTemporaryFile("w", suffix=".sexp", delete=False) as fh:
         fh.write(text)

@@ -22,7 +22,6 @@ from .cubes import (
     Face,
     boundary_complex,
     chamber_region,
-    face_projection,
     full_cube,
     j_complex,
     j_delta_region,

@@ -14,41 +14,12 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .cubes import Box, CubicalComplex, boundary_complex, box_grid, full_cube, j_complex, skeleton
+from .cubes import Box, box_grid
 from .errors import TameCubeError
 from .maps import parse_map
 from .suites import SuiteConfig, report_schema_version, run_suite
 
-__all__ = ["main", "console_main", "parse_complex_descriptor"]
-
-
-def parse_complex_descriptor(text: str) -> CubicalComplex:
-    """Complex descriptors: ``full:n``, ``boundary:n``, ``J:n``, ``skeleton:<desc>:<j>``.
-
-    The skeleton form nests: ``skeleton:boundary:3:1`` is the 1-skeleton of
-    the boundary of the 3-cube.
-    """
-    text = text.strip()
-    if text.startswith("skeleton:"):
-        inner, _, j = text[len("skeleton:") :].rpartition(":")
-        if not inner:
-            raise ValueError(f"bad skeleton descriptor {text!r}")
-        try:
-            return skeleton(parse_complex_descriptor(inner), int(j))
-        except ValueError as exc:
-            raise ValueError(f"bad skeleton descriptor {text!r}: {exc}") from exc
-    kind, _, num = text.partition(":")
-    try:
-        n = int(num)
-    except ValueError as exc:
-        raise ValueError(f"bad complex descriptor {text!r}") from exc
-    if kind == "full":
-        return full_cube(n)
-    if kind == "boundary":
-        return boundary_complex(n)
-    if kind == "J":
-        return j_complex(n)
-    raise ValueError(f"unknown complex kind {kind!r} in {text!r}")
+__all__ = ["main", "console_main"]
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:

@@ -32,7 +32,6 @@ __all__ = [
     "skeleton",
     "chamber_region",
     "j_delta_region",
-    "face_projection",
     "positive_faces",
     "intersect_complex_face",
     "intersect_region_face",
@@ -263,19 +262,6 @@ def j_delta_region(n: int, delta: float) -> BoxRegion:
             ivals[n - 1] = (0.0, 0.0)
             boxes.append(Box(tuple(ivals)))
     return BoxRegion(tuple(boxes))
-
-
-def face_projection(point, j: int, alpha: int):
-    """Replace coordinate j (1-based) of the point by alpha."""
-    point = np.asarray(point, dtype=float)
-    n = point.shape[-1]
-    if not 1 <= j <= n:
-        raise DomainError(f"axis {j} out of range 1..{n}")
-    if alpha not in (0, 1):
-        raise DomainError(f"face value must be 0 or 1, got {alpha!r}")
-    out = point.copy()
-    out[..., j - 1] = float(alpha)
-    return out
 
 
 def positive_faces(n: int) -> tuple[Face, ...]:

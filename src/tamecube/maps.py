@@ -4,8 +4,13 @@ A map is an immutable tree of primitive nodes (coordinates, affine maps,
 sums, products, tuples, composition, the scalar kernels, and a piecewise
 node that branches on one input coordinate).  Trees evaluate pointwise or
 on batches of points; evaluation is exact recursion over the nodes with
-no interpolation.  A canonical s-expression text format round-trips every
-tree.
+no interpolation.
+
+A canonical s-expression text format (``serialize_map``, ``parse_map``)
+records each node but neither the input dimension nor the domain.  The
+parser infers the smallest input dimension consistent with the text, so a
+tree round-trips exactly when its own nodes fix its input dimension, as the
+output of every construction does.  Numbers in the text must be finite.
 
 Two primitives take kernel parameters from their inputs instead of from
 construction-time constants: ``SmashDyn`` evaluates the smash kernel at
@@ -17,8 +22,10 @@ expressed with constant-parameter nodes alone.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field, replace as _dc_replace
+from itertools import chain
 from typing import ClassVar
 
 import numpy as np
@@ -89,7 +96,10 @@ def _eval(node: "SmoothMap", X: np.ndarray, memo: dict) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SmoothMap:
-    """Base node.  ``domain`` restricts evaluation to a box when set.
+    """Base node.  ``domain`` restricts ``eval_many`` on this node to a box.
+
+    The domain is read only on the node ``eval_many`` is called on, so it
+    is not part of the tree: equality and hashing ignore it.
 
     ``in_dim`` and ``out_dim`` are fixed when a node is built: leaf nodes of
     fixed arity carry them as class constants, the others set them in
@@ -97,7 +107,9 @@ class SmoothMap:
     and ``repr`` see only the tree itself.
     """
 
-    domain: tuple[tuple[float, float], ...] | None = field(default=None, kw_only=True)
+    domain: tuple[tuple[float, float], ...] | None = field(
+        default=None, kw_only=True, compare=False
+    )
     in_dim: ClassVar[int]
     out_dim: ClassVar[int]
 
@@ -110,9 +122,6 @@ class SmoothMap:
 
     def on_unit_box(self) -> "SmoothMap":
         return _dc_replace(self, domain=unit_box(self.in_dim))
-
-    def without_domain(self) -> "SmoothMap":
-        return _dc_replace(self, domain=None)
 
     def eval_many(self, pts) -> np.ndarray:
         X = np.asarray(pts, dtype=float)
@@ -149,6 +158,8 @@ class Const(SmoothMap):
             raise DimensionError("const needs at least one component")
         if self.dim < 1:
             raise DimensionError("const in_dim must be >= 1")
+        if not all(map(math.isfinite, self.values)):
+            raise DomainError(f"const values must be finite, got {self.values}")
         self._set_dims(self.dim, len(self.values))
 
     def _apply(self, X, memo):
@@ -189,6 +200,8 @@ class Affine(SmoothMap):
             raise DimensionError(
                 f"affine offset length {len(self.offset)} != row count {len(m)}"
             )
+        if not all(map(math.isfinite, chain(self.offset, *m))):
+            raise DomainError("affine matrix and offset entries must be finite")
         self._set_dims(cols, len(m))
 
     def _apply(self, X, memo):
@@ -500,13 +513,13 @@ class Homotopy:
             raise DomainError(f"time value {u!r} outside [0, 1]")
         u = min(1.0, max(0.0, u))
         n = self.space_dim
-        return Compose(self.map.without_domain(), embed_time(n, u)).on_unit_box()
+        return Compose(self.map, embed_time(n, u)).on_unit_box()
 
 
 def constant_homotopy(f: SmoothMap) -> Homotopy:
     """The homotopy that ignores its time coordinate."""
     n = f.in_dim
-    return Homotopy(Compose(f.without_domain(), drop_time(n)).on_unit_box())
+    return Homotopy(Compose(f, drop_time(n)).on_unit_box())
 
 
 # ---------------------------------------------------------------------------
@@ -516,294 +529,230 @@ def constant_homotopy(f: SmoothMap) -> Homotopy:
 _TOKEN_RE = re.compile(r"[()\[\]]|[^\s()\[\]]+")
 _NUM_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 _SYM_RE = re.compile(r"[a-z][a-z0-9]*$")
+_ATOMS = {"gamma": Gamma, "lambda": Lambda, "recip": Recip, "smashdyn": SmashDyn, "clamp01": Clamp01}
+_SIBLINGS = {"tuple": TupleMap, "sum": Sum, "prod": Product}
 
 
-def _tokenize(text: str):
-    tokens = []
-    line = 1
-    col = 1
-    i = 0
-    for m in _TOKEN_RE.finditer(text):
-        for ch in text[i : m.start()]:
-            if ch == "\n":
-                line += 1
-                col = 1
-            elif not ch.isspace():
-                raise ParseError(f"unexpected character {ch!r}", line, col)
-            else:
-                col += 1
-        i = m.end()
-        tok = m.group()
-        tokens.append((tok, line, col))
-        col += len(tok)
-    tokens.append((None, line, col))
-    return tokens
+class _Syntax(Exception):
+    """A parse error at a text offset; ``parse_map`` adds line and column."""
 
 
-class _Reader:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
+class _Within:
+    """Prefixes the dimension and domain errors raised while building a form."""
 
-    def peek(self):
-        return self.tokens[self.pos]
+    def __init__(self, name: str):
+        self.name = name
 
-    def next(self):
-        t = self.tokens[self.pos]
-        self.pos += 1
-        return t
+    def __enter__(self):
+        pass
 
-    def read(self):
-        tok, line, col = self.next()
-        if tok is None:
-            raise ParseError("unexpected end of input", line, col)
-        if tok == "(":
-            items = []
-            while True:
-                nxt, l2, c2 = self.peek()
-                if nxt is None:
-                    raise ParseError("missing ')'", l2, c2)
-                if nxt == ")":
-                    self.next()
-                    return ("list", items, line, col)
-                items.append(self.read())
-        if tok == "[":
-            items = []
-            while True:
-                nxt, l2, c2 = self.peek()
-                if nxt is None:
-                    raise ParseError("missing ']'", l2, c2)
-                if nxt == "]":
-                    self.next()
-                    return ("vec", items, line, col)
-                items.append(self.read())
-        if tok in (")", "]"):
-            raise ParseError(f"unexpected {tok!r}", line, col)
-        if _NUM_RE.match(tok):
-            return ("num", float(tok), line, col)
-        if _SYM_RE.match(tok):
-            return ("sym", tok, line, col)
-        raise ParseError(f"bad token {tok!r}", line, col)
+    def __exit__(self, kind, exc, tb):
+        if isinstance(exc, (DimensionError, DomainError)):
+            raise kind(f"in ({self.name} ...): {exc}") from exc
 
 
-_BARE_ATOMS = {"gamma", "lambda", "clamp01", "smashdyn", "recip"}
-_KEYWORDS = _BARE_ATOMS | {
-    "coord",
-    "const",
-    "project",
-    "smash",
-    "compose",
-    "tuple",
-    "sum",
-    "prod",
-    "affine",
-    "piece",
-}
+def _read(tok, at, rest):
+    """The expression that starts with token ``tok`` at offset ``at``.
+
+    Returns ``(kind, value, offset)``, kind one of list, vec, num and sym.
+    ``rest`` yields the following ``(token, offset)`` pairs and ends with
+    ``(None, end of the last token)``.
+    """
+    if tok in ("(", "["):
+        close = ")" if tok == "(" else "]"
+        items = []
+        for nxt, pos in rest:
+            if nxt == close:
+                return ("list" if tok == "(" else "vec", items, at)
+            if nxt is None:
+                raise _Syntax(f"missing {close!r}", pos)
+            items.append(_read(nxt, pos, rest))
+    if tok is None:
+        raise _Syntax("unexpected end of input", at)
+    if tok in (")", "]"):
+        raise _Syntax(f"unexpected {tok!r}", at)
+    if _NUM_RE.match(tok):
+        return ("num", float(tok), at)
+    if _SYM_RE.match(tok):
+        return ("sym", tok, at)
+    raise _Syntax(f"bad token {tok!r}", at)
 
 
-def _expect_num(ast, what):
-    if ast[0] != "num":
-        raise ParseError(f"expected a number for {what}", ast[2], ast[3])
-    return ast[1]
+def _num(ast, what: str) -> float:
+    kind, value, at = ast
+    if kind != "num":
+        raise _Syntax(f"expected a number for {what}", at)
+    return value
 
 
-def _expect_int(ast, what):
-    v = _expect_num(ast, what)
-    if not float(v).is_integer():
-        raise ParseError(f"expected an integer for {what}, got {v!r}", ast[2], ast[3])
-    return int(v)
+def _int(ast, what: str) -> int:
+    value = _num(ast, what)
+    if not value.is_integer():
+        raise _Syntax(f"expected an integer for {what}, got {value!r}", ast[2])
+    return int(value)
 
 
-def _head(ast):
-    """(keyword, args, line, col) for a list form."""
-    kind, items, line, col = ast
-    if not items or items[0][0] != "sym":
-        raise ParseError("expected a keyword after '('", line, col)
-    return items[0][1], items[1:], line, col
+def _row(ast, what: str, at: int) -> tuple[float, ...]:
+    """The numbers of one bracket vector of the affine form at offset ``at``."""
+    if ast[0] != "vec":
+        raise _Syntax("affine matrix must be a vector of row vectors", at)
+    return tuple(_num(v, what) for v in ast[1])
 
 
-def _min_in(ast) -> tuple[int, bool]:
-    """Minimal input dimension of a form and whether it is exact."""
-    kind = ast[0]
-    if kind == "num":
-        raise ParseError("bare number cannot be a map", ast[2], ast[3])
-    if kind == "vec":
-        raise ParseError("bracket vector cannot be a map", ast[2], ast[3])
-    if kind == "sym":
-        name = ast[1]
-        if name == "smashdyn":
-            return 3, True
-        if name in ("gamma", "lambda", "recip"):
-            return 1, True
-        if name == "clamp01":
-            return 1, False
-        raise ParseError(f"unknown atom {name!r}", ast[2], ast[3])
-    name, args, line, col = _head(ast)
-    if name not in _KEYWORDS:
-        raise ParseError(f"unknown form {name!r}", line, col)
+def _form(ast):
+    """Check one map form: ``(minimal input dimension, exact?, builder)``.
+
+    Shape and arity errors are raised here.  ``builder(n)`` builds the node
+    on input dimension ``n``; it checks the form's numbers and prefixes the
+    dimension and domain errors with the form's name.  The outer map of a
+    ``compose`` is checked only when its node is built, once the inner
+    map's output dimension is known.  A nesting level costs one frame in
+    each phase.
+    """
+    kind, val, at = ast
+    if kind == "sym" and val in _ATOMS:
+        atom = _ATOMS[val]
+        if atom is Clamp01:
+            return 1, False, Clamp01
+        return atom.in_dim, True, lambda n: atom()
+    if kind != "list":
+        what = {"num": "bare number", "vec": "bracket vector"}.get(kind)
+        raise _Syntax(f"{what} cannot be a map" if what else f"unknown atom {val!r}", at)
+    if not val or val[0][0] != "sym":
+        raise _Syntax("expected a keyword after '('", at)
+    name, args = val[0][1], val[1:]
+    within = _Within(name)
     if name in ("coord", "project"):
         if len(args) != 1:
-            raise ParseError(f"{name} takes one index", line, col)
-        return _expect_int(args[0], f"{name} index"), False
+            raise _Syntax(f"{name} takes one index", at)
+        index = _int(args[0], f"{name} index")
+
+        def build(n):
+            with within:
+                return Coord(index, n)
+
+        return index, False, build
     if name == "const":
         if not args:
-            raise ParseError("const needs at least one value", line, col)
-        return 1, False
+            raise _Syntax("const needs at least one value", at)
+
+        def build(n):
+            with within:
+                return Const(tuple(_num(a, "const value") for a in args), n)
+
+        return 1, False, build
     if name == "affine":
         if len(args) != 2 or args[0][0] != "vec" or args[1][0] != "vec":
-            raise ParseError("affine takes [rows] [offset]", line, col)
+            raise _Syntax("affine takes [rows] [offset]", at)
         rows = args[0][1]
         if not rows or rows[0][0] != "vec":
-            raise ParseError("affine matrix must be a vector of row vectors", line, col)
-        return len(rows[0][1]), True
+            raise _Syntax("affine matrix must be a vector of row vectors", at)
+
+        def build(n):
+            with within:
+                matrix = tuple(_row(row, "matrix entry", at) for row in rows)
+                return Affine(matrix, _row(args[1], "offset entry", at))
+
+        return len(rows[0][1]), True, build
     if name == "smash":
-        if len(args) == 2:
-            return 1, True
-        if len(args) == 3:
-            return _min_in(args[2])
-        raise ParseError("smash takes sigma tau [map]", line, col)
-    if name in ("gamma", "lambda", "recip", "clamp01"):
-        if len(args) != 1:
-            raise ParseError(f"({name} f) takes one map", line, col)
-        return _min_in(args[0])
-    if name == "smashdyn":
-        if len(args) != 3:
-            raise ParseError("(smashdyn t sigma tau) takes three maps", line, col)
-        return _unify([_min_in(a) for a in args], line, col)
-    if name == "compose":
-        if len(args) != 2:
-            raise ParseError("compose takes two maps", line, col)
-        return _min_in(args[1])
-    if name in ("tuple", "sum", "prod"):
-        if not args:
-            raise ParseError(f"{name} needs at least one map", line, col)
-        return _unify([_min_in(a) for a in args], line, col)
+        if len(args) not in (2, 3):
+            raise _Syntax("smash takes sigma tau [map]", at)
+        m, exact, inner = _form(args[2]) if len(args) == 3 else (1, True, None)
+
+        def build(n):
+            with within:
+                sigma, tau = _num(args[0], "smash sigma"), _num(args[1], "smash tau")
+                node = Smash(SmashParams(sigma, tau))
+                return node if inner is None else Compose(node, inner(n))
+
+        return m, exact, build
+    if name == "compose" or (name in _ATOMS and name != "smashdyn"):
+        # (lambda f) is (compose lambda f), and so on for the other atoms
+        if name == "compose" and len(args) != 2:
+            raise _Syntax("compose takes two maps", at)
+        if name != "compose" and len(args) != 1:
+            raise _Syntax(f"({name} f) takes one map", at)
+        m, exact, inner = _form(args[-1])
+        outer_ast = args[0] if name == "compose" else val[0]
+
+        def build(n):
+            with within:
+                f = inner(n)
+                k = f.out_dim
+                m_out, exact_out, outer = _form(outer_ast)
+                if exact_out and m_out != k:
+                    raise DimensionError(f"compose: outer expects {m_out} inputs, inner produces {k}")
+                if m_out > k:
+                    raise DimensionError(
+                        f"compose: outer needs at least {m_out} inputs, inner produces {k}"
+                    )
+                return Compose(outer(k), f)
+
+        return m, exact, build
+    # the sibling forms: the children must agree on one input dimension
+    kids, breaks = args, ()
     if name == "piece":
         if len(args) < 3 or args[1][0] != "list":
-            raise ParseError("piece takes axis (breaks) and maps", line, col)
-        axis = _expect_int(args[0], "piece axis")
-        m, exact = _unify([_min_in(a) for a in args[2:]], line, col)
+            raise _Syntax("piece takes axis (breaks) and maps", at)
+        axis = _int(args[0], "piece axis")
+        kids, breaks = args[2:], args[1][1]
+        make = lambda bs, pieces: PiecewiseAxis(axis, bs, pieces)
+    elif name == "smashdyn":
+        if len(args) != 3:
+            raise _Syntax("(smashdyn t sigma tau) takes three maps", at)
+        make = lambda _, ts: Compose(SmashDyn(), TupleMap(ts))
+    elif name in _SIBLINGS:
+        if not args:
+            raise _Syntax(f"{name} needs at least one map", at)
+        make = lambda _, cs, node=_SIBLINGS[name]: node(cs)
+    else:
+        raise _Syntax(f"unknown form {name!r}", at)
+    ms, fixed, builders = [], set(), []
+    for kid in kids:
+        m, exact, b = _form(kid)
+        ms.append(m)
+        builders.append(b)
+        if exact:
+            fixed.add(m)
+    if len(fixed) > 1:
+        raise _Syntax(f"children demand different input dimensions {sorted(fixed)}", at)
+    m, exact = max(ms), bool(fixed)
+    if exact:
+        (m_fixed,) = fixed
+        if m > m_fixed:
+            raise _Syntax(f"child needs at least {m} inputs but siblings fix {m_fixed}", at)
+        m = m_fixed
+    if name == "piece":
         if exact and axis > m:
-            raise ParseError(f"piece axis {axis} exceeds dimension {m}", line, col)
-        return (max(m, axis), exact)
-    raise ParseError(f"unknown form {name!r}", line, col)
+            raise _Syntax(f"piece axis {axis} exceeds dimension {m}", at)
+        m = max(m, axis)
 
+    def build(n):
+        with within:
+            bs = tuple(_num(b, "breakpoint") for b in breaks)
+            built = []
+            for b in builders:
+                built.append(b(n))
+            return make(bs, tuple(built))
 
-def _unify(pairs, line, col) -> tuple[int, bool]:
-    exact_vals = {m for m, e in pairs if e}
-    if len(exact_vals) > 1:
-        raise ParseError(
-            f"children demand different input dimensions {sorted(exact_vals)}", line, col
-        )
-    best = max(m for m, _ in pairs)
-    if exact_vals:
-        val = exact_vals.pop()
-        if best > val:
-            raise ParseError(
-                f"child needs at least {best} inputs but siblings fix {val}", line, col
-            )
-        return val, True
-    return best, False
-
-
-def _build(ast, n: int) -> SmoothMap:
-    kind = ast[0]
-    if kind == "sym":
-        name = ast[1]
-        if name == "gamma":
-            _check_exact(1, n, name, ast)
-            return Gamma()
-        if name == "lambda":
-            _check_exact(1, n, name, ast)
-            return Lambda()
-        if name == "recip":
-            _check_exact(1, n, name, ast)
-            return Recip()
-        if name == "smashdyn":
-            _check_exact(3, n, name, ast)
-            return SmashDyn()
-        if name == "clamp01":
-            return Clamp01(n)
-        raise ParseError(f"unknown atom {name!r}", ast[2], ast[3])
-    name, args, line, col = _head(ast)
-    try:
-        if name in ("coord", "project"):
-            return Coord(_expect_int(args[0], f"{name} index"), n)
-        if name == "const":
-            return Const(tuple(_expect_num(a, "const value") for a in args), n)
-        if name == "affine":
-            rows = tuple(
-                tuple(_expect_num(v, "matrix entry") for v in row[1])
-                for row in args[0][1]
-            )
-            offset = tuple(_expect_num(v, "offset entry") for v in args[1][1])
-            node = Affine(rows, offset)
-            if node.in_dim != n:
-                raise DimensionError(
-                    f"affine expects {node.in_dim} inputs, context needs {n}"
-                )
-            return node
-        if name == "smash":
-            params = SmashParams(
-                _expect_num(args[0], "smash sigma"), _expect_num(args[1], "smash tau")
-            )
-            if len(args) == 2:
-                _check_exact(1, n, name, ast)
-                return Smash(params)
-            inner = _build(args[2], n)
-            return Compose(Smash(params), inner)
-        if name in ("gamma", "lambda", "recip"):
-            inner = _build(args[0], n)
-            outer = {"gamma": Gamma, "lambda": Lambda, "recip": Recip}[name]()
-            return Compose(outer, inner)
-        if name == "clamp01":
-            inner = _build(args[0], n)
-            return Compose(Clamp01(inner.out_dim), inner)
-        if name == "smashdyn":
-            return Compose(SmashDyn(), TupleMap(tuple(_build(a, n) for a in args)))
-        if name == "compose":
-            inner = _build(args[1], n)
-            m_out, exact = _min_in(args[0])
-            k = inner.out_dim
-            if exact and m_out != k:
-                raise DimensionError(
-                    f"compose: outer expects {m_out} inputs, inner produces {k}"
-                )
-            if m_out > k:
-                raise DimensionError(
-                    f"compose: outer needs at least {m_out} inputs, inner produces {k}"
-                )
-            return Compose(_build(args[0], k), inner)
-        if name == "tuple":
-            return TupleMap(tuple(_build(a, n) for a in args))
-        if name == "sum":
-            return Sum(tuple(_build(a, n) for a in args))
-        if name == "prod":
-            return Product(tuple(_build(a, n) for a in args))
-        if name == "piece":
-            axis = _expect_int(args[0], "piece axis")
-            breaks = tuple(_expect_num(b, "breakpoint") for b in args[1][1])
-            pieces = tuple(_build(a, n) for a in args[2:])
-            return PiecewiseAxis(axis, breaks, pieces)
-    except (DimensionError, DomainError) as exc:
-        raise type(exc)(f"in ({name} ...): {exc}") from exc
-    raise ParseError(f"unknown form {name!r}", line, col)
-
-
-def _check_exact(need, n, name, ast):
-    if need != n:
-        raise DimensionError(f"{name} expects {need} inputs, context needs {n}")
+    return m, exact, build
 
 
 def parse_map(text: str) -> SmoothMap:
     """Parse the canonical s-expression format into a dimension-checked tree."""
-    reader = _Reader(_tokenize(text))
-    ast = reader.read()
-    trailing, line, col = reader.peek()
-    if trailing is not None:
-        raise ParseError(f"trailing input {trailing!r}", line, col)
-    n, _ = _min_in(ast)
-    return _build(ast, max(n, 1))
+    tokens = ((m.group(), m.start()) for m in _TOKEN_RE.finditer(text))
+    rest = chain(tokens, [(None, len(text.rstrip()))])
+    try:
+        ast = _read(*next(rest), rest)
+        tok, at = next(rest)
+        if tok is not None:
+            raise _Syntax(f"trailing input {tok!r}", at)
+        m, _, build = _form(ast)
+        return build(max(m, 1))
+    except _Syntax as exc:
+        message, at = exc.args
+        line = text.count("\n", 0, at) + 1
+        raise ParseError(message, line, at - text.rfind("\n", 0, at)) from None
 
 
 def _fmt(v: float) -> str:

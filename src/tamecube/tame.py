@@ -330,7 +330,7 @@ def extend_tame(
                 f"(worst violation {rim_rep.worst_violation:.3e})",
                 rim_rep,
             )
-    R = approx_retraction(RetractionParams.from_eps(n, eps)).without_domain()
+    R = approx_retraction(RetractionParams.from_eps(n, eps))
     # widths relax from (sigma', eps') at the bottom to (sigma, eps) once the
     # smashed time leaves its flat band; driving the ramp by the smashed time
     # (not the raw time) freezes the widths on both collars, which is what

@@ -119,6 +119,14 @@ def test_sample_dimension_error_exit_2(tmp_path):
     assert rc == 2
 
 
+def test_sample_non_finite_number_exit_2(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    rc = main(["sample", "--map", "(affine [[1e400]] [0.0])", "--grid", "3", "--out", str(out)])
+    assert rc == 2
+    assert "in (affine ...)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sample_io_error_exit_3(tmp_path):
     rc = main(["sample", "--map", "(coord 1)", "--grid", "3", "--out", str(tmp_path / "no" / "x.csv")])
     assert rc == 3
@@ -133,23 +141,6 @@ def test_suite_config_validation():
         with pytest.raises(DomainError):
             SuiteConfig(suite="retract", **bad)
     assert SuiteConfig(suite="tame", grid_res=9).tolerances == ToleranceConfig(grid_res=9)
-
-
-def test_complex_descriptors():
-    from tamecube.cli import parse_complex_descriptor
-    from tamecube.cubes import boundary_complex, full_cube, j_complex, skeleton
-
-    assert parse_complex_descriptor("full:2") == full_cube(2)
-    assert parse_complex_descriptor("boundary:3") == boundary_complex(3)
-    assert parse_complex_descriptor("J:2") == j_complex(2)
-    assert parse_complex_descriptor("skeleton:boundary:3:1") == skeleton(boundary_complex(3), 1)
-    assert parse_complex_descriptor("skeleton:skeleton:boundary:3:2:1") == skeleton(
-        skeleton(boundary_complex(3), 2), 1
-    )
-    with pytest.raises(ValueError):
-        parse_complex_descriptor("torus:2")
-    with pytest.raises(ValueError):
-        parse_complex_descriptor("skeleton:boundary:3:x")
 
 
 def test_sample_retraction_csv_containment(tmp_path):

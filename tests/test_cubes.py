@@ -13,7 +13,6 @@ from tamecube.cubes import (
     complex_grid,
     dist_to_complex,
     dist_to_region,
-    face_projection,
     full_cube,
     intersect_complex_face,
     j_complex,
@@ -86,25 +85,6 @@ def test_j_delta_region_membership():
     assert np.all(dist_to_region(r, complex_grid(j_complex(3), 5)) <= MEMBERSHIP_TOL)
     with pytest.raises(DomainError):
         j_delta_region(3, 0.5)
-
-
-def test_face_projection():
-    assert tuple(face_projection((0.3, 0.9), 2, 1)) == (0.3, 1.0)
-    assert tuple(face_projection((0.0, 0.5), 1, 0)) == (0.0, 0.5)
-    once = face_projection((0.4, 0.7), 1, 0)
-    assert np.array_equal(face_projection(once, 1, 0), once)
-    with pytest.raises(DomainError):
-        face_projection((0.3, 0.9), 3, 1)
-
-
-def test_face_projection_lipschitz():
-    rng = np.random.default_rng(0)
-    for _ in range(100):
-        p, q = rng.uniform(size=2), rng.uniform(size=2)
-        for j in (1, 2):
-            for a in (0, 1):
-                dp = np.max(np.abs(face_projection(p, j, a) - face_projection(q, j, a)))
-                assert dp <= np.max(np.abs(p - q)) + 1e-15
 
 
 def test_downward_closure_membership():

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tamecube.cubes import CubicalComplex, Face, boundary_complex
 from tamecube.errors import DimensionError, DomainError, ParseError
-from tamecube.genmaps import random_smooth_map
+from tamecube.genmaps import random_map_admissible_on, random_smooth_map, random_tame_map
 from tamecube.kernels import SmashParams
 from tamecube.maps import (
+    Affine,
     Clamp01,
     Compose,
     Const,
@@ -31,6 +33,16 @@ from tamecube.maps import (
     smashdyn_map,
     tup,
     unit_box,
+)
+from tamecube.replace import admissible_replace
+from tamecube.retract import RetractionParams, approx_retraction, deformation_retraction_homotopy
+from tamecube.tame import (
+    ToleranceConfig,
+    concat_homotopy,
+    concat_maps,
+    extend_tame,
+    extend_to_jdelta,
+    tame_replace,
 )
 
 
@@ -231,6 +243,180 @@ def test_unit_box():
     assert unit_box(2) == ((0.0, 1.0), (0.0, 1.0))
     f = coord(1, 2)
     assert f.on_unit_box().domain == unit_box(2)
+
+
+def test_domain_is_not_part_of_the_tree():
+    f = lambda_map(coord(1, 2))
+    boxed = f.on_unit_box()
+    assert boxed == f and hash(boxed) == hash(f)
+    assert add(boxed, f) == add(f, f)
+    with pytest.raises(DomainError):
+        boxed.eval([0.5, 1.5])
+    assert f.eval([0.5, 1.5])[0] == 0.5
+
+
+def test_construction_outputs_round_trip():
+    mid = ToleranceConfig(grid_res=17)
+    outputs = [approx_retraction(RetractionParams.from_eps(n, 0.25)) for n in (1, 2, 3, 4)]
+    outputs += [deformation_retraction_homotopy(n, 0.25).map for n in (1, 2, 3)]
+    g, H = tame_replace(random_tame_map(np.random.default_rng(0), 2, 0.25), 0.1, 0.25)
+    outputs += [g, H.map]
+    f = random_tame_map(np.random.default_rng(1), 2, 0.25, space_eps=0.375)
+    outputs.append(extend_tame(f, eps=0.25, sigma=0.1, cfg=mid))
+    outputs.append(extend_to_jdelta(random_tame_map(np.random.default_rng(2), 2, 0.3), 0.3, cfg=mid))
+    outputs.append(concat_homotopy(H, constant_homotopy(g)).map)
+    phi = compose(random_smooth_map(np.random.default_rng(3), 1), coord(2, 2))
+    outputs.append(concat_maps(phi, phi))
+    L = CubicalComplex(2, (Face(2, ((1, 0),)),))
+    f = random_map_admissible_on(np.random.default_rng(4), 2, L, 0.2)
+    g, H, _ = admissible_replace(f, boundary_complex(2), L, 0.2, mid, seed=3)
+    outputs += [g, H.map]
+    for t in outputs:
+        back = parse_map(serialize_map(t))
+        assert back == t
+        assert (back.in_dim, back.out_dim) == (t.in_dim, t.out_dim)
+
+
+# one malformed text per parser message: (text, error type, message, (line, col))
+PARSE_ERRORS = [
+    ("", ParseError, "unexpected end of input", (1, 1)),
+    ("(lambda (coord", ParseError, "missing ')'", (1, 15)),
+    ("[1.0 2.0", ParseError, "missing ']'", (1, 9)),
+    (")", ParseError, "unexpected ')'", (1, 1)),
+    ("(sum (coord 1) ]", ParseError, "unexpected ']'", (1, 16)),
+    ("(coord 1$)", ParseError, "bad token '1$'", (1, 8)),
+    ("(lambda (coord 1)) junk", ParseError, "trailing input 'junk'", (1, 20)),
+    ("0.5", ParseError, "bare number cannot be a map", (1, 1)),
+    ("[1.0]", ParseError, "bracket vector cannot be a map", (1, 1)),
+    ("sin", ParseError, "unknown atom 'sin'", (1, 1)),
+    ("(1.0 2.0)", ParseError, "expected a keyword after '('", (1, 1)),
+    ("(sin (coord 1))", ParseError, "unknown form 'sin'", (1, 1)),
+    ("(coord 1 2)", ParseError, "coord takes one index", (1, 1)),
+    ("(coord x)", ParseError, "expected a number for coord index", (1, 8)),
+    ("(project 1.5)", ParseError, "expected an integer for project index, got 1.5", (1, 10)),
+    ("(const)", ParseError, "const needs at least one value", (1, 1)),
+    ("(affine [[1.0]])", ParseError, "affine takes [rows] [offset]", (1, 1)),
+    ("(affine [1.0] [0.0])", ParseError, "affine matrix must be a vector of row vectors", (1, 1)),
+    ("(smash 0.1)", ParseError, "smash takes sigma tau [map]", (1, 1)),
+    ("(lambda (coord 1) (coord 2))", ParseError, "(lambda f) takes one map", (1, 1)),
+    ("(smashdyn (coord 1) (coord 2))", ParseError, "(smashdyn t sigma tau) takes three maps", (1, 1)),
+    ("(compose lambda)", ParseError, "compose takes two maps", (1, 1)),
+    ("(tuple)", ParseError, "tuple needs at least one map", (1, 1)),
+    ("(piece 1 0.5 (coord 1) (coord 1))", ParseError, "piece takes axis (breaks) and maps", (1, 1)),
+    ("(sum gamma smashdyn)", ParseError, "children demand different input dimensions [1, 3]", (1, 1)),
+    ("(sum gamma (coord 2))", ParseError, "child needs at least 2 inputs but siblings fix 1", (1, 1)),
+    ("(piece 2 (0.5) gamma gamma)", ParseError, "piece axis 2 exceeds dimension 1", (1, 1)),
+    ("(const 1.0 x)", ParseError, "expected a number for const value", (1, 12)),
+    ("(affine [[1.0 y]] [0.0])", ParseError, "expected a number for matrix entry", (1, 15)),
+    ("(affine [[1.0]] [z])", ParseError, "expected a number for offset entry", (1, 18)),
+    ("(smash s 0.25)", ParseError, "expected a number for smash sigma", (1, 8)),
+    ("(piece 1 (x) (coord 1) (coord 1))", ParseError, "expected a number for breakpoint", (1, 11)),
+    ("(coord 0)", DimensionError, "in (coord ...): coord 0 out of range 1..1", None),
+    (
+        "(piece 0 (0.5) (coord 1) (coord 1))",
+        DimensionError,
+        "in (piece ...): piece axis 0 out of range 1..1",
+        None,
+    ),
+    (
+        "(compose gamma (tuple (coord 1) (coord 1)))",
+        DimensionError,
+        "in (compose ...): compose: outer expects 1 inputs, inner produces 2",
+        None,
+    ),
+    (
+        "(compose (coord 3) (tuple (coord 1) (coord 1)))",
+        DimensionError,
+        "in (compose ...): compose: outer needs at least 3 inputs, inner produces 2",
+        None,
+    ),
+    (
+        "(sum (tuple (coord 1) (coord 1)) (tuple (coord 1) (coord 1) (coord 1)))",
+        DimensionError,
+        "in (sum ...): sum: children out_dims [2, 3] incompatible",
+        None,
+    ),
+    (
+        "(affine [[1.0] [1.0 2.0]] [0.0 0.0])",
+        DimensionError,
+        "in (affine ...): affine matrix rows have unequal length",
+        None,
+    ),
+    (
+        "(smash 0.3 0.1)",
+        DomainError,
+        "in (smash ...): smash parameters need 0 <= sigma < tau <= 1/2, got sigma=0.3, tau=0.1",
+        None,
+    ),
+    (
+        "(piece 1 (0.7 0.3) (coord 1) (coord 1) (coord 1))",
+        DomainError,
+        "in (piece ...): breakpoints must be strictly increasing: (0.7, 0.3)",
+        None,
+    ),
+    (
+        "(sum (lambda (tuple (coord 1) (coord 1))))",
+        DimensionError,
+        "in (sum ...): in (lambda ...): compose: outer expects 1 inputs, inner produces 2",
+        None,
+    ),
+    # the outer map of a compose is read only after the inner one is built
+    (
+        "(compose (foo) (coord 0))",
+        DimensionError,
+        "in (compose ...): in (coord ...): coord 0 out of range 1..1",
+        None,
+    ),
+    # numbers are checked before the form's children are built
+    ("(smash x 0.25 (const y))", ParseError, "expected a number for smash sigma", (1, 8)),
+    ("(sum\n  (coord 1)\n  (coord 2 3))", ParseError, "coord takes one index", (3, 3)),
+    # the end of input is the end of the last token, not of trailing whitespace
+    ("(lambda (coord 1)\n   \t", ParseError, "missing ')'", (1, 18)),
+]
+
+
+@pytest.mark.parametrize("text,kind,message,where", PARSE_ERRORS)
+def test_parse_error_table(text, kind, message, where):
+    with pytest.raises(kind) as info:
+        parse_map(text)
+    assert type(info.value) is kind
+    if where is None:
+        assert str(info.value) == message
+    else:
+        assert str(info.value) == f"{where[0]}:{where[1]}: {message}"
+        assert (info.value.line, info.value.col) == where
+
+
+def test_affine_rows_must_be_vectors():
+    # a later row that is a number, a symbol or a parenthesised list
+    for row in ("2.0", "lambda", "(3.0 4.0)"):
+        with pytest.raises(ParseError, match="^1:1: affine matrix must be a vector of row vectors$"):
+            parse_map(f"(affine [[1.0 2.0] {row}] [0.0 0.0])")
+
+
+def test_deep_parse():
+    lam = parse_map("(lambda " * 800 + "(coord 1)" + ")" * 800)
+    outer = parse_map("(compose " * 800 + "lambda" + " (coord 1))" * 800)
+    total = parse_map("(sum " * 400 + "(coord 1)" + ")" * 400)
+    for f in (lam, outer, total):
+        assert (f.in_dim, f.out_dim) == (1, 1)
+    assert isinstance(outer.outer, Compose) and isinstance(total.children[0], type(total))
+
+
+def test_non_finite_numbers_rejected():
+    with pytest.raises(DomainError, match=r"^in \(affine \.\.\.\): .*finite"):
+        parse_map("(affine [[1e400]] [0.0])")
+    with pytest.raises(DomainError, match=r"^in \(sum \.\.\.\): in \(const \.\.\.\): .*finite"):
+        parse_map("(sum (coord 1) (const -1e400))")
+    nan = float("nan")
+    for build in (
+        lambda: Const((nan,), 1),
+        lambda: const(np.inf, 2),
+        lambda: Affine(((1.0, nan),), (0.0,)),
+        lambda: affine([[1.0]], [np.inf]),
+    ):
+        with pytest.raises(DomainError):
+            build()
 
 
 def test_parse_mismatch_spec_shape():
