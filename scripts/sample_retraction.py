@@ -30,10 +30,10 @@ def main() -> int:
     text = serialize_map(R)
     assert parse_map(text) == R, "text format failed to round-trip"
 
-    with tempfile.NamedTemporaryFile("w", suffix=".sexp", delete=False) as fh:
-        fh.write(text)
-        src = fh.name
-    rc = cli_main(["sample", "--map", src, "--grid", str(args.grid), "--out", args.out])
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "retraction.sexp"
+        src.write_text(text, encoding="utf-8")
+        rc = cli_main(["sample", "--map", str(src), "--grid", str(args.grid), "--out", args.out])
     if rc != 0:
         return rc
 

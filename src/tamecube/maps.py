@@ -4,7 +4,11 @@ A map is an immutable tree of primitive nodes (coordinates, affine maps,
 sums, products, tuples, composition, the scalar kernels, and a piecewise
 node that branches on one input coordinate).  Trees evaluate pointwise or
 on batches of points; evaluation is exact recursion over the nodes with
-no interpolation.
+no interpolation, one Python frame per nesting level.  A subtree reached
+along two paths is evaluated twice, so evaluation costs in proportion to
+the expanded tree, as ``serialize_map``, ``==`` and ``hash`` do.  A tree
+built by hand with sharing on every level, such as ``add(f, f)`` nested k
+deep, costs 2^k node visits; no construction and no parsed text builds one.
 
 A canonical s-expression text format (``serialize_map``, ``parse_map``)
 records each node but neither the input dimension nor the domain.  The
@@ -84,16 +88,6 @@ def unit_box(n: int) -> tuple[tuple[float, float], ...]:
     return tuple((0.0, 1.0) for _ in range(n))
 
 
-def _eval(node: "SmoothMap", X: np.ndarray, memo: dict) -> np.ndarray:
-    key = (id(node), id(X))
-    hit = memo.get(key)
-    if hit is not None:
-        return hit[1]
-    out = node._apply(X, memo)
-    memo[key] = (X, out)  # keep X alive so ids stay unique
-    return out
-
-
 @dataclass(frozen=True)
 class SmoothMap:
     """Base node.  ``domain`` restricts ``eval_many`` on this node to a box.
@@ -117,7 +111,7 @@ class SmoothMap:
         object.__setattr__(self, "in_dim", in_dim)
         object.__setattr__(self, "out_dim", out_dim)
 
-    def _apply(self, X: np.ndarray, memo: dict) -> np.ndarray:
+    def _apply(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def on_unit_box(self) -> "SmoothMap":
@@ -140,7 +134,9 @@ class SmoothMap:
                     f"point {tuple(X[bad])} outside declared domain box"
                 )
             X = np.clip(X, lo, hi)
-        return _eval(self, X, {})
+        out = self._apply(X)
+        # a view can alias the points (Coord) or be a read-only broadcast (Const)
+        return out if out.flags.owndata else out.copy()
 
     def eval(self, point) -> np.ndarray:
         P = np.asarray(point, dtype=float).reshape(1, -1)
@@ -162,7 +158,7 @@ class Const(SmoothMap):
             raise DomainError(f"const values must be finite, got {self.values}")
         self._set_dims(self.dim, len(self.values))
 
-    def _apply(self, X, memo):
+    def _apply(self, X):
         return np.broadcast_to(np.array(self.values), (len(X), len(self.values)))
 
 
@@ -178,7 +174,7 @@ class Coord(SmoothMap):
             raise DimensionError(f"coord {self.index} out of range 1..{self.dim}")
         self._set_dims(self.dim, 1)
 
-    def _apply(self, X, memo):
+    def _apply(self, X):
         return X[:, self.index - 1 : self.index]
 
 
@@ -204,7 +200,7 @@ class Affine(SmoothMap):
             raise DomainError("affine matrix and offset entries must be finite")
         self._set_dims(cols, len(m))
 
-    def _apply(self, X, memo):
+    def _apply(self, X):
         return X @ np.array(self.matrix).T + np.array(self.offset)
 
 
@@ -234,10 +230,10 @@ class Sum(SmoothMap):
             _common_in(self.children, "sum"), _broadcast_out(self.children, "sum")
         )
 
-    def _apply(self, X, memo):
+    def _apply(self, X):
         acc = np.zeros((len(X), self.out_dim))
         for c in self.children:
-            acc = acc + _eval(c, X, memo)
+            acc = acc + c._apply(X)
         return acc
 
 
@@ -252,10 +248,10 @@ class Product(SmoothMap):
             _common_in(self.children, "prod"), _broadcast_out(self.children, "prod")
         )
 
-    def _apply(self, X, memo):
+    def _apply(self, X):
         acc = np.ones((len(X), self.out_dim))
         for c in self.children:
-            acc = acc * _eval(c, X, memo)
+            acc = acc * c._apply(X)
         return acc
 
 
@@ -272,8 +268,8 @@ class Compose(SmoothMap):
             )
         self._set_dims(self.inner.in_dim, self.outer.out_dim)
 
-    def _apply(self, X, memo):
-        return _eval(self.outer, _eval(self.inner, X, memo), memo)
+    def _apply(self, X):
+        return self.outer._apply(self.inner._apply(X))
 
 
 @dataclass(frozen=True)
@@ -287,15 +283,18 @@ class TupleMap(SmoothMap):
             _common_in(self.children, "tuple"), sum(c.out_dim for c in self.children)
         )
 
-    def _apply(self, X, memo):
-        return np.concatenate([_eval(c, X, memo) for c in self.children], axis=1)
+    def _apply(self, X):
+        outs = []
+        for c in self.children:  # a comprehension would cost a second frame per level
+            outs.append(c._apply(X))
+        return np.concatenate(outs, axis=1)
 
 
 @dataclass(frozen=True)
 class Gamma(SmoothMap):
     in_dim = out_dim = 1
 
-    def _apply(self, X, memo):
+    def _apply(self, X):
         return gamma_many(X[:, 0]).reshape(-1, 1)
 
 
@@ -303,7 +302,7 @@ class Gamma(SmoothMap):
 class Lambda(SmoothMap):
     in_dim = out_dim = 1
 
-    def _apply(self, X, memo):
+    def _apply(self, X):
         return lambda_many(X[:, 0]).reshape(-1, 1)
 
 
@@ -313,7 +312,7 @@ class Smash(SmoothMap):
 
     in_dim = out_dim = 1
 
-    def _apply(self, X, memo):
+    def _apply(self, X):
         return smash(X[:, 0], self.params.sigma, self.params.tau).reshape(-1, 1)
 
 
@@ -324,7 +323,7 @@ class SmashDyn(SmoothMap):
     in_dim = 3
     out_dim = 1
 
-    def _apply(self, X, memo):
+    def _apply(self, X):
         return smash(X[:, 0], X[:, 1], X[:, 2]).reshape(-1, 1)
 
 
@@ -334,7 +333,7 @@ class Recip(SmoothMap):
 
     in_dim = out_dim = 1
 
-    def _apply(self, X, memo):
+    def _apply(self, X):
         x = X[:, 0]
         if np.any(x <= 0.0):
             raise DomainError("recip requires strictly positive input")
@@ -350,7 +349,7 @@ class Clamp01(SmoothMap):
             raise DimensionError("clamp01 dimension must be >= 1")
         self._set_dims(self.dim, self.dim)
 
-    def _apply(self, X, memo):
+    def _apply(self, X):
         return np.clip(X, 0.0, 1.0)
 
 
@@ -389,14 +388,14 @@ class PiecewiseAxis(SmoothMap):
             raise DimensionError(f"piece axis {self.axis} out of range 1..{n}")
         self._set_dims(n, outs.pop())
 
-    def _apply(self, X, memo):
+    def _apply(self, X):
         t = X[:, self.axis - 1]
         idx = np.searchsorted(np.array(self.breakpoints), t, side="right")
         out = np.empty((len(X), self.out_dim))
         for i, piece in enumerate(self.pieces):
             mask = idx == i
             if np.any(mask):
-                out[mask] = _eval(piece, X[mask], memo)
+                out[mask] = piece._apply(X[mask])
         return out
 
 
@@ -531,6 +530,8 @@ _NUM_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 _SYM_RE = re.compile(r"[a-z][a-z0-9]*$")
 _ATOMS = {"gamma": Gamma, "lambda": Lambda, "recip": Recip, "smashdyn": SmashDyn, "clamp01": Clamp01}
 _SIBLINGS = {"tuple": TupleMap, "sum": Sum, "prod": Product}
+_ATOM_NAMES = {atom: name for name, atom in _ATOMS.items()}
+_SIBLING_NAMES = {node: name for name, node in _SIBLINGS.items()}
 
 
 class _Syntax(Exception):
@@ -761,6 +762,8 @@ def _fmt(v: float) -> str:
 
 def serialize_map(f: SmoothMap) -> str:
     """Canonical text for a tree: lowercase keywords, single spaces."""
+    if type(f) in _ATOM_NAMES:
+        return _ATOM_NAMES[type(f)]
     if isinstance(f, Const):
         return "(const " + " ".join(_fmt(v) for v in f.values) + ")"
     if isinstance(f, Coord):
@@ -769,28 +772,16 @@ def serialize_map(f: SmoothMap) -> str:
         rows = " ".join("[" + " ".join(_fmt(v) for v in row) + "]" for row in f.matrix)
         offset = " ".join(_fmt(v) for v in f.offset)
         return f"(affine [{rows}] [{offset}])"
-    if isinstance(f, Sum):
-        return "(sum " + " ".join(serialize_map(c) for c in f.children) + ")"
-    if isinstance(f, Product):
-        return "(prod " + " ".join(serialize_map(c) for c in f.children) + ")"
-    if isinstance(f, TupleMap):
-        return "(tuple " + " ".join(serialize_map(c) for c in f.children) + ")"
     if isinstance(f, Compose):
         return f"(compose {serialize_map(f.outer)} {serialize_map(f.inner)})"
-    if isinstance(f, Gamma):
-        return "gamma"
-    if isinstance(f, Lambda):
-        return "lambda"
     if isinstance(f, Smash):
         return f"(smash {_fmt(f.params.sigma)} {_fmt(f.params.tau)})"
-    if isinstance(f, SmashDyn):
-        return "smashdyn"
-    if isinstance(f, Recip):
-        return "recip"
-    if isinstance(f, Clamp01):
-        return "clamp01"
     if isinstance(f, PiecewiseAxis):
-        breaks = " ".join(_fmt(b) for b in f.breakpoints)
-        pieces = " ".join(serialize_map(p) for p in f.pieces)
-        return f"(piece {f.axis} ({breaks}) {pieces})"
-    raise TypeError(f"cannot serialize {type(f).__name__}")
+        parts, kids = [f"(piece {f.axis} (" + " ".join(_fmt(b) for b in f.breakpoints) + ")"], f.pieces
+    elif type(f) in _SIBLING_NAMES:
+        parts, kids = ["(" + _SIBLING_NAMES[type(f)]], f.children
+    else:
+        raise TypeError(f"cannot serialize {type(f).__name__}")
+    for kid in kids:  # a generator would cost a second frame per level
+        parts.append(serialize_map(kid))
+    return " ".join(parts) + ")"

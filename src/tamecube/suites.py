@@ -101,6 +101,8 @@ class SuiteConfig:
             raise DomainError(f"dimensions must be a non-empty list within 1..4, got {self.ns}")
         if not self.eps_list or any(not 0.0 < e < 0.5 for e in self.eps_list):
             raise DomainError(f"widths must be a non-empty list within (0, 1/2), got {self.eps_list}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(
             self, "tolerances", ToleranceConfig(self.eq_tol, self.deriv_tol, self.grid_res)
         )
@@ -195,24 +197,20 @@ def _retract_suite(cfg: SuiteConfig) -> list[PropertyResult]:
         H = deformation_retraction_homotopy(n, eps)
         delta = deformation_schedule(n, eps)["retraction_eps"]
         pts = cb.box_grid(cb.Box(((0.0, 1.0),) * n), 9 if n >= 3 else 21)
-        z = np.concatenate([pts, np.zeros((len(pts), 1))], axis=1)
-        o = np.concatenate([pts, np.ones((len(pts), 1))], axis=1)
-        dev0 = float(np.max(np.abs(H.map.eval_many(z) - pts)))
+        dev0 = float(np.max(np.abs(H.slice(0.0).eval_many(pts) - pts)))
         out.append(PropertyResult("deformation-identity-at-0", {"n": n, "eps": eps}, dev0, 1e-12))
-        dist1 = float(cb.dist_to_complex(cb.j_complex(n), H.map.eval_many(o)).max())
+        dist1 = float(cb.dist_to_complex(cb.j_complex(n), H.slice(1.0).eval_many(pts)).max())
         out.append(PropertyResult("deformation-containment-at-1", {"n": n, "eps": eps}, dist1, 1e-9))
         ch = cb.region_grid(cb.chamber_region(cb.j_complex(n), delta), 7)
         worst = 0.0
         for u in (0.0, 0.25, 0.5, 0.75, 1.0):
-            su = np.concatenate([ch, np.full((len(ch), 1), u)], axis=1)
-            worst = max(worst, float(np.max(np.abs(H.map.eval_many(su) - ch))))
+            worst = max(worst, float(np.max(np.abs(H.slice(u).eval_many(ch) - ch))))
         out.append(PropertyResult("deformation-chamber-fixed", {"n": n, "eps": eps}, worst, 1e-12))
         region = cb.j_delta_region(n, delta)
         rp = cb.region_grid(region, 9)
         worst_in = 0.0
         for u in (0.25, 0.5, 0.75, 1.0):
-            su = np.concatenate([rp, np.full((len(rp), 1), u)], axis=1)
-            worst_in = max(worst_in, float(cb.dist_to_region(region, H.map.eval_many(su)).max()))
+            worst_in = max(worst_in, float(cb.dist_to_region(region, H.slice(u).eval_many(rp)).max()))
         out.append(PropertyResult("deformation-collar-region-stable", {"n": n, "eps": eps}, worst_in, 1e-9))
     try:
         RetractionParams(2, eps=0.2, sigma=0.05, eps_prime=0.3)
@@ -241,8 +239,7 @@ def _tame_suite(cfg: SuiteConfig) -> list[PropertyResult]:
     ch = cb.region_grid(cb.chamber_region(cb.full_cube(1), 0.25), 9)
     worst = 0.0
     for u in (0.0, 0.5, 1.0):
-        su = np.concatenate([ch, np.full((len(ch), 1), u)], axis=1)
-        worst = max(worst, float(np.max(np.abs(H.map.eval_many(su) - ch))))
+        worst = max(worst, float(np.max(np.abs(H.slice(u).eval_many(ch) - ch))))
     out.append(PropertyResult("taming-relative-to-chamber", {"sigma": 0.1, "eps": 0.25}, worst, tol.eq_tol))
 
     for i, n in enumerate([n for n in cfg.ns if n <= 3][:3]):
@@ -336,8 +333,7 @@ def _replace_suite(cfg: SuiteConfig) -> list[PropertyResult]:
         fl = f_unit.eval_many(lpts)
         worst = 0.0
         for u in (0.0, 0.25, 0.5, 0.75, 1.0):
-            su = np.concatenate([lpts, np.full((len(lpts), 1), u)], axis=1)
-            worst = max(worst, float(np.max(np.abs(H.map.eval_many(su) - fl))))
+            worst = max(worst, float(np.max(np.abs(H.slice(u).eval_many(lpts) - fl))))
         out.append(PropertyResult("replace-relative-on-L", {"n": n, "L": L.describe()}, worst, tol.eq_tol))
     return out
 

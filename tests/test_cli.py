@@ -34,7 +34,7 @@ def test_bad_arguments_exit_2():
     assert main(["verify"]) == 2
     assert main(["frobnicate"]) == 2
     # usage errors in the numeric flags, not failed properties
-    for flags in (["--eps", "0.6"], ["--eps", "0"], ["--eq-tol", "-1"], ["--n", ""], ["--eps", ""]):
+    for flags in (["--eps", "0.6"], ["--eps", "0"], ["--eq-tol", "-1"], ["--n", ""], ["--eps", ""], ["--seed", "-1"]):
         assert main(["verify", "--suite", "retract", *flags]) == 2
 
 
@@ -137,7 +137,7 @@ def test_suite_config_validation():
         SuiteConfig(suite="kernels", ns=(5,))
     with pytest.raises(Exception):
         SuiteConfig(suite="kernels", grid_res=2)
-    for bad in ({"eps_list": (0.5,)}, {"eps_list": ()}, {"ns": ()}, {"deriv_tol": 0.0}):
+    for bad in ({"eps_list": (0.5,)}, {"eps_list": ()}, {"ns": ()}, {"deriv_tol": 0.0}, {"seed": -1}):
         with pytest.raises(DomainError):
             SuiteConfig(suite="retract", **bad)
     assert SuiteConfig(suite="tame", grid_res=9).tolerances == ToleranceConfig(grid_res=9)
@@ -160,6 +160,19 @@ def test_sample_retraction_csv_containment(tmp_path):
     assert len(lines) == 1 + 121
     data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
     assert dist_to_complex(j_complex(2), data[:, 2:]).max() <= 1e-9
+
+
+def test_sample_retraction_script_leaves_no_temp_file(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "TMPDIR": str(tmp)}
+    args = ["--n", "2", "--eps", "0.25", "--grid", "11", "--out", str(tmp_path / "r.csv")]
+    run = subprocess.run(
+        [sys.executable, str(root / "scripts" / "sample_retraction.py"), *args], capture_output=True, text=True, env=env
+    )
+    assert run.returncode == 0, run.stderr
+    assert list(tmp.iterdir()) == []
 
 
 def test_verify_exit_1_on_property_failure(monkeypatch, tmp_path):

@@ -117,6 +117,48 @@ def test_deep_sum_chain_builds():
     assert f.in_dim == f.out_dim == 1
 
 
+def test_deep_trees_evaluate_and_serialize():
+    # one frame per nesting level: 900-deep chains stay under the default recursion limit
+    x = coord(1, 1)
+    wraps = {
+        "sum": lambda f: add(f, const(1.0, 1)),
+        "prod": lambda f: mul(f, const(1.0, 1)),
+        "piece": lambda f: piecewise(1, [0.5], [f, x]),
+        "lambda": lambda_map,
+    }
+    pts = np.array([[0.25], [0.75]])
+    expected = {"sum": [900.25, 900.75], "prod": [0.25, 0.75], "piece": [0.25, 0.75]}
+    for name, wrap in wraps.items():
+        f = x
+        for _ in range(900):
+            f = wrap(f)
+        out = f.eval_many(pts)
+        assert out.shape == (2, 1) and np.all(np.isfinite(out))
+        if name in expected:
+            assert out[:, 0].tolist() == expected[name]
+        text = serialize_map(f)
+        assert serialize_map(parse_map(text)) == text
+
+
+def test_eval_many_returns_fresh_writable_array():
+    pts = np.array([[0.25, 0.5], [0.75, 1.0]])
+    before = pts.copy()
+    trees = [
+        coord(2, 2),
+        const((3.0, 4.0), 2),
+        parse_map("(coord 1)"),
+        deformation_retraction_homotopy(1, 0.25).map,
+    ]
+    for f in trees:
+        X = pts[:, : f.in_dim]
+        out = f.eval_many(X)
+        assert out.shape == (2, f.out_dim)
+        again = out.copy()
+        out[...] = 99.0  # raises on a read-only array
+        assert np.array_equal(pts, before)
+        assert np.array_equal(f.eval_many(X), again)
+
+
 def test_clamp01():
     f = Compose(Clamp01(1), affine_row(1, {1: 2.0}, -0.5))
     assert f.eval([0.0])[0] == 0.0
