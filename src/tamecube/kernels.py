@@ -103,7 +103,9 @@ def _gauss(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """12-node Gauss-Legendre value of int_a^b lambda, elementwise."""
     half = 0.5 * (b - a)
     x = (0.5 * (a + b))[..., None] + half[..., None] * _NODES
-    return half * (lambda_many(x) @ _WEIGHTS)
+    # a reduction per row, not a BLAS product, so that a value does not
+    # depend on the batch it is computed in
+    return half * (lambda_many(x) * _WEIGHTS).sum(axis=-1)
 
 
 _EDGES = np.arange(_PANELS + 1) / _PANELS
@@ -132,16 +134,21 @@ def smash(ts, sigma, tau) -> np.ndarray:
     ``DomainError`` if a parameter pair violates 0 <= sigma < tau <= 1/2,
     which guards construction bugs in parameter schedules.
     """
-    ts, sigma, tau = np.broadcast_arrays(
-        np.asarray(ts, dtype=float), np.asarray(sigma, dtype=float), np.asarray(tau, dtype=float)
-    )
-    valid = (sigma >= 0.0) & (sigma < tau) & (tau <= 0.5)
-    if not np.all(valid):
-        bad = int(np.argmin(valid.ravel()))
-        raise DomainError(
-            f"smash parameter schedule out of range at element {bad}: "
-            f"sigma={sigma.flat[bad]!r}, tau={tau.flat[bad]!r}"
+    ts = np.asarray(ts, dtype=float)
+    if np.ndim(sigma) == 0 and np.ndim(tau) == 0 and 0.0 <= sigma < tau <= 0.5:
+        # one valid pair for every element: no broadcast, no per-element check
+        sigma, tau = float(sigma), float(tau)
+    else:
+        ts, sigma, tau = np.broadcast_arrays(
+            ts, np.asarray(sigma, dtype=float), np.asarray(tau, dtype=float)
         )
+        valid = (sigma >= 0.0) & (sigma < tau) & (tau <= 0.5)
+        if not np.all(valid):
+            bad = int(np.argmin(valid.ravel()))
+            raise DomainError(
+                f"smash parameter schedule out of range at element {bad}: "
+                f"sigma={sigma.flat[bad]!r}, tau={tau.flat[bad]!r}"
+            )
     if not np.all(np.isfinite(ts)):
         raise DomainError("expected finite reals")
     out = np.where(ts >= 1.0 - sigma, 1.0, 0.0)
@@ -149,7 +156,9 @@ def smash(ts, sigma, tau) -> np.ndarray:
     out[ident] = ts[ident]
     band = (ts > sigma) & (ts < 1.0 - sigma) & ~ident
     if np.any(band):
-        t, s, w = ts[band], sigma[band], tau[band]
+        t = ts[band]
+        s = sigma[band] if np.ndim(sigma) else sigma
+        w = tau[band] if np.ndim(tau) else tau
         low = t <= 0.5
         r = (np.where(low, t, 1.0 - t) - s) / (w - s)
         val = (w - s) * lambda_integral(r) + 0.5 * (w + s) * lambda_many(r)

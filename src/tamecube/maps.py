@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, replace as _dc_replace
-from itertools import chain
+from dataclasses import dataclass, field, fields, replace as _dc_replace
+from itertools import chain, zip_longest
 from typing import ClassVar
 
 import numpy as np
@@ -93,7 +93,10 @@ class SmoothMap:
     """Base node.  ``domain`` restricts ``eval_many`` on this node to a box.
 
     The domain is read only on the node ``eval_many`` is called on, so it
-    is not part of the tree: equality and hashing ignore it.
+    is not part of the tree: equality and hashing ignore it.  They compare
+    every other field and walk the tree without recursion, so a deep tree
+    costs no frames; the node classes are declared with ``eq=False`` to
+    inherit them.
 
     ``in_dim`` and ``out_dim`` are fixed when a node is built: leaf nodes of
     fixed arity carry them as class constants, the others set them in
@@ -110,6 +113,16 @@ class SmoothMap:
     def _set_dims(self, in_dim: int, out_dim: int) -> None:
         object.__setattr__(self, "in_dim", in_dim)
         object.__setattr__(self, "out_dim", out_dim)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(a == b for a, b in zip_longest(_tokens(self), _tokens(other)))
+
+    def __hash__(self):
+        return hash(tuple(_tokens(self)))
 
     def _apply(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -143,7 +156,32 @@ class SmoothMap:
         return self.eval_many(P)[0]
 
 
-@dataclass(frozen=True)
+def _tokens(f: SmoothMap):
+    """The nodes of a tree in pre-order, each as its type and other fields.
+
+    A child tuple is replaced by its length, so the sequence determines the
+    tree.  The walk keeps its own stack: it costs no frame per level.
+    """
+    todo = [f]
+    while todo:
+        node = todo.pop()
+        kids, rest = [], []
+        for fd in fields(node):
+            if not fd.compare:
+                continue
+            v = getattr(node, fd.name)
+            if isinstance(v, SmoothMap):
+                kids.append(v)
+            elif isinstance(v, tuple) and v and isinstance(v[0], SmoothMap):
+                kids.extend(v)
+                rest.append(len(v))
+            else:
+                rest.append(v)
+        yield type(node), tuple(rest)
+        todo.extend(reversed(kids))
+
+
+@dataclass(frozen=True, eq=False)
 class Const(SmoothMap):
     values: tuple[float, ...]
     dim: int
@@ -162,7 +200,7 @@ class Const(SmoothMap):
         return np.broadcast_to(np.array(self.values), (len(X), len(self.values)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Coord(SmoothMap):
     """Selects input coordinate ``index`` (1-based); ``(project k)`` reads as this."""
 
@@ -178,7 +216,7 @@ class Coord(SmoothMap):
         return X[:, self.index - 1 : self.index]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Affine(SmoothMap):
     matrix: tuple[tuple[float, ...], ...]
     offset: tuple[float, ...]
@@ -201,7 +239,16 @@ class Affine(SmoothMap):
         self._set_dims(cols, len(m))
 
     def _apply(self, X):
-        return X @ np.array(self.matrix).T + np.array(self.offset)
+        # explicit column sums, not a BLAS product, so that a row's value
+        # does not depend on the batch it is evaluated in
+        out = np.empty((len(X), self.out_dim))
+        for i, (row, b) in enumerate(zip(self.matrix, self.offset)):
+            acc = b
+            for k, c in enumerate(row):
+                if c != 0.0:
+                    acc = acc + X[:, k] * c
+            out[:, i] = acc
+        return out
 
 
 def _broadcast_out(children, keyword):
@@ -219,7 +266,7 @@ def _common_in(children, keyword):
     return ins.pop()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sum(SmoothMap):
     children: tuple[SmoothMap, ...]
 
@@ -237,7 +284,7 @@ class Sum(SmoothMap):
         return acc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Product(SmoothMap):
     children: tuple[SmoothMap, ...]
 
@@ -255,7 +302,7 @@ class Product(SmoothMap):
         return acc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Compose(SmoothMap):
     outer: SmoothMap
     inner: SmoothMap
@@ -272,7 +319,7 @@ class Compose(SmoothMap):
         return self.outer._apply(self.inner._apply(X))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TupleMap(SmoothMap):
     children: tuple[SmoothMap, ...]
 
@@ -290,7 +337,7 @@ class TupleMap(SmoothMap):
         return np.concatenate(outs, axis=1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Gamma(SmoothMap):
     in_dim = out_dim = 1
 
@@ -298,7 +345,7 @@ class Gamma(SmoothMap):
         return gamma_many(X[:, 0]).reshape(-1, 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Lambda(SmoothMap):
     in_dim = out_dim = 1
 
@@ -306,7 +353,7 @@ class Lambda(SmoothMap):
         return lambda_many(X[:, 0]).reshape(-1, 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Smash(SmoothMap):
     params: SmashParams
 
@@ -316,7 +363,7 @@ class Smash(SmoothMap):
         return smash(X[:, 0], self.params.sigma, self.params.tau).reshape(-1, 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SmashDyn(SmoothMap):
     """Smash kernel with runtime parameters: inputs are (t, sigma, tau)."""
 
@@ -327,7 +374,7 @@ class SmashDyn(SmoothMap):
         return smash(X[:, 0], X[:, 1], X[:, 2]).reshape(-1, 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Recip(SmoothMap):
     """1/x on strictly positive inputs."""
 
@@ -340,7 +387,7 @@ class Recip(SmoothMap):
         return (1.0 / x).reshape(-1, 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Clamp01(SmoothMap):
     dim: int = 1
 
@@ -353,7 +400,7 @@ class Clamp01(SmoothMap):
         return np.clip(X, 0.0, 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PiecewiseAxis(SmoothMap):
     """Branches on one input coordinate at fixed breakpoints in (0, 1).
 

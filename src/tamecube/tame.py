@@ -7,7 +7,8 @@ grades the width by the dimension of the face being tested.  Every check
 is one collar scan over a box region (a complex is read as one box per
 maximal face): a structured grid per box plus seeded pseudo-random
 points, compared with exact max reduction so the worst violation and its
-witness are deterministic.
+witness are deterministic.  A scan evaluates the map once, on the
+distinct rows among its samples and their collar-moved copies.
 
 The operators: ``tame_replace`` composes with a coordinatewise smash to
 produce a tame map together with the straight-line homotopy; ``extend_tame``
@@ -38,6 +39,7 @@ from .cubes import (
     positive_faces,
     region_grid,
     region_random,
+    unique_rows,
     MEMBERSHIP_TOL,
 )
 from .errors import DimensionError, DomainError, TamenessError
@@ -145,8 +147,14 @@ def _collar_scan(
     coordinate j lies within eps of alpha is moved to depth d from that
     face (coordinate j set to d or 1 - d) for every d in ``depths``; a
     depth of ``None`` draws one uniform depth in [0, eps] per axis and
-    side.  Moved points outside R are skipped.  The report counts the
-    comparisons and keeps the first worst one as the witness.
+    side.  Moved points outside R are skipped.
+
+    The samples and all moved points are stacked, duplicate rows dropped,
+    and f is evaluated once on the distinct rows.  Evaluation does not
+    depend on the batch a row sits in, so the values are those of one call
+    per comparison.  The comparisons are then reduced in (axis, side,
+    depth) order: the report counts them and keeps the first worst one as
+    the witness.
     """
     pts = region_grid(R, cfg.grid_res)
     extra = region_random(R, cfg.grid_res, np.random.default_rng(seed))
@@ -154,31 +162,43 @@ def _collar_scan(
         pts = np.concatenate([pts, extra], axis=0)
     if len(pts) == 0:
         return TamenessReport(True, eps, 0.0, None, 0)
-    vals = f.eval_many(pts)
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    witness = None
-    comparisons = 0
+    blocks = []  # (axis, side, sample indices) per comparison, in scan order
+    chunks = [pts]  # the rows to evaluate: the samples, then each block's moved points
     for j in range(1, R.ambient_dim + 1):
         for alpha in (0, 1):
-            near = np.abs(pts[:, j - 1] - alpha) <= eps
-            if not np.any(near):
+            near = np.flatnonzero(np.abs(pts[:, j - 1] - alpha) <= eps)
+            if len(near) == 0:
                 continue
-            P, v = pts[near], vals[near]
             for d in depths:
                 if d is None:
                     d = float(rng.uniform(0, eps))
-                Q = P.copy()
+                Q = pts[near]
                 Q[:, j - 1] = d if alpha == 0 else 1.0 - d
                 inside = dist_to_region(R, Q) <= MEMBERSHIP_TOL
-                if not np.any(inside):
-                    continue
-                gap = np.max(np.abs(v[inside] - f.eval_many(Q[inside])), axis=1)
-                comparisons += len(gap)
-                k = int(np.argmax(gap))
-                if gap[k] > worst:
-                    worst = float(gap[k])
-                    witness = Witness(tuple(float(x) for x in P[inside][k]), j, alpha)
+                if np.any(inside):
+                    blocks.append((j, alpha, near[inside]))
+                    chunks.append(Q[inside])
+    # drop the moved points and their stacked copy before evaluating, so
+    # that they do not add to the evaluation's peak memory
+    stacked = np.concatenate(chunks, axis=0)
+    del chunks
+    rows, inverse = unique_rows(stacked)
+    del stacked
+    values = f.eval_many(rows)
+    worst = 0.0
+    witness = None
+    comparisons = 0
+    start = len(pts)
+    for j, alpha, idx in blocks:
+        stop = start + len(idx)
+        gap = np.max(np.abs(values[inverse[idx]] - values[inverse[start:stop]]), axis=1)
+        start = stop
+        comparisons += len(gap)
+        k = int(np.argmax(gap))
+        if gap[k] > worst:
+            worst = float(gap[k])
+            witness = Witness(tuple(float(x) for x in pts[idx[k]]), j, alpha)
     passed = worst <= cfg.eq_tol
     return TamenessReport(passed, eps, worst, witness if not passed else None, comparisons)
 

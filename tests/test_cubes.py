@@ -20,6 +20,7 @@ from tamecube.cubes import (
     positive_faces,
     region_grid,
     skeleton,
+    unique_rows,
 )
 from tamecube.errors import DomainError
 
@@ -166,3 +167,16 @@ def test_chamber_containment_at_spec_resolution():
         union = j_complex(n).union(bottom)
         pts = complex_grid(boundary_complex(n), 33)
         assert np.all(dist_to_complex(union, pts) <= 1e-12)
+
+
+def test_unique_rows_matches_np_unique():
+    rng = np.random.default_rng(2)
+    cases = [box_grid(b, 9) for b in boundary_complex(3).region.boxes]
+    cases.append(rng.integers(0, 3, size=(200, 4)).astype(float))
+    cases.append(np.concatenate(cases[:6]))
+    cases += [np.zeros((0, 2)), np.zeros((3, 0))]
+    for pts in cases:
+        rows, inverse = unique_rows(pts)
+        expected = np.unique(pts, axis=0)
+        assert rows.shape == expected.shape and rows.tobytes() == expected.tobytes()
+        assert rows[inverse].tobytes() == pts.tobytes()

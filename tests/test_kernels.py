@@ -194,17 +194,29 @@ def test_smash_scalar_vector_agree():
 
 
 def test_smash_dyn_matches_fixed_params():
+    # scalar parameters skip the broadcast and the per-element check; the
+    # values must be those of the per-element path, bit for bit, in every band
+    rng = np.random.default_rng(5)
+    s, w = P.sigma, P.tau
+    edges = (-0.5, 0.0, s, w, 0.5, 1.0 - w, 1.0 - s, 1.0, 1.5)
+    bands = [rng.uniform(lo, hi, 50) for lo, hi in zip(edges, edges[1:])]
     grid = np.linspace(0.0, 1.0, 31)
-    band = np.random.default_rng(5).uniform(P.sigma, 1.0 - P.sigma, 200)
-    for ts in (grid, band):
-        sig = np.full_like(ts, P.sigma)
-        tau = np.full_like(ts, P.tau)
-        assert np.array_equal(smash(ts, sig, tau), smash(ts, P.sigma, P.tau))
+    for ts in (grid, *bands, np.concatenate(bands + [np.array(edges)])):
+        sig = np.full_like(ts, s)
+        tau = np.full_like(ts, w)
+        assert smash(ts, sig, tau).tobytes() == smash(ts, s, w).tobytes()
+    for t in edges:
+        assert smash(t, np.float64(s), w).tobytes() == smash(np.array([t]), [s], [w]).tobytes()
 
 
 def test_smash_dyn_rejects_bad_schedule():
     with pytest.raises(DomainError):
         smash(np.array([0.5]), np.array([0.3]), np.array([0.2]))
+    for sigma, tau in ((0.3, 0.2), (0.2, 0.2), (-0.1, 0.2), (0.1, 0.6), (float("nan"), 0.2)):
+        with pytest.raises(DomainError, match="out of range at element 0"):
+            smash(np.array([0.5, 0.6]), sigma, tau)
+    with pytest.raises(DomainError, match="finite"):
+        smash(np.array([0.5, np.inf]), P.sigma, P.tau)
 
 
 def test_kernels_thread_safe():

@@ -137,7 +137,32 @@ def test_deep_trees_evaluate_and_serialize():
         if name in expected:
             assert out[:, 0].tolist() == expected[name]
         text = serialize_map(f)
-        assert serialize_map(parse_map(text)) == text
+        back = parse_map(text)
+        assert serialize_map(back) == text
+        # == and hash on equal but distinct trees walk every level
+        assert back == f and hash(back) == hash(f)
+        assert parse_map(text.replace("(coord 1)", "(const 2.0)", 1)) != f
+
+
+def test_eval_rows_independent_of_batch():
+    # the collar scan evaluates each distinct point once in a stacked batch,
+    # so a row's value must not depend on the batch it sits in
+    rng = np.random.default_rng(3)
+    trees = [affine(rng.uniform(-2.0, 2.0, (7, 4)), rng.uniform(-1.0, 1.0, 7))]
+    for n in (2, 3):
+        L = CubicalComplex(n, (Face(n, ((1, 0),)),))
+        f = random_map_admissible_on(np.random.default_rng([0, n]), n, L, 0.2)
+        trees.append(admissible_replace(f, boundary_complex(n), L, 0.2, ToleranceConfig(grid_res=9))[0])
+    trees.append(deformation_retraction_homotopy(3, 0.3).map)
+    trees.append(approx_retraction(RetractionParams.from_eps(3, 0.2)))
+    for f in trees:
+        X = rng.uniform(size=(600, f.in_dim))
+        whole = f.eval_many(X)
+        for step in (1, 3, 17):
+            parts = np.concatenate([f.eval_many(X[i : i + step]) for i in range(0, 51, step)])
+            assert parts.tobytes() == whole[: len(parts)].tobytes()
+        perm = rng.permutation(len(X))
+        assert f.eval_many(X[perm]).tobytes() == whole[perm].tobytes()
 
 
 def test_eval_many_returns_fresh_writable_array():

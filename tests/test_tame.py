@@ -17,6 +17,7 @@ from tamecube.genmaps import random_smooth_map, random_tame_map
 from tamecube.kernels import SmashParams
 from tamecube.maps import (
     Coord,
+    SmoothMap,
     add,
     affine_row,
     compose,
@@ -331,6 +332,27 @@ def test_fiber_constant():
     assert check_fiber_constant(const(1.0, 1), 0.2, 0.35, QUICK).passed
     with pytest.raises(TamenessError):
         check_fiber_constant(Coord(1, 1).on_unit_box(), 0.2, 0.35, QUICK)
+
+
+def test_collar_scan_evaluates_once(monkeypatch):
+    # a scan stacks its samples and moved points into one evaluation
+    calls = []
+    eval_many = SmoothMap.eval_many
+
+    def counted(self, pts):
+        calls.append(len(pts))
+        return eval_many(self, pts)
+
+    monkeypatch.setattr(SmoothMap, "eval_many", counted)
+    f = random_smooth_map(np.random.default_rng(11), 3).on_unit_box()
+    for K in (full_cube(3), boundary_complex(3), j_delta_region(3, 0.2)):
+        calls.clear()
+        check_tame(f, K, 0.2, QUICK, seed=4)
+        assert len(calls) == 1
+    for K in (boundary_complex(3), j_complex(3)):
+        calls.clear()
+        rep = check_admissible(f, K, 0.2, QUICK, seed=4)
+        assert len(calls) == len(rep.per_face) > 1
 
 
 def test_collar_scan_pinned_values():
