@@ -38,7 +38,6 @@ from .tame import (
     ToleranceConfig,
     Witness,
     check_admissible,
-    check_fiber_constant,
     check_tame,
     concat_homotopy,
     concat_maps,

@@ -22,7 +22,6 @@ from .replace import admissible_replace
 from .retract import RetractionParams, approx_retraction, deformation_retraction_homotopy, deformation_schedule
 from .tame import (
     ToleranceConfig,
-    check_fiber_constant,
     check_tame,
     concat_homotopy,
     concat_maps,
@@ -228,8 +227,9 @@ def _tame_suite(cfg: SuiteConfig) -> list[PropertyResult]:
         rep = check_tame(mp.Coord(1, 1).on_unit_box(), cb.full_cube(1), eps, tol, cfg.seed)
         witness_gap = 1.0
         if not rep.passed and rep.witness is not None:
-            depth = abs(rep.witness.point[rep.witness.axis - 1] - rep.witness.alpha)
-            witness_gap = abs(rep.worst_violation - depth)
+            w = rep.witness
+            moved = w.depth if w.alpha == 0 else 1.0 - w.depth
+            witness_gap = abs(rep.worst_violation - abs(w.point[w.axis - 1] - moved))
         out.append(PropertyResult("identity-not-tame", {"eps": eps}, witness_gap, 1e-12))
     g, H = tame_replace(mp.Coord(1, 1).on_unit_box(), 0.1, 0.25)
     rep = check_tame(g, cb.full_cube(1), 0.1, tol, cfg.seed)
@@ -286,7 +286,7 @@ def _tame_suite(cfg: SuiteConfig) -> list[PropertyResult]:
 
     p = kr.SmashParams(0.2, 0.35)
     fc = mp.tup(*[mp.smash_map(p, mp.coord(k, 2)) for k in (1, 2)]).on_unit_box()
-    rep = check_fiber_constant(fc, 0.2, 0.35, _dc_replace(tol, grid_res=9), cfg.seed)
+    rep = check_tame(fc, cb.full_cube(2), 0.2, _dc_replace(tol, grid_res=9), cfg.seed)
     out.append(PropertyResult("fiber-constant-smash", {"eps": 0.2}, rep.worst_violation, tol.eq_tol))
 
     rng = np.random.default_rng(cfg.seed + 400)

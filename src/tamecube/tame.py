@@ -1,14 +1,16 @@
 """Collar-constancy checking and the operators built on it.
 
-A map on a subset of I^n is eps-tame when its value at a point equals its
-value at the orthogonal projection onto any face whose coordinate is
-within eps, whenever that projection stays in the subset.  Admissibility
-grades the width by the dimension of the face being tested.  Every check
-is one collar scan over a box region (a complex is read as one box per
-maximal face): a structured grid per box plus seeded pseudo-random
-points, compared with exact max reduction so the worst violation and its
-witness are deterministic.  A scan evaluates the map once, on the
-distinct rows among its samples and their collar-moved copies.
+A map on a subset of I^n is eps-tame when it is constant along the
+collars: its value at a point whose coordinate j is within eps of a face
+value equals its value at every depth in [0, eps] from that face, where
+the moved point stays in the subset.  Admissibility grades the width by
+the dimension of the face being tested.  Every check is one collar scan
+over (box region, width) parts, a complex read as one box per maximal
+face: a grid per box plus seeded random points, each compared with its
+moves to the depths (0, w/3, 2w/3, w) and one seeded draw, with exact max
+reduction so the worst violation and its witness are deterministic.  A
+scan evaluates the map once, in fixed-size slices of the distinct rows
+among all its parts' samples and moved points.
 
 The operators: ``tame_replace`` composes with a coordinatewise smash to
 produce a tame map together with the straight-line homotopy; ``extend_tame``
@@ -32,7 +34,6 @@ from .cubes import (
     Face,
     box_grid,
     dist_to_region,
-    full_cube,
     intersect_complex_face,
     intersect_region_face,
     j_complex,
@@ -74,7 +75,6 @@ __all__ = [
     "extend_to_jdelta",
     "concat_homotopy",
     "concat_maps",
-    "check_fiber_constant",
     "seam_report",
 ]
 
@@ -102,6 +102,7 @@ class Witness:
     point: tuple[float, ...]
     axis: int
     alpha: int
+    depth: float  # the moved point has coordinate ``axis`` at depth (or 1 - depth)
 
 
 @dataclass(frozen=True)
@@ -122,6 +123,7 @@ class TamenessReport:
                 "point": list(self.witness.point),
                 "axis": self.witness.axis,
                 "alpha": self.witness.alpha,
+                "depth": self.witness.depth,
             }
         return {
             "passed": self.passed,
@@ -132,75 +134,106 @@ class TamenessReport:
         }
 
 
-def _collar_scan(
-    f: SmoothMap,
-    R: BoxRegion,
-    eps: float,
-    depths: tuple[float | None, ...],
-    cfg: ToleranceConfig,
-    seed: int,
-) -> TamenessReport:
-    """Compare f at sampled points of R against f pushed to each collar depth.
+# rows per ``eval_many`` call in a scan: bounds the evaluation's peak memory
+_EVAL_ROWS = 1 << 14
+
+
+def _collar_rows(R: BoxRegion, eps: float, cfg: ToleranceConfig, seed: int):
+    """Samples of R, their moves into the eps-collars, and the distinct rows.
 
     R is sampled on a per-box grid plus ``cfg.grid_res`` seeded uniform
     points per box.  For every axis j and side alpha, each sample whose
     coordinate j lies within eps of alpha is moved to depth d from that
-    face (coordinate j set to d or 1 - d) for every d in ``depths``; a
-    depth of ``None`` draws one uniform depth in [0, eps] per axis and
-    side.  Moved points outside R are skipped.
-
-    The samples and all moved points are stacked, duplicate rows dropped,
-    and f is evaluated once on the distinct rows.  Evaluation does not
-    depend on the batch a row sits in, so the values are those of one call
-    per comparison.  The comparisons are then reduced in (axis, side,
-    depth) order: the report counts them and keeps the first worst one as
-    the witness.
+    face (coordinate j set to d or 1 - d) for d in (0, eps/3, 2eps/3, eps)
+    and one seeded uniform draw in [0, eps]; moves that leave R are
+    skipped.  Returns the sample count, one (axis, side, depth, sample
+    indices) block per comparison, and ``unique_rows`` of the samples
+    stacked over the moved points in block order.
     """
     pts = region_grid(R, cfg.grid_res)
     extra = region_random(R, cfg.grid_res, np.random.default_rng(seed))
     if len(extra):
         pts = np.concatenate([pts, extra], axis=0)
-    if len(pts) == 0:
-        return TamenessReport(True, eps, 0.0, None, 0)
     rng = np.random.default_rng(seed)
-    blocks = []  # (axis, side, sample indices) per comparison, in scan order
-    chunks = [pts]  # the rows to evaluate: the samples, then each block's moved points
+    blocks = []
+    chunks = [pts]
     for j in range(1, R.ambient_dim + 1):
         for alpha in (0, 1):
             near = np.flatnonzero(np.abs(pts[:, j - 1] - alpha) <= eps)
             if len(near) == 0:
                 continue
-            for d in depths:
+            for d in (0.0, eps / 3.0, 2.0 * eps / 3.0, eps, None):
                 if d is None:
                     d = float(rng.uniform(0, eps))
                 Q = pts[near]
                 Q[:, j - 1] = d if alpha == 0 else 1.0 - d
                 inside = dist_to_region(R, Q) <= MEMBERSHIP_TOL
                 if np.any(inside):
-                    blocks.append((j, alpha, near[inside]))
+                    blocks.append((j, alpha, d, near[inside]))
                     chunks.append(Q[inside])
-    # drop the moved points and their stacked copy before evaluating, so
-    # that they do not add to the evaluation's peak memory
+    # drop the moved points before sorting their stacked copy
     stacked = np.concatenate(chunks, axis=0)
     del chunks
-    rows, inverse = unique_rows(stacked)
+    return len(pts), blocks, *unique_rows(stacked)
+
+
+def _collar_scan(
+    f: SmoothMap,
+    parts: tuple[tuple[BoxRegion, float], ...],
+    cfg: ToleranceConfig,
+    seed: int,
+) -> list[TamenessReport]:
+    """Check f for w-tameness on each (region, width w) part, in one evaluation.
+
+    Each part's samples and moved points (``_collar_rows``) are reduced to
+    their distinct rows; the parts' rows are merged the same way and f is
+    evaluated on them in slices of ``_EVAL_ROWS``.  Evaluation does not
+    depend on the batch a row sits in, so the values are those of one call
+    per comparison.  Each part's comparisons are then reduced in (axis,
+    side, depth) order: its report counts those whose moved point differs
+    from the sample and keeps the first worst one as the witness.
+    """
+    if f.in_dim != parts[0][0].ambient_dim:
+        raise DimensionError(
+            f"map has in_dim {f.in_dim}, domain has ambient {parts[0][0].ambient_dim}"
+        )
+    plans = []  # per part: width, sample count, blocks, inverse
+    part_rows = []
+    offset = 0
+    for R, eps in parts:
+        count, blocks, rows, inverse = _collar_rows(R, eps, cfg, seed)
+        inverse += offset  # now into the parts' rows, stacked
+        offset += len(rows)
+        plans.append((eps, count, blocks, inverse))
+        part_rows.append(rows)
+    stacked = np.concatenate(part_rows, axis=0)
+    del part_rows
+    rows, merged = unique_rows(stacked)
     del stacked
-    values = f.eval_many(rows)
-    worst = 0.0
-    witness = None
-    comparisons = 0
-    start = len(pts)
-    for j, alpha, idx in blocks:
-        stop = start + len(idx)
-        gap = np.max(np.abs(values[inverse[idx]] - values[inverse[start:stop]]), axis=1)
-        start = stop
-        comparisons += len(gap)
-        k = int(np.argmax(gap))
-        if gap[k] > worst:
-            worst = float(gap[k])
-            witness = Witness(tuple(float(x) for x in pts[idx[k]]), j, alpha)
-    passed = worst <= cfg.eq_tol
-    return TamenessReport(passed, eps, worst, witness if not passed else None, comparisons)
+    values = np.empty((len(rows), f.out_dim))
+    for i in range(0, len(rows), _EVAL_ROWS):
+        values[i : i + _EVAL_ROWS] = f.eval_many(rows[i : i + _EVAL_ROWS])
+    reports = []
+    for eps, start, blocks, inverse in plans:
+        index = merged[inverse]
+        worst = 0.0
+        witness = None
+        comparisons = 0
+        for j, alpha, d, idx in blocks:
+            stop = start + len(idx)
+            here, moved = index[idx], index[start:stop]
+            start = stop
+            comparisons += int(np.count_nonzero(here != moved))
+            gap = np.max(np.abs(values[here] - values[moved]), axis=1)
+            k = int(np.argmax(gap))
+            if gap[k] > worst:
+                worst = float(gap[k])
+                witness = Witness(tuple(float(x) for x in rows[here[k]]), j, alpha, d)
+        passed = worst <= cfg.eq_tol
+        reports.append(
+            TamenessReport(passed, eps, worst, witness if not passed else None, comparisons)
+        )
+    return reports
 
 
 def check_tame(
@@ -210,21 +243,19 @@ def check_tame(
     cfg: ToleranceConfig | None = None,
     seed: int = 0,
 ) -> TamenessReport:
-    """Grid check that f is eps-tame on K (a complex, region, or full cube).
+    """Sampled check that f is eps-tame on K (a complex, region, or full cube).
 
     For every sampled point, axis, and side with the coordinate within eps
-    of the face value and the projection inside K, compares the two values
-    in max norm.  The worst discrepancy, its witness, and the number of
+    of the face value, compares f there with f at the collar depths
+    (0, eps/3, 2eps/3, eps, a seeded draw) whose points stay in K, in max
+    norm.  The worst discrepancy, its witness, and the number of real
     comparisons are reported.
     """
     cfg = cfg or DEFAULT_TOLERANCES
     if not 0.0 < eps <= 0.5:
         raise DomainError(f"tameness width must satisfy 0 < eps <= 1/2, got {eps!r}")
-    if f.in_dim != K.ambient_dim:
-        raise DimensionError(f"map has in_dim {f.in_dim}, domain has ambient {K.ambient_dim}")
-    if isinstance(K, CubicalComplex):
-        K = K.region
-    return _collar_scan(f, K, eps, (0.0,), cfg, seed)
+    R = K.region if isinstance(K, CubicalComplex) else K
+    return _collar_scan(f, ((R, eps),), cfg, seed)[0]
 
 
 def check_admissible(
@@ -238,29 +269,24 @@ def check_admissible(
     cfg = cfg or DEFAULT_TOLERANCES
     if not 0.0 < eps <= 0.5:
         raise DomainError(f"admissibility width must satisfy 0 < eps <= 1/2, got {eps!r}")
-    n = K.ambient_dim
-    worst = 0.0
-    witness = None
-    samples = 0
-    breakdown = []
-    for F in positive_faces(n):
+    faces, parts = [], []
+    for F in positive_faces(K.ambient_dim):
         if isinstance(K, CubicalComplex):
             # the normalized intersection fixes the boxes, hence the random draws
             KF = intersect_complex_face(K, F).region
         else:
             KF = intersect_region_face(K, F)
-        if not KF.boxes:
-            continue
-        rep = check_tame(f, KF, eps ** F.dim, cfg, seed)
-        samples += rep.samples_checked
-        breakdown.append((F.describe(), eps ** F.dim, rep.worst_violation, rep.passed))
-        if rep.worst_violation > worst:
-            worst = rep.worst_violation
-            witness = rep.witness
-    passed = worst <= cfg.eq_tol
-    return TamenessReport(
-        passed, eps, worst, witness if not passed else None, samples, tuple(breakdown)
+        if KF.boxes:
+            faces.append(F)
+            parts.append((KF, eps**F.dim))
+    reps = _collar_scan(f, tuple(parts), cfg, seed) if parts else []
+    # the first face with the largest violation gives the verdict and witness
+    top = max(reps, key=lambda r: r.worst_violation, default=TamenessReport(True, eps, 0.0, None, 0))
+    breakdown = tuple(
+        (F.describe(), r.eps_tested, r.worst_violation, r.passed) for F, r in zip(faces, reps)
     )
+    samples = sum(r.samples_checked for r in reps)
+    return TamenessReport(top.passed, eps, top.worst_violation, top.witness, samples, breakdown)
 
 
 def _coordwise_smash(params: SmashParams, n: int) -> SmoothMap:
@@ -330,25 +356,21 @@ def extend_tame(
             f"need sigma < sigma_prime < eps_prime, got "
             f"sigma={sigma!r}, sigma_prime={sigma_prime!r}, eps_prime={eps_prime!r}"
         )
-    rep = check_tame(f, j_complex(n), eps, cfg, seed)
-    if not rep.passed:
-        raise TamenessError(
-            f"input map is not {eps}-tame on the walls-plus-top complex "
-            f"(worst violation {rep.worst_violation:.3e})",
-            rep,
-        )
+    parts = [(j_complex(n).region, eps)]
     if n >= 2:
         # the wider bottom-boundary tameness is what lets the relaxed
         # widths near the bottom reproduce f on the walls there
         rim = CubicalComplex(
             n, tuple(_bottom_rim_face(n, j, v) for j in range(1, n) for v in (0, 1))
         )
-        rim_rep = check_tame(f, rim, eps_prime, cfg, seed)
-        if not rim_rep.passed:
+        parts.append((rim.region, eps_prime))
+    reps = _collar_scan(f, tuple(parts), cfg, seed)
+    for rep, where in zip(reps, ("walls-plus-top complex", "bottom rim")):
+        if not rep.passed:
             raise TamenessError(
-                f"input map is not {eps_prime}-tame on the bottom rim "
-                f"(worst violation {rim_rep.worst_violation:.3e})",
-                rim_rep,
+                f"input map is not {rep.eps_tested}-tame on the {where} "
+                f"(worst violation {rep.worst_violation:.3e})",
+                rep,
             )
     R = approx_retraction(RetractionParams.from_eps(n, eps))
     # widths relax from (sigma', eps') at the bottom to (sigma, eps) once the
@@ -461,31 +483,6 @@ def concat_maps(phi: SmoothMap, psi: SmoothMap, cfg: ToleranceConfig | None = No
         psi, tup(lambda_map(affine_row(n, {1: 3.0}, -2.0)), *rest_coords)
     )
     return piecewise(1, (0.5,), (first, second)).on_unit_box()
-
-
-def check_fiber_constant(
-    f: SmoothMap,
-    eps: float,
-    tau: float,
-    cfg: ToleranceConfig | None = None,
-    seed: int = 0,
-) -> TamenessReport:
-    """Certify that f is constant along the collapsed collars of width eps.
-
-    This is exactly what makes f factor through the coordinatewise smash
-    with widths (eps, tau): the smash collapses [0, eps] and [1-eps, 1]
-    per coordinate and is injective in between.
-    """
-    cfg = cfg or DEFAULT_TOLERANCES
-    if not 0.0 < eps < tau <= 0.5:
-        raise DomainError(f"need 0 < eps < tau <= 1/2, got eps={eps!r}, tau={tau!r}")
-    pre = check_tame(f, full_cube(f.in_dim), eps, cfg, seed)
-    if not pre.passed:
-        raise TamenessError(
-            f"map is not {eps}-tame on the cube (worst {pre.worst_violation:.3e})", pre
-        )
-    depths = (0.0, eps / 3.0, 2.0 * eps / 3.0, eps, None)
-    return _collar_scan(f, full_cube(f.in_dim).region, eps, depths, cfg, seed)
 
 
 def seam_report(

@@ -247,12 +247,11 @@ def test_criterion_8_negative_controls():
     detail = []
     for eps in (0.05, 0.1, 0.25):
         rep = check_tame(Coord(1, 1).on_unit_box(), full_cube(1), eps, CFG)
-        good = (
-            not rep.passed
-            and rep.witness is not None
-            and abs(rep.worst_violation - abs(rep.witness.point[rep.witness.axis - 1] - rep.witness.alpha))
-            <= 1e-12
-        )
+        w = rep.witness
+        good = not rep.passed and w is not None
+        if good:
+            moved = w.depth if w.alpha == 0 else 1.0 - w.depth
+            good = abs(rep.worst_violation - abs(w.point[w.axis - 1] - moved)) <= 1e-12
         witness_ok &= good
         detail.append(f"eps={eps}:{'fail-with-witness' if good else 'BROKEN'}")
     try:

@@ -33,7 +33,6 @@ from tamecube.tame import (
     ToleranceConfig,
     Witness,
     check_admissible,
-    check_fiber_constant,
     check_tame,
     concat_homotopy,
     concat_maps,
@@ -65,7 +64,8 @@ def test_identity_fails_with_collar_witness():
     assert not rep.passed
     w = rep.witness
     assert w is not None
-    assert rep.worst_violation == pytest.approx(abs(w.point[w.axis - 1] - w.alpha), abs=1e-15)
+    moved = w.depth if w.alpha == 0 else 1.0 - w.depth
+    assert rep.worst_violation == pytest.approx(abs(w.point[w.axis - 1] - moved), abs=1e-15)
     assert rep.worst_violation <= 0.1
 
 
@@ -98,10 +98,10 @@ def test_admissibility_counterexample():
 
 
 def test_report_json_shape():
-    rep = TamenessReport(False, 0.1, 0.5, Witness((0.1, 0.2), 1, 0), 42)
+    rep = TamenessReport(False, 0.1, 0.5, Witness((0.1, 0.2), 1, 0, 0.05), 42)
     js = rep.to_json()
     assert set(js) == {"passed", "eps", "worst", "witness", "samples"}
-    assert js["witness"] == {"point": [0.1, 0.2], "axis": 1, "alpha": 0}
+    assert js["witness"] == {"point": [0.1, 0.2], "axis": 1, "alpha": 0, "depth": 0.05}
 
 
 def test_check_tame_validation():
@@ -196,8 +196,13 @@ def test_extend_tame_rejects_bad_params_and_untame_input():
         extend_tame(f, eps=0.25, sigma=0.3)
     with pytest.raises(DomainError):
         extend_tame(f, eps=0.25, sigma=0.1, eps_prime=0.2)
-    with pytest.raises(TamenessError):
+    with pytest.raises(TamenessError, match="walls-plus-top"):
         extend_tame(random_smooth_map(np.random.default_rng(0), 2), eps=0.25, sigma=0.1, cfg=QUICK)
+    # varies in t_1 only on [0.25, 0.35]: eps-tame on the walls and top, but
+    # not eps_prime-tame on the bottom rim
+    step = lambda_map(affine_row(3, {1: 10.0}, -2.5))
+    with pytest.raises(TamenessError, match="bottom rim"):
+        extend_tame(step, eps=0.25, sigma=0.1, eps_prime=0.375, cfg=QUICK)
 
 
 # --- collared boundary extension -------------------------------------------
@@ -325,17 +330,33 @@ def test_concat_maps_rejects_face_mismatch():
 
 
 def test_fiber_constant():
+    # a map factors through the coordinatewise smash with widths (0.2, 0.35)
+    # exactly when it is 0.2-tame on the cube
     band = SmashParams(0.2, 0.35)
     f = tup(smash_map(band, coord(1, 2)), smash_map(band, coord(2, 2))).on_unit_box()
-    rep = check_fiber_constant(f, 0.2, 0.35, QUICK)
-    assert rep.passed
-    assert check_fiber_constant(const(1.0, 1), 0.2, 0.35, QUICK).passed
-    with pytest.raises(TamenessError):
-        check_fiber_constant(Coord(1, 1).on_unit_box(), 0.2, 0.35, QUICK)
+    rep = check_tame(f, full_cube(2), 0.2, QUICK)
+    assert rep.passed and rep.worst_violation == 0.0 and rep.samples_checked > 0
+    assert check_tame(const(1.0, 1), full_cube(1), 0.2, QUICK).passed
+    rep = check_tame(Coord(1, 1).on_unit_box(), full_cube(1), 0.2, QUICK)
+    assert not rep.passed and rep.witness is not None
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("w", [0.008, 0.04])
+def test_collar_only_defect_fails(n, w):
+    # lambda(2 t_1 / w) varies only inside [0, w/2]: a comparison at depth 0
+    # alone misses it at w = 0.008, the deeper collar depths do not
+    f = lambda_map(affine_row(n, {1: 2.0 / w}, 0.0)).on_unit_box()
+    rep = check_tame(f, full_cube(n), w, CFG)
+    assert not rep.passed and rep.worst_violation == 1.0
+    wit = rep.witness
+    assert wit.axis == 1
+    assert abs(wit.point[0] - wit.alpha) <= w and 0.0 <= wit.depth <= w
 
 
 def test_collar_scan_evaluates_once(monkeypatch):
-    # a scan stacks its samples and moved points into one evaluation
+    # a check stacks the samples and moved points of all its parts into one
+    # evaluation
     calls = []
     eval_many = SmoothMap.eval_many
 
@@ -352,7 +373,12 @@ def test_collar_scan_evaluates_once(monkeypatch):
     for K in (boundary_complex(3), j_complex(3)):
         calls.clear()
         rep = check_admissible(f, K, 0.2, QUICK, seed=4)
-        assert len(calls) == len(rep.per_face) > 1
+        assert len(calls) == 1 and len(rep.per_face) > 1
+    # extend_tame checks the walls-plus-top and the bottom rim in one scan
+    g = _tame_on_j(3, 3, 0.25, 0.375)
+    calls.clear()
+    extend_tame(g, eps=0.25, sigma=0.1, cfg=QUICK, seed=4)
+    assert len(calls) == 1
 
 
 def test_collar_scan_pinned_values():
@@ -362,15 +388,15 @@ def test_collar_scan_pinned_values():
     cfg = ToleranceConfig(grid_res=9)
     cases = [
         (check_admissible(f, boundary_complex(3), 0.2, cfg, seed=4),
-         1840, 0.5741267706151589, Witness((0.1776925857619811, 0.0, 0.0), 1, 0)),
+         2168, 0.6039420579003054, Witness((0.0, 0.0, 0.0), 1, 0, 0.2)),
         (check_tame(f, j_delta_region(3, 0.2), 0.2, cfg, seed=4),
-         1433, 1.0207321780187129, Witness((0.0, 0.125, 0.25), 2, 0)),
+         4095, 1.5977324061258003, Witness((0.0, 0.0, 0.25), 2, 0, 0.2)),
         (check_tame(f, full_cube(3), 0.2, cfg, seed=4),
-         985, 1.0882512359908554, Witness((0.125, 0.125, 0.375), 2, 0)),
+         4439, 1.5977324061258003, Witness((0.0, 0.0, 0.25), 2, 0, 0.2)),
     ]
     for rep, samples, worst, witness in cases:
         assert (rep.samples_checked, rep.worst_violation, rep.witness) == (samples, worst, witness)
     band = SmashParams(0.2, 0.35)
     fc = tup(smash_map(band, coord(1, 2)), smash_map(band, coord(2, 2))).on_unit_box()
-    rep = check_fiber_constant(fc, 0.2, 0.35, cfg, 0)
-    assert (rep.samples_checked, rep.worst_violation) == (415, 0.0)
+    rep = check_tame(fc, full_cube(2), 0.2, cfg, 0)
+    assert (rep.samples_checked, rep.worst_violation) == (379, 0.0)
