@@ -787,7 +787,10 @@ def _form(ast):
 
 
 def parse_map(text: str) -> SmoothMap:
-    """Parse the canonical s-expression format into a dimension-checked tree."""
+    """Parse the canonical s-expression format into a dimension-checked tree.
+
+    Text nested deeper than the recursion limit allows raises ``ParseError``.
+    """
     tokens = ((m.group(), m.start()) for m in _TOKEN_RE.finditer(text))
     rest = chain(tokens, [(None, len(text.rstrip()))])
     try:
@@ -801,6 +804,8 @@ def parse_map(text: str) -> SmoothMap:
         message, at = exc.args
         line = text.count("\n", 0, at) + 1
         raise ParseError(message, line, at - text.rfind("\n", 0, at)) from None
+    except RecursionError:
+        raise ParseError("nested too deeply", 1, 1) from None
 
 
 def _fmt(v: float) -> str:

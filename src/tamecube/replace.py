@@ -6,7 +6,9 @@ L, to a map that is eps-admissible on all of K.  The algorithm first
 flattens the map with a coordinatewise smash, then walks the skeleta of
 K: every face not inside L gets its partial homotopy extended over
 face x time through the walls-plus-top extension, with the flat width
-graded as a power of eps in the face dimension.
+graded as a power of eps in the face dimension.  Each face is extended
+once, and its time-0 face is checked to be tame at its graded width; a
+failed extension or check raises ``ReplacementError`` naming the face.
 
 The union of the per-face extensions is represented as a nested
 piecewise tree that routes a point to a face containing it, with
@@ -17,9 +19,7 @@ that width.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as _dc_replace
-
-import numpy as np
+from dataclasses import asdict, dataclass, replace as _dc_replace
 
 from .cubes import CubicalComplex, Face, full_cube, skeleton
 from .errors import DimensionError, DomainError, ReplacementError, TamenessError
@@ -49,9 +49,6 @@ __all__ = [
     "ReplacementTrace",
     "admissible_replace",
 ]
-
-MAX_RETRIES = 8
-
 
 @dataclass(frozen=True)
 class FaceChart:
@@ -110,20 +107,11 @@ class ExtensionStep:
     input_eps: float
     eps_prime: float
     sigma_prime: float
-    retries: int
+    retries: int  # always 0: each face is extended once
     face_check_worst: float
 
     def to_json(self) -> dict:
-        return {
-            "face": self.face,
-            "dim": self.dim,
-            "sigma": self.sigma,
-            "input_eps": self.input_eps,
-            "eps_prime": self.eps_prime,
-            "sigma_prime": self.sigma_prime,
-            "retries": self.retries,
-            "face_check_worst": self.face_check_worst,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -211,9 +199,7 @@ def admissible_replace(
             )
     if K.is_empty or K.dim == 0 or K.is_subcomplex_of(L):
         g = f.on_unit_box()
-        final = check_admissible(g, K, eps, cfg, seed) if not K.is_empty else TamenessReport(
-            True, eps, 0.0, None, 0
-        )
+        final = check_admissible(g, K, eps, cfg, seed)
         return g, constant_homotopy(f), ReplacementTrace(0.0, 0.0, (), final)
 
     dim_l = max(L.dim, 1)
@@ -226,7 +212,6 @@ def admissible_replace(
     fallback = union
     formulas: dict[Face, SmoothMap] = {M: union for M in L.maximal_faces}
     steps: list[ExtensionStep] = []
-    current = L
     for j in range(1, K.dim + 1):
         faces_j = [
             F
@@ -234,68 +219,39 @@ def admissible_replace(
             if F.dim == j and not any(F.subface_of(M) for M in L.maximal_faces)
         ]
         faces_j.sort(key=lambda F: F.pinned)
-        sigmas_used = []
+        eps_p = min(eps ** (j - 1), 0.5)
+        sigma_p = eps**j
+        sigma_j = 0.5 * min(eps ** (j + 1), cert)
         for F in faces_j:
             chart = face_chart(F, n)
-            data = compose(union, chart.forward)
-            eps_hat = cert
-            eps_p = min(eps ** (j - 1), 0.5)
-            sigma_p = eps**j
-            sigma_j = 0.5 * min(eps ** (j + 1), eps_hat)
-            last_exc: Exception | None = None
-            ext = None
-            retries = 0
-            worst = float("nan")
-            for attempt in range(MAX_RETRIES + 1):
-                retries = attempt
-                try:
-                    candidate = extend_tame(
-                        data,
-                        eps=eps_hat,
-                        sigma=sigma_j,
-                        eps_prime=eps_p,
-                        sigma_prime=sigma_p,
-                        cfg=quick,
-                        seed=seed,
-                    )
-                except TamenessError as exc:
-                    last_exc = exc
-                    eps_hat *= 0.5
-                    sigma_j = min(sigma_j, 0.5 * eps_hat)
-                    continue
-                g_face = compose(candidate, embed_time(j, 0.0))
-                rep = check_tame(g_face, full_cube(j), sigma_p, quick, seed)
-                worst = rep.worst_violation
-                if rep.passed:
-                    ext = candidate
-                    break
-                last_exc = TamenessError(
-                    f"face map not {sigma_p}-tame (worst {rep.worst_violation:.3e})", rep
-                )
-                sigma_j *= 0.5
-            if ext is None:
-                raise ReplacementError(
-                    f"extension over face {F.describe()} (dim {j}) failed after "
-                    f"{MAX_RETRIES} retries: {last_exc}"
-                )
-            formulas[F] = compose(ext, chart.inverse)
-            sigmas_used.append(sigma_j)
-            steps.append(
-                ExtensionStep(
-                    face=F.describe(),
-                    dim=j,
+            try:
+                ext = extend_tame(
+                    compose(union, chart.forward),
+                    eps=cert,
                     sigma=sigma_j,
-                    input_eps=eps_hat,
                     eps_prime=eps_p,
                     sigma_prime=sigma_p,
-                    retries=retries,
-                    face_check_worst=worst,
+                    cfg=quick,
+                    seed=seed,
+                )
+            except TamenessError as exc:
+                raise ReplacementError(f"extension over face {F.describe()} (dim {j}) failed: {exc}") from exc
+            rep = check_tame(compose(ext, embed_time(j, 0.0)), full_cube(j), sigma_p, quick, seed)
+            if not rep.passed:
+                raise ReplacementError(
+                    f"extension over face {F.describe()} (dim {j}) is not {sigma_p}-tame "
+                    f"on the face (worst {rep.worst_violation:.3e})"
+                )
+            formulas[F] = compose(ext, chart.inverse)
+            steps.append(
+                ExtensionStep(
+                    face=F.describe(), dim=j, sigma=sigma_j, input_eps=cert, eps_prime=eps_p,
+                    sigma_prime=sigma_p, retries=0, face_check_worst=rep.worst_violation,
                 )
             )
-        if sigmas_used:
-            cert = min(cert, min(sigmas_used))
-        current = L.union(skeleton(K, j)) if not L.is_empty else skeleton(K, j)
-        union = _route_union(current, formulas, cert, fallback)
+        if faces_j:
+            cert = min(cert, sigma_j)
+        union = _route_union(L.union(skeleton(K, j)), formulas, cert, fallback)
 
     h_ind = Homotopy(union.on_unit_box())
     H = concat_homotopy(h_tame, h_ind, cfg)

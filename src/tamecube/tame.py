@@ -17,8 +17,8 @@ produce a tame map together with the straight-line homotopy; ``extend_tame``
 extends a tame map from the walls-plus-top complex over the whole cube via
 an approximate retraction with time-modulated band widths;
 ``extend_to_jdelta`` pushes a map outward onto the collared boundary
-region; the concatenation operators splice homotopies and maps with flat
-seams at 1/2.
+region; the concatenation operators splice homotopies (along time) and
+maps (along the first axis) through one splice, flat at the seam 1/2.
 """
 
 from __future__ import annotations
@@ -193,10 +193,6 @@ def _collar_scan(
     side, depth) order: its report counts those whose moved point differs
     from the sample and keeps the first worst one as the witness.
     """
-    if f.in_dim != parts[0][0].ambient_dim:
-        raise DimensionError(
-            f"map has in_dim {f.in_dim}, domain has ambient {parts[0][0].ambient_dim}"
-        )
     plans = []  # per part: width, sample count, blocks, inverse
     part_rows = []
     offset = 0
@@ -236,6 +232,18 @@ def _collar_scan(
     return reports
 
 
+def _domain(f: SmoothMap, K) -> BoxRegion:
+    """The box region of K, a complex or a region, checked against f's input dimension.
+
+    An empty region has no box to carry an ambient dimension, so it is not
+    checked; an empty complex still is.
+    """
+    is_complex = isinstance(K, CubicalComplex)
+    if (is_complex or K.boxes) and f.in_dim != K.ambient_dim:
+        raise DimensionError(f"map has in_dim {f.in_dim}, domain has ambient {K.ambient_dim}")
+    return K.region if is_complex else K
+
+
 def check_tame(
     f: SmoothMap,
     K,
@@ -254,7 +262,9 @@ def check_tame(
     cfg = cfg or DEFAULT_TOLERANCES
     if not 0.0 < eps <= 0.5:
         raise DomainError(f"tameness width must satisfy 0 < eps <= 1/2, got {eps!r}")
-    R = K.region if isinstance(K, CubicalComplex) else K
+    R = _domain(f, K)
+    if not R.boxes:
+        return TamenessReport(True, eps, 0.0, None, 0)
     return _collar_scan(f, ((R, eps),), cfg, seed)[0]
 
 
@@ -269,6 +279,7 @@ def check_admissible(
     cfg = cfg or DEFAULT_TOLERANCES
     if not 0.0 < eps <= 0.5:
         raise DomainError(f"admissibility width must satisfy 0 < eps <= 1/2, got {eps!r}")
+    _domain(f, K)
     faces, parts = [], []
     for F in positive_faces(K.ambient_dim):
         if isinstance(K, CubicalComplex):
@@ -434,30 +445,31 @@ def extend_to_jdelta(
     return piecewise(n, (delta,), (bottom, f)).on_unit_box()
 
 
-def _max_gap(f: SmoothMap, g: SmoothMap, pts: np.ndarray) -> float:
-    if len(pts) == 0:
-        return 0.0
-    return float(np.max(np.abs(f.eval_many(pts) - g.eval_many(pts))))
+def _splice(f: SmoothMap, g: SmoothMap, axis: int, cfg: ToleranceConfig, what: str) -> SmoothMap:
+    """Run f then g along ``axis``, each reparametrized by lambda to be flat at the seam 1/2.
+
+    Requires f on t_axis = 1 to match g on t_axis = 0, compared on a grid of
+    the other axes (at most 9 points per axis when there are three or more).
+    """
+    n = f.in_dim
+    rest = box_grid(Box(((0.0, 1.0),) * (n - 1)), min(cfg.grid_res, 9) if n >= 4 else cfg.grid_res)
+    at1, at0 = np.insert(rest, axis - 1, 1.0, axis=1), np.insert(rest, axis - 1, 0.0, axis=1)
+    gap = float(np.max(np.abs(f.eval_many(at1) - g.eval_many(at0))))
+    if gap > cfg.eq_tol:
+        raise DomainError(f"{what} disagree by {gap:.3e} (> eq_tol {cfg.eq_tol})")
+    xs = [coord(k, n) for k in range(1, n + 1)]
+    halves = []
+    for h, offset in ((f, 0.0), (g, -2.0)):
+        xs[axis - 1] = lambda_map(affine_row(n, {axis: 3.0}, offset))
+        halves.append(compose(h, tup(*xs)))
+    return piecewise(axis, (0.5,), tuple(halves)).on_unit_box()
 
 
 def concat_homotopy(F: Homotopy, G: Homotopy, cfg: ToleranceConfig | None = None) -> Homotopy:
     """Splice two homotopies end to start, reparametrized to be flat at the seam."""
-    cfg = cfg or DEFAULT_TOLERANCES
-    n = F.space_dim
-    if G.space_dim != n or F.map.out_dim != G.map.out_dim:
+    if G.space_dim != F.space_dim or F.map.out_dim != G.map.out_dim:
         raise DimensionError("homotopies do not share space and target dimensions")
-    res = min(cfg.grid_res, 9) if n >= 3 else cfg.grid_res
-    gap = _max_gap(F.slice(1.0), G.slice(0.0), box_grid(Box(((0.0, 1.0),) * n), res))
-    if gap > cfg.eq_tol:
-        raise DomainError(
-            f"homotopy endpoints disagree by {gap:.3e} (> eq_tol {cfg.eq_tol})"
-        )
-    dim = n + 1
-    xs = [coord(k, dim) for k in range(1, n + 1)]
-    first = compose(F.map, tup(*xs, lambda_map(affine_row(dim, {dim: 3.0}, 0.0))))
-    second = compose(G.map, tup(*xs, lambda_map(affine_row(dim, {dim: 3.0}, -2.0))))
-    H = piecewise(dim, (0.5,), (first, second))
-    return Homotopy(H.on_unit_box())
+    return Homotopy(_splice(F.map, G.map, F.map.in_dim, cfg or DEFAULT_TOLERANCES, "homotopy endpoints"))
 
 
 def concat_maps(phi: SmoothMap, psi: SmoothMap, cfg: ToleranceConfig | None = None) -> SmoothMap:
@@ -465,24 +477,9 @@ def concat_maps(phi: SmoothMap, psi: SmoothMap, cfg: ToleranceConfig | None = No
 
     Requires the value of phi on the face t1 = 1 to match psi on t1 = 0.
     """
-    cfg = cfg or DEFAULT_TOLERANCES
-    n = phi.in_dim
-    if psi.in_dim != n or phi.out_dim != psi.out_dim:
+    if psi.in_dim != phi.in_dim or phi.out_dim != psi.out_dim:
         raise DimensionError("maps do not share input and target dimensions")
-    rest = box_grid(Box(((0.0, 1.0),) * (n - 1)), min(cfg.grid_res, 9) if n >= 4 else cfg.grid_res)
-    at1 = np.concatenate([np.ones((len(rest), 1)), rest], axis=1)
-    at0 = np.concatenate([np.zeros((len(rest), 1)), rest], axis=1)
-    gap = float(np.max(np.abs(phi.eval_many(at1) - psi.eval_many(at0))))
-    if gap > cfg.eq_tol:
-        raise DomainError(f"face values disagree by {gap:.3e} (> eq_tol {cfg.eq_tol})")
-    rest_coords = [coord(k, n) for k in range(2, n + 1)]
-    first = compose(
-        phi, tup(lambda_map(affine_row(n, {1: 3.0}, 0.0)), *rest_coords)
-    )
-    second = compose(
-        psi, tup(lambda_map(affine_row(n, {1: 3.0}, -2.0)), *rest_coords)
-    )
-    return piecewise(1, (0.5,), (first, second)).on_unit_box()
+    return _splice(phi, psi, 1, cfg or DEFAULT_TOLERANCES, "face values")
 
 
 def seam_report(

@@ -175,6 +175,30 @@ def test_sample_retraction_script_leaves_no_temp_file(tmp_path):
     assert list(tmp.iterdir()) == []
 
 
+def test_sample_too_deep_map_is_usage_error(tmp_path, capsys):
+    src = tmp_path / "deep.sexp"
+    src.write_text("(lambda " * 3000 + "(coord 1)" + ")" * 3000, encoding="utf-8")
+    assert main(["sample", "--map", str(src), "--out", str(tmp_path / "deep.csv")]) == 2
+    assert capsys.readouterr().err == "tamecube sample: 1:1: nested too deeply\n"
+
+
+def test_run_verification_script_matches_verify(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    script = tmp_path / "script.json"
+    run = subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_verification.py"), "--seed", "7", "--grid", "9", "--out", str(script)],
+        capture_output=True, text=True, env=env,
+    )
+    assert run.returncode == 0, run.stderr
+    cli = tmp_path / "cli.json"
+    assert main(["verify", "--suite", "all", "--seed", "7", "--grid", "9", "--out", str(cli)]) == 0
+    # byte-identical apart from the timestamp value
+    texts = [p.read_text(encoding="utf-8") for p in (script, cli)]
+    masked = [t.replace(json.loads(t)["timestamp"], "") for t in texts]
+    assert masked[0] == masked[1]
+
+
 def test_verify_exit_1_on_property_failure(monkeypatch, tmp_path):
     import tamecube.cli as cli_mod
 

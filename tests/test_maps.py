@@ -470,6 +470,11 @@ def test_deep_parse():
     assert isinstance(outer.outer, Compose) and isinstance(total.children[0], type(total))
 
 
+def test_too_deep_text_is_a_parse_error():
+    with pytest.raises(ParseError, match="^1:1: nested too deeply$"):
+        parse_map("(lambda " * 3000 + "(coord 1)" + ")" * 3000)
+
+
 def test_non_finite_numbers_rejected():
     with pytest.raises(DomainError, match=r"^in \(affine \.\.\.\): .*finite"):
         parse_map("(affine [[1e400]] [0.0])")

@@ -9,9 +9,10 @@ from tamecube.cubes import (
     full_cube,
     skeleton,
 )
-from tamecube.errors import DomainError, TamenessError
+from tamecube.errors import DomainError, ReplacementError, TamenessError
 from tamecube.genmaps import random_map_admissible_on, random_smooth_map, random_tame_map
 from tamecube.maps import Coord, compose
+import tamecube.replace as replace_mod
 from tamecube.replace import admissible_replace, face_chart
 from tamecube.tame import ToleranceConfig, check_admissible
 
@@ -65,6 +66,38 @@ def test_replace_zero_dimensional_complex():
     assert trace.steps == ()
     pts = complex_grid(K, 3)
     assert np.array_equal(g.eval_many(pts), f.eval_many(pts))
+
+
+def test_replace_empty_complex():
+    f = random_smooth_map(np.random.default_rng(2), 2)
+    empty = CubicalComplex(2, ())
+    g, H, trace = admissible_replace(f, empty, empty, 0.2, QUICK)
+    assert g == f.on_unit_box()
+    assert trace.steps == ()
+    assert trace.final_report.passed and trace.final_report.samples_checked == 0
+
+
+def _untame_face_extension(f, **kwargs):
+    # the first chart coordinate: the identity along the face, so its time-0 face is not tame
+    return Coord(1, f.in_dim).on_unit_box()
+
+
+def _failing_extension(f, **kwargs):
+    raise TamenessError("synthetic extension failure")
+
+
+@pytest.mark.parametrize("fake", [_failing_extension, _untame_face_extension])
+def test_failed_extension_step_raises(monkeypatch, fake):
+    monkeypatch.setattr(replace_mod, "extend_tame", fake)
+    f = random_smooth_map(np.random.default_rng(7), 2)
+    with pytest.raises(ReplacementError, match=r"^extension over face t1=0 \(dim 1\)") as info:
+        admissible_replace(f, boundary_complex(2), CubicalComplex(2, ()), 0.2, QUICK)
+    if fake is _failing_extension:
+        assert isinstance(info.value.__cause__, TamenessError)
+        assert str(info.value).endswith("failed: synthetic extension failure")
+    else:
+        # the identity moves by at most the width 0.2 within the collar
+        assert str(info.value).endswith("is not 0.2-tame on the face (worst 2.000e-01)")
 
 
 def test_replace_interval_identity():

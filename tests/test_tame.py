@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tamecube.cubes import (
+    BoxRegion,
     CubicalComplex,
     Face,
     boundary_complex,
@@ -109,6 +110,17 @@ def test_check_tame_validation():
         check_tame(const(1.0, 1), full_cube(1), 0.0)
     with pytest.raises(DimensionError):
         check_tame(const(1.0, 1), full_cube(2), 0.1)
+
+
+def test_empty_domain_passes_with_no_comparisons():
+    # an empty complex or region has nothing to compare; a complex still checks its ambient dimension
+    f = Coord(1, 2).on_unit_box()
+    for check in (check_tame, check_admissible):
+        for K in (CubicalComplex(2, ()), BoxRegion(())):
+            rep = check(f, K, 0.2)
+            assert (rep.passed, rep.worst_violation, rep.witness, rep.samples_checked) == (True, 0.0, None, 0)
+        with pytest.raises(DimensionError, match="map has in_dim 2, domain has ambient 3"):
+            check(f, CubicalComplex(3, ()), 0.2)
 
 
 def test_tame_replace_constant():
@@ -287,7 +299,7 @@ def test_concat_homotopy_rejects_mismatch():
     f2 = const(1.0, 2)
     from tamecube.maps import constant_homotopy
 
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^homotopy endpoints disagree by 1.000e[+]00"):
         concat_homotopy(constant_homotopy(f1), constant_homotopy(f2))
 
 
@@ -322,7 +334,7 @@ def test_concat_maps_constant():
 
 
 def test_concat_maps_rejects_face_mismatch():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^face values disagree by 1.000e[+]00"):
         concat_maps(const(0.0, 2), const(1.0, 2))
 
 
