@@ -37,8 +37,7 @@ def main() -> int:
     if rc != 0:
         return rc
 
-    rows = Path(args.out).read_text().splitlines()
-    data = np.array([[float(v) for v in line.split(",")] for line in rows[1:]])
+    data = np.loadtxt(args.out, delimiter=",", skiprows=1, ndmin=2)
     worst = dist_to_complex(j_complex(args.n), data[:, args.n :]).max()
     print(f"{len(data)} samples written to {args.out}; worst containment gap {worst:.2e}")
     return 0 if worst <= 1e-9 else 1

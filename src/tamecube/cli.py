@@ -14,9 +14,11 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from .cubes import Box, box_grid
 from .errors import TameCubeError
-from .maps import parse_map
+from .maps import _EVAL_ROWS, parse_map
 from .suites import SuiteConfig, report_schema_version, run_suite
 
 __all__ = ["main", "console_main"]
@@ -104,17 +106,38 @@ def _cmd_sample(args) -> int:
         return 2
     n, m = f.in_dim, f.out_dim
     pts = box_grid(Box(((0.0, 1.0),) * n), args.grid)
-    vals = f.eval_many(pts)
     header = ",".join([f"t{i}" for i in range(1, n + 1)] + [f"y{i}" for i in range(1, m + 1)])
-    lines = [header]
-    for row, val in zip(pts, vals):
-        lines.append(",".join(f"{v:.17g}" for v in list(row) + list(val)))
+    out = Path(args.out)
     try:
-        Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+        with out.open("w", encoding="utf-8", newline="\n") as fh:
+            fh.write(header + "\n")
+            for i in range(0, len(pts), _EVAL_ROWS):
+                rows = pts[i : i + _EVAL_ROWS]
+                fh.write(_csv_lines(np.hstack([rows, f.eval_many(rows)])))
+    except TameCubeError as exc:
+        # no partial CSV; a device or a link such as /dev/stdout stays
+        if out.is_file() and not out.is_symlink():
+            out.unlink()
+        print(f"tamecube sample: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"tamecube sample: cannot write CSV: {exc}", file=sys.stderr)
         return 3
     return 0
+
+
+def _csv_lines(block: np.ndarray) -> str:
+    """The CSV lines of ``block``, every value written as ``%.17g``.
+
+    Each distinct value of a column is formatted once; values are told
+    apart by their bits, so ``-0.0`` and ``0.0`` stay apart.
+    """
+    cols = []
+    for col in block.T:
+        bits, inverse = np.unique(col.view(np.uint64), return_inverse=True)
+        text = np.array(["%.17g" % v for v in bits.view(np.float64).tolist()], dtype=object)
+        cols.append(text[inverse])
+    return "".join([",".join(row) + "\n" for row in zip(*cols)])
 
 
 def main(argv=None) -> int:

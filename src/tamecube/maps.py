@@ -83,6 +83,10 @@ __all__ = [
 
 DOMAIN_TOL = 1e-12
 
+# rows per ``eval_many`` call in a collar scan or a ``sample`` export: bounds
+# the evaluation's peak memory
+_EVAL_ROWS = 1 << 14
+
 
 def unit_box(n: int) -> tuple[tuple[float, float], ...]:
     return tuple((0.0, 1.0) for _ in range(n))

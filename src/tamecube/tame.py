@@ -46,6 +46,7 @@ from .cubes import (
 from .errors import DimensionError, DomainError, TamenessError
 from .kernels import SmashParams
 from .maps import (
+    _EVAL_ROWS,
     Homotopy,
     PiecewiseAxis,
     SmoothMap,
@@ -132,10 +133,6 @@ class TamenessReport:
             "witness": w,
             "samples": self.samples_checked,
         }
-
-
-# rows per ``eval_many`` call in a scan: bounds the evaluation's peak memory
-_EVAL_ROWS = 1 << 14
 
 
 def _collar_rows(R: BoxRegion, eps: float, cfg: ToleranceConfig, seed: int):

@@ -4,10 +4,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from tamecube.cli import main
+from tamecube.cli import _csv_lines, main
+from tamecube.cubes import Box, box_grid
 from tamecube.errors import DomainError
+from tamecube.maps import _EVAL_ROWS, SmoothMap, parse_map
 from tamecube.suites import SuiteConfig, report_schema_version
 from tamecube.tame import ToleranceConfig
 
@@ -130,6 +133,58 @@ def test_sample_non_finite_number_exit_2(tmp_path, capsys):
 def test_sample_io_error_exit_3(tmp_path):
     rc = main(["sample", "--map", "(coord 1)", "--grid", "3", "--out", str(tmp_path / "no" / "x.csv")])
     assert rc == 3
+
+
+@pytest.mark.parametrize(
+    "expr, grid",
+    [
+        ("(compose recip (coord 1))", 3),  # fails in the first slice, at t = 0
+        ("(compose recip (affine [[-1]] [1]))", 20000),  # fails only at t = 1, in the last slice
+    ],
+)
+def test_sample_evaluation_error_exit_2_and_no_file(tmp_path, capsys, expr, grid):
+    out = tmp_path / "x.csv"
+    assert main(["sample", "--map", expr, "--grid", str(grid), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "tamecube sample: recip requires strictly positive input\n"
+    assert not out.exists()
+
+
+def _reference_csv(pts, vals):
+    """The CSV as a per-value f-string loop writes it."""
+    return "".join(",".join(f"{v:.17g}" for v in list(row) + list(val)) + "\n" for row, val in zip(pts, vals))
+
+
+def test_csv_lines_matches_per_value_formatting():
+    col = [0.0, -0.0, 5e-324, 1e-300, 0.1 + 0.2, np.inf, -np.inf, np.nan, -np.nan, 0.0, -0.0, 0.1 + 0.2, 5e-324]
+    block = np.array([col, col[::-1], [7.0] * len(col)]).T
+    text = _csv_lines(block)
+    assert text == _reference_csv(block[:, :2], block[:, 2:])
+    assert text.splitlines()[:2] == ["0,4.9406564584124654e-324,7", "-0,0.30000000000000004,7"]
+
+
+def test_sample_across_a_slice_boundary_matches_reference(tmp_path):
+    expr = "(tuple (coord 1) (lambda (coord 2)))"
+    out = tmp_path / "s.csv"
+    assert main(["sample", "--map", expr, "--grid", "129", "--out", str(out)]) == 0
+    pts = box_grid(Box(((0.0, 1.0),) * 2), 129)
+    assert len(pts) == 16641 > _EVAL_ROWS
+    expected = "t1,t2,y1,y2\n" + _reference_csv(pts, parse_map(expr).eval_many(pts))
+    assert out.read_bytes() == expected.encode("utf-8")
+
+
+def test_sample_evaluates_in_slices(tmp_path, monkeypatch):
+    sizes = []
+    eval_many = SmoothMap.eval_many
+
+    def recording(self, pts):
+        sizes.append(len(pts))
+        return eval_many(self, pts)
+
+    monkeypatch.setattr(SmoothMap, "eval_many", recording)
+    out = tmp_path / "s.csv"
+    assert main(["sample", "--map", "(lambda (coord 1))", "--grid", "40000", "--out", str(out)]) == 0
+    assert sizes == [_EVAL_ROWS, _EVAL_ROWS, 40000 - 2 * _EVAL_ROWS]
+    assert len(out.read_text().splitlines()) == 1 + 40000
 
 
 def test_suite_config_validation():
