@@ -16,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .cubes import Box, box_grid
 from .errors import TameCubeError
 from .maps import _EVAL_ROWS, parse_map
 from .suites import SuiteConfig, report_schema_version, run_suite
@@ -101,18 +100,21 @@ def _cmd_sample(args) -> int:
         f = parse_map(source)
         if args.grid < 2:
             raise ValueError("grid must be at least 2")
+        if args.grid**f.in_dim > np.iinfo(np.intp).max:
+            raise ValueError(f"a grid of {args.grid}^{f.in_dim} rows is too large to index")
     except (TameCubeError, ValueError) as exc:
         print(f"tamecube sample: {exc}", file=sys.stderr)
         return 2
     n, m = f.in_dim, f.out_dim
-    pts = box_grid(Box(((0.0, 1.0),) * n), args.grid)
+    total = args.grid**n
+    values = np.linspace(0.0, 1.0, args.grid)
     header = ",".join([f"t{i}" for i in range(1, n + 1)] + [f"y{i}" for i in range(1, m + 1)])
     out = Path(args.out)
     try:
         with out.open("w", encoding="utf-8", newline="\n") as fh:
             fh.write(header + "\n")
-            for i in range(0, len(pts), _EVAL_ROWS):
-                rows = pts[i : i + _EVAL_ROWS]
+            for i in range(0, total, _EVAL_ROWS):
+                rows = _grid_rows(values, n, i, min(i + _EVAL_ROWS, total))
                 fh.write(_csv_lines(np.hstack([rows, f.eval_many(rows)])))
     except TameCubeError as exc:
         # no partial CSV; a device or a link such as /dev/stdout stays
@@ -124,6 +126,16 @@ def _cmd_sample(args) -> int:
         print(f"tamecube sample: cannot write CSV: {exc}", file=sys.stderr)
         return 3
     return 0
+
+
+def _grid_rows(values: np.ndarray, n: int, start: int, stop: int) -> np.ndarray:
+    """Rows start to stop - 1 of the row-major grid ``values``^n, the last axis fastest."""
+    index = np.arange(start, stop)
+    rows = np.empty((len(index), n))
+    for k in range(n - 1, -1, -1):
+        index, digit = np.divmod(index, len(values))
+        rows[:, k] = values[digit]
+    return rows
 
 
 def _csv_lines(block: np.ndarray) -> str:

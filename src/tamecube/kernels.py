@@ -17,7 +17,9 @@ the other half follows from T(t) = 1 - T(1 - t).  ``lambda_integral``
 evaluates Lambda from a table of panel sums built once at import
 (composite Gauss-Legendre, 64 panels x 12 nodes) plus a 12-node rule over
 the partial panel.  Outside the transition band ``smash`` short-circuits
-to exact values, so the flat zones are exact in floating point.
+to exact values, so the flat zones are exact in floating point.  Within
+one call the band quadrature runs once per distinct r: sampled grids and
+collar scans send the same r many times.
 
 Everything here is a pure function of its arguments.  Kernels take scalars
 (0-d in, 0-d out) or arrays and raise ``DomainError`` on a non-finite t.
@@ -161,7 +163,11 @@ def smash(ts, sigma, tau) -> np.ndarray:
         w = tau[band] if np.ndim(tau) else tau
         low = t <= 0.5
         r = (np.where(low, t, 1.0 - t) - s) / (w - s)
-        val = (w - s) * lambda_integral(r) + 0.5 * (w + s) * lambda_many(r)
+        # a grid or a collar scan repeats r; both kernels are elementwise,
+        # so evaluating them once per distinct bit pattern changes no value
+        bits, inverse = np.unique(r.view(np.uint64), return_inverse=True)
+        r = bits.view(np.float64)
+        val = (w - s) * lambda_integral(r)[inverse] + 0.5 * (w + s) * lambda_many(r)[inverse]
         out[band] = np.clip(np.where(low, val, 1.0 - val), 0.0, 1.0)
     return out
 

@@ -9,8 +9,11 @@ over (box region, width) parts, a complex read as one box per maximal
 face: a grid per box plus seeded random points, each compared with its
 moves to the depths (0, w/3, 2w/3, w) and one seeded draw, with exact max
 reduction so the worst violation and its witness are deterministic.  A
-scan evaluates the map once, in fixed-size slices of the distinct rows
-among all its parts' samples and moved points.
+move stays in the region when some box holds both the sample's other
+coordinates, decided once per axis and side, and the new coordinate, one
+scalar test per box and depth.  A scan evaluates the map once, in
+fixed-size slices of the distinct rows among all its parts' samples and
+moved points.
 
 The operators: ``tame_replace`` composes with a coordinatewise smash to
 produce a tame map together with the straight-line homotopy; ``extend_tame``
@@ -33,7 +36,6 @@ from .cubes import (
     CubicalComplex,
     Face,
     box_grid,
-    dist_to_region,
     intersect_complex_face,
     intersect_region_face,
     j_complex,
@@ -142,8 +144,9 @@ def _collar_rows(R: BoxRegion, eps: float, cfg: ToleranceConfig, seed: int):
     points per box.  For every axis j and side alpha, each sample whose
     coordinate j lies within eps of alpha is moved to depth d from that
     face (coordinate j set to d or 1 - d) for d in (0, eps/3, 2eps/3, eps)
-    and one seeded uniform draw in [0, eps]; moves that leave R are
-    skipped.  Returns the sample count, one (axis, side, depth, sample
+    and one seeded uniform draw in [0, eps]; moves that leave R, that is
+    lie farther than ``MEMBERSHIP_TOL`` from every box, are skipped.
+    Returns the sample count, one (axis, side, depth, sample
     indices) block per comparison, and ``unique_rows`` of the samples
     stacked over the moved points in block order.
     """
@@ -155,19 +158,30 @@ def _collar_rows(R: BoxRegion, eps: float, cfg: ToleranceConfig, seed: int):
     blocks = []
     chunks = [pts]
     for j in range(1, R.ambient_dim + 1):
+        lo_j, hi_j = np.array([box.intervals[j - 1] for box in R.boxes]).T
         for alpha in (0, 1):
             near = np.flatnonzero(np.abs(pts[:, j - 1] - alpha) <= eps)
             if len(near) == 0:
                 continue
+            # fits[b, s]: the coordinates of near sample s other than j lie
+            # in box b; a move changes only coordinate j
+            P = pts[near]
+            fits = np.ones((len(R.boxes), len(near)), dtype=bool)
+            for b, box in enumerate(R.boxes):
+                for i, (lo, hi) in enumerate(box.intervals):
+                    if i != j - 1:
+                        fits[b] &= np.maximum(lo - P[:, i], P[:, i] - hi) <= MEMBERSHIP_TOL
             for d in (0.0, eps / 3.0, 2.0 * eps / 3.0, eps, None):
                 if d is None:
                     d = float(rng.uniform(0, eps))
-                Q = pts[near]
-                Q[:, j - 1] = d if alpha == 0 else 1.0 - d
-                inside = dist_to_region(R, Q) <= MEMBERSHIP_TOL
+                x = d if alpha == 0 else 1.0 - d
+                hit = np.maximum(lo_j - x, x - hi_j) <= MEMBERSHIP_TOL
+                inside = np.any(fits[hit], axis=0)
                 if np.any(inside):
+                    Q = P[inside]
+                    Q[:, j - 1] = x
                     blocks.append((j, alpha, d, near[inside]))
-                    chunks.append(Q[inside])
+                    chunks.append(Q)
     # drop the moved points before sorting their stacked copy
     stacked = np.concatenate(chunks, axis=0)
     del chunks

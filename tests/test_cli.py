@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tamecube.cli import _csv_lines, main
+from tamecube.cli import _csv_lines, _grid_rows, main
 from tamecube.cubes import Box, box_grid
 from tamecube.errors import DomainError
 from tamecube.maps import _EVAL_ROWS, SmoothMap, parse_map
@@ -170,6 +170,20 @@ def test_sample_across_a_slice_boundary_matches_reference(tmp_path):
     assert len(pts) == 16641 > _EVAL_ROWS
     expected = "t1,t2,y1,y2\n" + _reference_csv(pts, parse_map(expr).eval_many(pts))
     assert out.read_bytes() == expected.encode("utf-8")
+
+
+def test_grid_rows_match_box_grid():
+    pts = box_grid(Box(((0.0, 1.0),) * 3), 7)
+    for start, stop in ((0, 343), (5, 100), (340, 343), (7, 7)):
+        assert _grid_rows(np.linspace(0.0, 1.0, 7), 3, start, stop).tobytes() == pts[start:stop].tobytes()
+
+
+def test_sample_grid_too_large_to_index_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    expr = "(tuple (coord 1) (coord 2) (coord 3) (coord 4))"
+    assert main(["sample", "--map", expr, "--grid", "1000000", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "tamecube sample: a grid of 1000000^4 rows is too large to index\n"
+    assert not out.exists()
 
 
 def test_sample_evaluates_in_slices(tmp_path, monkeypatch):

@@ -193,6 +193,53 @@ def test_smash_scalar_vector_agree():
     assert vec.tobytes() == one.tobytes()
 
 
+def _smash_one_by_one(ts, sigma, tau):
+    ts, sigma, tau = np.broadcast_arrays(ts, sigma, tau)
+    return np.array([smash(t, s, w) for t, s, w in zip(ts.tolist(), sigma.tolist(), tau.tolist())])
+
+
+def test_smash_repeated_band_arguments_match_one_by_one():
+    # the band quadrature runs once per distinct argument of a call; the
+    # values must be those of one call per element, bit for bit
+    rng = np.random.default_rng(12)
+    s, w = P.sigma, P.tau
+    band = np.concatenate([rng.uniform(s, w, 40), rng.uniform(1.0 - w, 1.0 - s, 40)])
+    edges = (-0.5, 0.0, s, w, 0.5, 1.0 - w, 1.0 - s, 1.0, 1.5)
+    mixed = np.concatenate([rng.uniform(lo, hi, 30) for lo, hi in zip(edges, edges[1:])] + [np.array(edges)])
+    grid = np.linspace(0.0, 1.0, 41)
+    for ts in (np.tile(band, 7), np.repeat(grid, 5), rng.permutation(np.tile(mixed, 3))):
+        assert smash(ts, s, w).tobytes() == _smash_one_by_one(ts, s, w).tobytes()
+    # per-element parameters, as SmashDyn passes them: equal t with different
+    # (sigma, tau) has different band arguments, and equal band arguments
+    # come from different t
+    t = np.tile(np.concatenate([band[:10], [0.2, 0.8]]), 6)
+    sigma = np.repeat([0.05, 0.1, 0.1, 0.15, 0.05, 0.0], 12)
+    tau = np.repeat([0.25, 0.25, 0.4, 0.3, 0.25, 0.5], 12)
+    assert smash(t, sigma, tau).tobytes() == _smash_one_by_one(t, sigma, tau).tobytes()
+    assert len(np.unique(smash(t, sigma, tau)[t == 0.2])) > 1
+    same_r = np.array([0.1 + 0.5 * 0.15, 0.2 + 0.5 * 0.1, 1.0 - (0.1 + 0.5 * 0.15)])
+    args = (same_r, [0.1, 0.2, 0.1], [0.25, 0.3, 0.25])
+    assert smash(*args).tobytes() == _smash_one_by_one(*args).tobytes()
+
+
+def test_smash_permutes_and_duplicates_with_its_input():
+    rng = np.random.default_rng(13)
+    ts = np.concatenate([rng.uniform(-0.2, 1.2, 200), np.linspace(0.0, 1.0, 21)])
+    sigma, tau = rng.uniform(0.0, 0.2, len(ts)), rng.uniform(0.25, 0.5, len(ts))
+    for args in ((ts, P.sigma, P.tau), (ts, sigma, tau)):
+        ref = smash(*args)
+        for index in (rng.permutation(len(ts)), rng.integers(0, len(ts), 3 * len(ts)), np.arange(len(ts))[::-1]):
+            picked = [a[index] if np.ndim(a) else a for a in args]
+            assert smash(*picked).tobytes() == ref[index].tobytes()
+
+
+def test_smash_zero_d_in_zero_d_out():
+    for t in (0.0, 0.05, 0.15, 0.3, 0.85, 0.95, 1.2):
+        out = smash(t, P.sigma, P.tau)
+        assert out.shape == () and out.tobytes() == smash(np.array([t]), P.sigma, P.tau).tobytes()
+    assert smash(np.float64(0.15), np.float64(0.1), np.float64(0.3)).shape == ()
+
+
 def test_smash_dyn_matches_fixed_params():
     # scalar parameters skip the broadcast and the per-element check; the
     # values must be those of the per-element path, bit for bit, in every band

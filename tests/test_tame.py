@@ -2,16 +2,23 @@ import numpy as np
 import pytest
 
 from tamecube.cubes import (
+    MEMBERSHIP_TOL,
+    Box,
     BoxRegion,
     CubicalComplex,
     Face,
     boundary_complex,
     chamber_region,
     complex_grid,
+    dist_to_region,
     full_cube,
+    intersect_complex_face,
     j_complex,
     j_delta_region,
+    positive_faces,
     region_grid,
+    region_random,
+    unique_rows,
 )
 from tamecube.errors import DimensionError, DomainError, TamenessError
 from tamecube.genmaps import random_smooth_map, random_tame_map
@@ -30,6 +37,8 @@ from tamecube.maps import (
     tup,
 )
 from tamecube.tame import (
+    _bottom_rim_face,
+    _collar_rows,
     TamenessReport,
     ToleranceConfig,
     Witness,
@@ -412,3 +421,108 @@ def test_collar_scan_pinned_values():
     fc = tup(smash_map(band, coord(1, 2)), smash_map(band, coord(2, 2))).on_unit_box()
     rep = check_tame(fc, full_cube(2), 0.2, cfg, 0)
     assert (rep.samples_checked, rep.worst_violation) == (379, 0.0)
+
+
+# --- collar membership per box ----------------------------------------------
+
+
+def _collar_rows_by_distance(R, eps, cfg, seed):
+    """``_collar_rows`` as it was written first: a full distance to R per move."""
+    pts = region_grid(R, cfg.grid_res)
+    extra = region_random(R, cfg.grid_res, np.random.default_rng(seed))
+    if len(extra):
+        pts = np.concatenate([pts, extra], axis=0)
+    rng = np.random.default_rng(seed)
+    blocks, chunks = [], [pts]
+    for j in range(1, R.ambient_dim + 1):
+        for alpha in (0, 1):
+            near = np.flatnonzero(np.abs(pts[:, j - 1] - alpha) <= eps)
+            if len(near) == 0:
+                continue
+            for d in (0.0, eps / 3.0, 2.0 * eps / 3.0, eps, None):
+                if d is None:
+                    d = float(rng.uniform(0, eps))
+                Q = pts[near]
+                Q[:, j - 1] = d if alpha == 0 else 1.0 - d
+                inside = dist_to_region(R, Q) <= MEMBERSHIP_TOL
+                if np.any(inside):
+                    blocks.append((j, alpha, d, near[inside]))
+                    chunks.append(Q[inside])
+    return len(pts), blocks, *unique_rows(np.concatenate(chunks, axis=0))
+
+
+def _assert_same_collar_rows(R, eps, cfg, seed):
+    count, blocks, rows, inverse = _collar_rows(R, eps, cfg, seed)
+    ref_count, ref_blocks, ref_rows, ref_inverse = _collar_rows_by_distance(R, eps, cfg, seed)
+    assert count == ref_count
+    assert [(j, a, d) for j, a, d, _ in blocks] == [(j, a, d) for j, a, d, _ in ref_blocks]
+    for (*_, idx), (*_, ref_idx) in zip(blocks, ref_blocks):
+        assert np.array_equal(idx, ref_idx)
+    assert rows.tobytes() == ref_rows.tobytes() and np.array_equal(inverse, ref_inverse)
+    return sum(len(idx) for *_, idx in blocks)
+
+
+def _random_region(rng, n, boxes):
+    out = []
+    for _ in range(boxes):
+        ends = np.sort(rng.uniform(0.0, 1.0, (n, 2)), axis=1)
+        ends[rng.uniform(size=n) < 0.3] = 0.0  # some intervals pinned to the face 0
+        ends[rng.uniform(size=n) < 0.2] = 1.0  # and some to the face 1
+        flat = rng.uniform(size=n) < 0.2
+        ends[flat, 1] = ends[flat, 0]  # and some degenerate inside
+        out.append(Box(tuple((float(lo), float(hi)) for lo, hi in ends)))
+    return BoxRegion(tuple(out))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_collar_rows_match_distance_membership_on_random_regions(n):
+    rng = np.random.default_rng(40 + n)
+    cfg = ToleranceConfig(grid_res=7 if n < 4 else 4)
+    for trial in range(6):
+        R = _random_region(rng, n, int(rng.integers(1, 6)))
+        for eps in (0.05, 0.2, 0.5):
+            _assert_same_collar_rows(R, eps, cfg, seed=trial)
+
+
+def test_collar_rows_match_distance_membership_at_the_tolerance():
+    # a second box with a face within a float of MEMBERSHIP_TOL from the
+    # depths 0.125, 0.25, 0.375 or their mirrors, and from the first box's
+    # faces along the other axis
+    cfg = ToleranceConfig(grid_res=5)
+    moved = set()
+    for x in (0.125, 0.25, 0.375):
+        for lo in (x + MEMBERSHIP_TOL, x - MEMBERSHIP_TOL):
+            for face in (np.nextafter(lo, 0.0), lo, np.nextafter(lo, 1.0)):
+                face = float(face)
+                for b in (
+                    Box(((0.0, face), (0.5, 1.0))),
+                    Box(((1.0 - face, 1.0), (0.5 + MEMBERSHIP_TOL, 1.0))),
+                    Box(((face, face), (float(np.nextafter(0.5 - MEMBERSHIP_TOL, 1.0)), 0.75))),
+                ):
+                    for other in (Box(((0.5, 1.0), (0.0, 0.5))), Box(((0.0, 0.5), (0.5, 0.5)))):
+                        R = BoxRegion((other, b))
+                        moved.add(_assert_same_collar_rows(R, 0.375, cfg, seed=2))
+    assert len(moved) > 2  # where the faces sit changes which moves stay in R
+    # a face exactly MEMBERSHIP_TOL from the coordinate 0 of a move: along
+    # the moved axis and along the other one; one float further is outside
+    edge = Box(((0.25, 0.5), (0.0, 0.0)))
+    for a, b in (((0.5, 1.0), (None, 1.0)), ((None, 0.2), (0.0, 0.0))):
+        counts = []
+        for face in (MEMBERSHIP_TOL, float(np.nextafter(MEMBERSHIP_TOL, 1.0))):
+            box = Box(tuple((face if lo is None else lo, hi) for lo, hi in (a, b)))
+            counts.append(_assert_same_collar_rows(BoxRegion((edge, box)), 0.5, cfg, seed=2))
+        assert counts[0] > counts[1]
+
+
+def test_collar_rows_match_distance_membership_on_scanned_regions():
+    cfg = ToleranceConfig(grid_res=9)
+    for n in (1, 2, 3):
+        regions = [j_complex(n).region, boundary_complex(n).region, full_cube(n).region]
+        if n >= 2:
+            rim = CubicalComplex(n, tuple(_bottom_rim_face(n, j, v) for j in range(1, n) for v in (0, 1)))
+            regions += [rim.region, j_delta_region(n, 0.2)]
+        regions += [intersect_complex_face(j_complex(n), F).region for F in positive_faces(n)]
+        for R in regions:
+            if R.boxes:
+                for eps in (0.25, 0.375, 0.2**2):
+                    assert _assert_same_collar_rows(R, eps, cfg, seed=5) > 0
