@@ -1,16 +1,16 @@
 #!/usr/bin/env python3
 """Run every verification suite and print a one-line summary per property.
 
-Equivalent to ``tamecube verify --suite all`` with a readable console
-digest; writes the full JSON report next to the summary.
+Runs ``tamecube verify --suite all`` with the given seed and grid, which
+writes the JSON report, and prints a readable digest of that report.
+A usage or I/O error (exit 2 or 3) is passed on without a digest.
 """
 
 import argparse
 import json
-from datetime import datetime, timezone
 from pathlib import Path
 
-from tamecube.suites import SuiteConfig, run_suite
+from tamecube.cli import main as tamecube_main
 
 
 def main() -> int:
@@ -20,17 +20,18 @@ def main() -> int:
     ap.add_argument("--out", default="verification_report.json")
     args = ap.parse_args()
 
-    cfg = SuiteConfig(suite="all", grid_res=args.grid, seed=args.seed)
-    report = run_suite(cfg)
-    report["timestamp"] = datetime.now(timezone.utc).isoformat()
-    Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    argv = ["verify", "--suite", "all", "--seed", str(args.seed), "--grid", str(args.grid), "--out", args.out]
+    code = tamecube_main(argv)
+    if code in (2, 3):
+        return code
+    report = json.loads(Path(args.out).read_text(encoding="utf-8"))
 
     width = max(len(r["name"]) for r in report["results"])
     for r in report["results"]:
         status = "ok " if r["passed"] else "FAIL"
         print(f"{status} {r['name']:<{width}} worst={r['worst']:9.2e} tol={r['tol']:7.0e} {r['params']}")
     print(f"\n{len(report['results'])} properties, {report['failures']} failures -> {args.out}")
-    return 0 if report["passed"] else 1
+    return code
 
 
 if __name__ == "__main__":

@@ -352,16 +352,18 @@ def unique_rows(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     ``rows[inverse]`` equals ``pts``.  Rows are compared by value and come
     out in the order ``np.unique(pts, axis=0)`` gives, which sorts far
-    slower: one stable lexsort, then a comparison of neighbouring rows.
+    slower: one stable lexsort, then neighbours compared column by column.
     """
     order = np.lexsort(pts.T[::-1]) if pts.shape[1] else np.arange(len(pts))
-    ordered = pts[order]
-    new = np.empty(len(pts), dtype=bool)
+    new = np.zeros(len(pts), dtype=bool)
     new[:1] = True
-    np.any(ordered[1:] != ordered[:-1], axis=1, out=new[1:])
+    for col in pts.T:  # no sorted copy of every row
+        ordered = col[order]
+        new[1:] |= ordered[1:] != ordered[:-1]
     inverse = np.empty(len(pts), dtype=np.intp)
-    inverse[order] = np.cumsum(new) - 1
-    return ordered[new], inverse
+    inverse[order] = np.cumsum(new)
+    inverse -= 1
+    return pts[order[new]], inverse
 
 
 def region_random(R: BoxRegion, count: int, rng: np.random.Generator) -> np.ndarray:

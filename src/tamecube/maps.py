@@ -2,8 +2,9 @@
 
 A map is an immutable tree of primitive nodes (coordinates, affine maps,
 sums, products, tuples, composition, the scalar kernels, and a piecewise
-node that branches on one input coordinate).  Trees evaluate pointwise or
-on batches of points; evaluation is exact recursion over the nodes with
+node that branches on one input coordinate).  Every node but the piecewise
+one is smooth; the seam checks sample how its pieces meet.  Trees evaluate
+pointwise or on batches of points, by exact recursion over the nodes with
 no interpolation, one Python frame per nesting level.  A subtree reached
 along two paths is evaluated twice, so evaluation costs in proportion to
 the expanded tree, as ``serialize_map``, ``==`` and ``hash`` do.  A tree
@@ -56,13 +57,11 @@ __all__ = [
     "Smash",
     "SmashDyn",
     "Recip",
-    "Clamp01",
     "PiecewiseAxis",
     "Homotopy",
     "unit_box",
     "const",
     "coord",
-    "affine",
     "affine_row",
     "compose",
     "tup",
@@ -392,19 +391,6 @@ class Recip(SmoothMap):
 
 
 @dataclass(frozen=True, eq=False)
-class Clamp01(SmoothMap):
-    dim: int = 1
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise DimensionError("clamp01 dimension must be >= 1")
-        self._set_dims(self.dim, self.dim)
-
-    def _apply(self, X):
-        return np.clip(X, 0.0, 1.0)
-
-
-@dataclass(frozen=True, eq=False)
 class PiecewiseAxis(SmoothMap):
     """Branches on one input coordinate at fixed breakpoints in (0, 1).
 
@@ -462,10 +448,6 @@ def const(values, in_dim: int) -> Const:
 
 def coord(index: int, n: int) -> Coord:
     return Coord(index, n)
-
-
-def affine(matrix, offset) -> Affine:
-    return Affine(tuple(tuple(row) for row in matrix), tuple(offset))
 
 
 def affine_row(n: int, coeffs: dict[int, float], offset: float = 0.0) -> Affine:
@@ -579,7 +561,7 @@ def constant_homotopy(f: SmoothMap) -> Homotopy:
 _TOKEN_RE = re.compile(r"[()\[\]]|[^\s()\[\]]+")
 _NUM_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 _SYM_RE = re.compile(r"[a-z][a-z0-9]*$")
-_ATOMS = {"gamma": Gamma, "lambda": Lambda, "recip": Recip, "smashdyn": SmashDyn, "clamp01": Clamp01}
+_ATOMS = {"gamma": Gamma, "lambda": Lambda, "recip": Recip, "smashdyn": SmashDyn}
 _SIBLINGS = {"tuple": TupleMap, "sum": Sum, "prod": Product}
 _ATOM_NAMES = {atom: name for name, atom in _ATOMS.items()}
 _SIBLING_NAMES = {node: name for name, node in _SIBLINGS.items()}
@@ -664,8 +646,6 @@ def _form(ast):
     kind, val, at = ast
     if kind == "sym" and val in _ATOMS:
         atom = _ATOMS[val]
-        if atom is Clamp01:
-            return 1, False, Clamp01
         return atom.in_dim, True, lambda n: atom()
     if kind != "list":
         what = {"num": "bare number", "vec": "bracket vector"}.get(kind)

@@ -40,21 +40,6 @@ def report_schema_version() -> str:
     return SCHEMA_VERSION
 
 
-def _plain(value):
-    """Coerce numpy scalars and containers to JSON-native types."""
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    return value
-
-
 @dataclass(frozen=True)
 class PropertyResult:
     name: str
@@ -69,7 +54,7 @@ class PropertyResult:
     def to_json(self) -> dict:
         return {
             "name": self.name,
-            "params": _plain(self.params),
+            "params": self.params,
             "worst": float(self.worst),
             "tol": float(self.tol),
             "passed": bool(self.passed),

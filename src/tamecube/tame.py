@@ -138,7 +138,7 @@ class TamenessReport:
 
 
 def _collar_rows(R: BoxRegion, eps: float, cfg: ToleranceConfig, seed: int):
-    """Samples of R, their moves into the eps-collars, and the distinct rows.
+    """Samples of R and their moves into the eps-collars, stacked.
 
     R is sampled on a per-box grid plus ``cfg.grid_res`` seeded uniform
     points per box.  For every axis j and side alpha, each sample whose
@@ -147,8 +147,8 @@ def _collar_rows(R: BoxRegion, eps: float, cfg: ToleranceConfig, seed: int):
     and one seeded uniform draw in [0, eps]; moves that leave R, that is
     lie farther than ``MEMBERSHIP_TOL`` from every box, are skipped.
     Returns the sample count, one (axis, side, depth, sample
-    indices) block per comparison, and ``unique_rows`` of the samples
-    stacked over the moved points in block order.
+    indices) block per comparison, and the samples stacked over the moved
+    points in block order.
     """
     pts = region_grid(R, cfg.grid_res)
     extra = region_random(R, cfg.grid_res, np.random.default_rng(seed))
@@ -182,10 +182,7 @@ def _collar_rows(R: BoxRegion, eps: float, cfg: ToleranceConfig, seed: int):
                     Q[:, j - 1] = x
                     blocks.append((j, alpha, d, near[inside]))
                     chunks.append(Q)
-    # drop the moved points before sorting their stacked copy
-    stacked = np.concatenate(chunks, axis=0)
-    del chunks
-    return len(pts), blocks, *unique_rows(stacked)
+    return len(pts), blocks, np.concatenate(chunks, axis=0)
 
 
 def _collar_scan(
@@ -196,33 +193,32 @@ def _collar_scan(
 ) -> list[TamenessReport]:
     """Check f for w-tameness on each (region, width w) part, in one evaluation.
 
-    Each part's samples and moved points (``_collar_rows``) are reduced to
-    their distinct rows; the parts' rows are merged the same way and f is
-    evaluated on them in slices of ``_EVAL_ROWS``.  Evaluation does not
-    depend on the batch a row sits in, so the values are those of one call
-    per comparison.  Each part's comparisons are then reduced in (axis,
-    side, depth) order: its report counts those whose moved point differs
-    from the sample and keeps the first worst one as the witness.
+    The parts' samples and moved points (``_collar_rows``) are stacked,
+    reduced to their distinct rows, and f is evaluated on those in slices
+    of ``_EVAL_ROWS``.  Evaluation does not depend on the batch a row sits
+    in, so the values are those of one call per comparison.  Each part's
+    comparisons are then reduced in (axis, side, depth) order: its report
+    counts those whose moved point differs from the sample and keeps the
+    first worst one as the witness.
     """
-    plans = []  # per part: width, sample count, blocks, inverse
+    plans = []  # per part: width, sample count, blocks, offset of its rows
     part_rows = []
     offset = 0
     for R, eps in parts:
-        count, blocks, rows, inverse = _collar_rows(R, eps, cfg, seed)
-        inverse += offset  # now into the parts' rows, stacked
-        offset += len(rows)
-        plans.append((eps, count, blocks, inverse))
+        count, blocks, rows = _collar_rows(R, eps, cfg, seed)
+        plans.append((eps, count, blocks, offset))
         part_rows.append(rows)
+        offset += len(rows)
     stacked = np.concatenate(part_rows, axis=0)
     del part_rows
-    rows, merged = unique_rows(stacked)
+    rows, inverse = unique_rows(stacked)
     del stacked
     values = np.empty((len(rows), f.out_dim))
     for i in range(0, len(rows), _EVAL_ROWS):
         values[i : i + _EVAL_ROWS] = f.eval_many(rows[i : i + _EVAL_ROWS])
     reports = []
-    for eps, start, blocks, inverse in plans:
-        index = merged[inverse]
+    for eps, start, blocks, offset in plans:
+        index = inverse[offset:]
         worst = 0.0
         witness = None
         comparisons = 0

@@ -268,6 +268,18 @@ def test_run_verification_script_matches_verify(tmp_path):
     assert masked[0] == masked[1]
 
 
+def test_run_verification_script_passes_on_usage_error(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    out = tmp_path / "script.json"
+    run = subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_verification.py"), "--grid", "1", "--out", str(out)],
+        capture_output=True, text=True, env=env,
+    )
+    assert run.returncode == 2 and run.stdout == "" and not out.exists()
+    assert run.stderr.startswith("tamecube verify: ")
+
+
 def test_verify_exit_1_on_property_failure(monkeypatch, tmp_path):
     import tamecube.cli as cli_mod
 

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +11,8 @@ from tamecube.errors import DimensionError, DomainError, ParseError
 from tamecube.genmaps import random_map_admissible_on, random_smooth_map, random_tame_map
 from tamecube.kernels import SmashParams
 from tamecube.maps import (
+    _ATOMS,
     Affine,
-    Clamp01,
     Compose,
     Const,
     Coord,
@@ -17,8 +20,6 @@ from tamecube.maps import (
     PiecewiseAxis,
     Smash,
     add,
-    affine,
-    affine_row,
     compose,
     const,
     constant_homotopy,
@@ -148,7 +149,7 @@ def test_eval_rows_independent_of_batch():
     # the collar scan evaluates each distinct point once in a stacked batch,
     # so a row's value must not depend on the batch it sits in
     rng = np.random.default_rng(3)
-    trees = [affine(rng.uniform(-2.0, 2.0, (7, 4)), rng.uniform(-1.0, 1.0, 7))]
+    trees = [Affine(rng.uniform(-2.0, 2.0, (7, 4)), rng.uniform(-1.0, 1.0, 7))]
     for n in (2, 3):
         L = CubicalComplex(n, (Face(n, ((1, 0),)),))
         f = random_map_admissible_on(np.random.default_rng([0, n]), n, L, 0.2)
@@ -182,13 +183,6 @@ def test_eval_many_returns_fresh_writable_array():
         out[...] = 99.0  # raises on a read-only array
         assert np.array_equal(pts, before)
         assert np.array_equal(f.eval_many(X), again)
-
-
-def test_clamp01():
-    f = Compose(Clamp01(1), affine_row(1, {1: 2.0}, -0.5))
-    assert f.eval([0.0])[0] == 0.0
-    assert f.eval([0.5])[0] == 0.5
-    assert f.eval([1.0])[0] == 1.0
 
 
 def test_recip_guard():
@@ -255,12 +249,10 @@ def _random_tree(seed: int):
     n = int(rng.integers(1, 4))
     base = random_smooth_map(rng, n, out_dim=int(rng.integers(1, 3)))
     # ensure inference is exact by anchoring with an affine of full width
-    anchor = affine(np.eye(n).tolist(), [0.0] * n)
+    anchor = Affine(np.eye(n).tolist(), [0.0] * n)
     f = Compose(base, anchor)
     if rng.uniform() < 0.5:
         f = piecewise(1, (0.5,), (f, f))
-    if rng.uniform() < 0.5:
-        f = Compose(Clamp01(f.out_dim), f)
     return f
 
 
@@ -279,7 +271,6 @@ def test_round_trip_all_atoms():
     texts = [
         "gamma",
         "lambda",
-        "clamp01",
         "smashdyn",
         "recip",
         "(smash 0.1 0.25)",
@@ -298,6 +289,14 @@ def test_round_trip_all_atoms():
     for text in texts:
         f = parse_map(text)
         assert parse_map(serialize_map(f)) == f
+
+
+def test_readme_atoms_are_the_parser_atoms():
+    # the bare-word rows of the README's map-language table
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Map expression language", 1)[1].split("\n## ", 1)[0]
+    words = set(re.findall(r"^\| `([a-z0-9]+)` \|", section, flags=re.M))
+    assert words == set(_ATOMS)
 
 
 def test_smashdyn_sugar():
@@ -439,6 +438,9 @@ PARSE_ERRORS = [
     ("(sum\n  (coord 1)\n  (coord 2 3))", ParseError, "coord takes one index", (3, 3)),
     # the end of input is the end of the last token, not of trailing whitespace
     ("(lambda (coord 1)\n   \t", ParseError, "missing ')'", (1, 18)),
+    # every atom is smooth: there is no clamp
+    ("clamp01", ParseError, "unknown atom 'clamp01'", (1, 1)),
+    ("(clamp01 (coord 1))", ParseError, "unknown form 'clamp01'", (1, 1)),
 ]
 
 
@@ -485,7 +487,7 @@ def test_non_finite_numbers_rejected():
         lambda: Const((nan,), 1),
         lambda: const(np.inf, 2),
         lambda: Affine(((1.0, nan),), (0.0,)),
-        lambda: affine([[1.0]], [np.inf]),
+        lambda: Affine([[1.0]], [np.inf]),
     ):
         with pytest.raises(DomainError):
             build()

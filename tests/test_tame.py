@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import tamecube.tame as tame_module
 from tamecube.cubes import (
     MEMBERSHIP_TOL,
     Box,
@@ -376,30 +377,38 @@ def test_collar_only_defect_fails(n, w):
 
 
 def test_collar_scan_evaluates_once(monkeypatch):
-    # a check stacks the samples and moved points of all its parts into one
-    # evaluation
-    calls = []
+    # a check stacks the samples and moved points of all its parts, drops
+    # duplicate rows once and evaluates once
+    calls, sorts = [], []
     eval_many = SmoothMap.eval_many
 
     def counted(self, pts):
         calls.append(len(pts))
         return eval_many(self, pts)
 
+    def counted_unique(pts):
+        sorts.append(len(pts))
+        return unique_rows(pts)
+
     monkeypatch.setattr(SmoothMap, "eval_many", counted)
+    monkeypatch.setattr(tame_module, "unique_rows", counted_unique)
     f = random_smooth_map(np.random.default_rng(11), 3).on_unit_box()
     for K in (full_cube(3), boundary_complex(3), j_delta_region(3, 0.2)):
         calls.clear()
+        sorts.clear()
         check_tame(f, K, 0.2, QUICK, seed=4)
-        assert len(calls) == 1
+        assert len(calls) == 1 and len(sorts) == 1
     for K in (boundary_complex(3), j_complex(3)):
         calls.clear()
+        sorts.clear()
         rep = check_admissible(f, K, 0.2, QUICK, seed=4)
-        assert len(calls) == 1 and len(rep.per_face) > 1
+        assert len(calls) == 1 and len(sorts) == 1 and len(rep.per_face) > 1
     # extend_tame checks the walls-plus-top and the bottom rim in one scan
     g = _tame_on_j(3, 3, 0.25, 0.375)
     calls.clear()
+    sorts.clear()
     extend_tame(g, eps=0.25, sigma=0.1, cfg=QUICK, seed=4)
-    assert len(calls) == 1
+    assert len(calls) == 1 and len(sorts) == 1
 
 
 def test_collar_scan_pinned_values():
@@ -448,17 +457,17 @@ def _collar_rows_by_distance(R, eps, cfg, seed):
                 if np.any(inside):
                     blocks.append((j, alpha, d, near[inside]))
                     chunks.append(Q[inside])
-    return len(pts), blocks, *unique_rows(np.concatenate(chunks, axis=0))
+    return len(pts), blocks, np.concatenate(chunks, axis=0)
 
 
 def _assert_same_collar_rows(R, eps, cfg, seed):
-    count, blocks, rows, inverse = _collar_rows(R, eps, cfg, seed)
-    ref_count, ref_blocks, ref_rows, ref_inverse = _collar_rows_by_distance(R, eps, cfg, seed)
+    count, blocks, stacked = _collar_rows(R, eps, cfg, seed)
+    ref_count, ref_blocks, ref_stacked = _collar_rows_by_distance(R, eps, cfg, seed)
     assert count == ref_count
     assert [(j, a, d) for j, a, d, _ in blocks] == [(j, a, d) for j, a, d, _ in ref_blocks]
     for (*_, idx), (*_, ref_idx) in zip(blocks, ref_blocks):
         assert np.array_equal(idx, ref_idx)
-    assert rows.tobytes() == ref_rows.tobytes() and np.array_equal(inverse, ref_inverse)
+    assert stacked.shape == ref_stacked.shape and stacked.tobytes() == ref_stacked.tobytes()
     return sum(len(idx) for *_, idx in blocks)
 
 
