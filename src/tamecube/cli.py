@@ -149,7 +149,8 @@ def _csv_lines(block: np.ndarray) -> str:
         bits, inverse = np.unique(col.view(np.uint64), return_inverse=True)
         text = np.array(["%.17g" % v for v in bits.view(np.float64).tolist()], dtype=object)
         cols.append(text[inverse])
-    return "".join([",".join(row) + "\n" for row in zip(*cols)])
+    text = "\n".join(map(",".join, zip(*cols)))
+    return text + "\n" if text else ""
 
 
 def main(argv=None) -> int:

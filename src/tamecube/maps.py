@@ -4,12 +4,15 @@ A map is an immutable tree of primitive nodes (coordinates, affine maps,
 sums, products, tuples, composition, the scalar kernels, and a piecewise
 node that branches on one input coordinate).  Every node but the piecewise
 one is smooth; the seam checks sample how its pieces meet.  Trees evaluate
-pointwise or on batches of points, by exact recursion over the nodes with
-no interpolation, one Python frame per nesting level.  A subtree reached
-along two paths is evaluated twice, so evaluation costs in proportion to
-the expanded tree, as ``serialize_map``, ``==`` and ``hash`` do.  A tree
-built by hand with sharing on every level, such as ``add(f, f)`` nested k
-deep, costs 2^k node visits; no construction and no parsed text builds one.
+pointwise or on batches of points, exactly and with no interpolation.  One
+``eval_many`` call evaluates each node object once, on every row that
+reaches it along any path: an object's turn comes after every object that
+can hand it rows, and it evaluates the concatenation of the distinct input
+arrays it was handed.  A row's value does not depend on its batch, so the
+values are those of a plain recursion over the expanded tree, while a tree
+that reaches one object along many paths, as the replacement's outputs do,
+costs one visit per object.  The walk keeps its own lists and costs no
+Python frame per nesting level.
 
 A canonical s-expression text format (``serialize_map``, ``parse_map``)
 records each node but neither the input dimension nor the domain.  The
@@ -31,6 +34,7 @@ import math
 import re
 from dataclasses import dataclass, field, fields, replace as _dc_replace
 from itertools import chain, zip_longest
+from operator import attrgetter
 from typing import ClassVar
 
 import numpy as np
@@ -105,6 +109,12 @@ class SmoothMap:
     fixed arity carry them as class constants, the others set them in
     ``__post_init__``.  They are not dataclass fields, so equality, hashing
     and ``repr`` see only the tree itself.
+
+    A leaf computes its value on a batch in ``_apply``.  A container lists
+    its child nodes in ``_kids`` and evaluates in ``_steps``, a generator
+    that yields ``(child, rows)`` pairs (rows ``None`` for a child that
+    gets none), receives the children's values in that order, and returns
+    its own; ``_evaluate`` drives it.
     """
 
     domain: tuple[tuple[float, float], ...] | None = field(
@@ -112,6 +122,7 @@ class SmoothMap:
     )
     in_dim: ClassVar[int]
     out_dim: ClassVar[int]
+    _kids: ClassVar[tuple["SmoothMap", ...]] = ()
 
     def _set_dims(self, in_dim: int, out_dim: int) -> None:
         object.__setattr__(self, "in_dim", in_dim)
@@ -150,7 +161,7 @@ class SmoothMap:
                     f"point {tuple(X[bad])} outside declared domain box"
                 )
             X = np.clip(X, lo, hi)
-        out = self._apply(X)
+        out = _evaluate(self, X)
         # a view can alias the points (Coord) or be a read-only broadcast (Const)
         return out if out.flags.owndata else out.copy()
 
@@ -182,6 +193,109 @@ def _tokens(f: SmoothMap):
                 rest.append(v)
         yield type(node), tuple(rest)
         todo.extend(reversed(kids))
+
+
+class _Job:
+    """One evaluation of a container in ``_evaluate``: its ``_steps``
+    generator, the values of the children it asked for, how many of them
+    are still out, and the groups of requests for its own value."""
+
+    __slots__ = ("steps", "values", "left", "groups")
+
+    def __init__(self, steps, groups):
+        self.steps, self.values, self.left, self.groups = steps, None, 0, groups
+
+
+def _evaluate(root: SmoothMap, X: np.ndarray) -> np.ndarray:
+    """The value of ``root`` on the rows ``X``, each node object evaluated once.
+
+    Kahn's algorithm over the objects: an object waits for one message per
+    child slot that names it, a request with rows or a notice that none
+    come, and takes its turn when all are in.  It then evaluates the
+    concatenation of the distinct arrays it was handed (an array handed
+    twice, as by ``add(f, f)``, once) and hands each requester its slice.
+    A ``Compose`` hands its ``outer`` rows only once ``inner`` has
+    returned, so ``outer`` waits for the whole inner subtree.  When every
+    object left waits on another, as in a cycle such as ``Compose(f, f)``
+    with one ``f``, the longest-waiting object is evaluated on the rows it
+    has and evaluates again when more arrive.
+    """
+    waiting = {id(root): 1}  # messages still to come, per object
+    todo = [root]
+    while todo:
+        for kid in todo.pop()._kids:
+            k = id(kid)
+            if k in waiting:
+                waiting[k] += 1
+            else:
+                waiting[k] = 1
+                todo.append(kid)
+    pending = {}  # id -> (object, {id(rows): (rows, [(job, slot), ...])})
+    started = set()
+    ready, resume = [], []
+
+    def arrive(node, rows, job, slot):
+        k = id(node)
+        if rows is not None:
+            groups = pending.setdefault(k, (node, {}))[1]
+            groups.setdefault(id(rows), (rows, []))[1].append((job, slot))
+        waiting[k] -= 1
+        if waiting[k] <= 0:
+            ready.append(node)
+
+    def run(node):
+        k = id(node)
+        if k not in pending:
+            if k not in started:  # no rows reach it: release its children
+                started.add(k)
+                for kid in node._kids:
+                    arrive(kid, None, None, None)
+            return
+        started.add(k)
+        groups = list(pending.pop(k)[1].values())
+        rows = groups[0][0] if len(groups) == 1 else np.concatenate([g[0] for g in groups])
+        if node._kids:
+            resume.append(_Job(node._steps(rows), groups))
+        else:
+            hand(groups, node._apply(rows))
+
+    def hand(groups, value):
+        """Hand each group of requests its rows' slice of ``value``."""
+        start = 0
+        for rows, asked in groups:
+            stop = start + len(rows)
+            part = value if len(groups) == 1 else value[start:stop]
+            for job, slot in asked:
+                job.values[slot] = part
+                job.left -= 1
+                if not job.left:
+                    resume.append(job)
+            start = stop
+
+    top = _Job(None, None)  # receives the root's value
+    top.values, top.left = [None], 1
+    arrive(root, X, top, 0)
+    while True:
+        if resume:
+            job = resume.pop()
+            if job is top:
+                return top.values[0]
+            try:
+                calls = job.steps.send(job.values)
+            except StopIteration as done:
+                hand(job.groups, done.value)
+                continue
+            job.values = [None] * len(calls)
+            for slot, (kid, rows) in enumerate(calls):
+                if rows is not None:
+                    job.left += 1
+                arrive(kid, rows, job, slot)
+            if not job.left:
+                resume.append(job)
+        elif ready:
+            run(ready.pop())
+        else:
+            run(next(iter(pending.values()))[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,10 +394,12 @@ class Sum(SmoothMap):
             _common_in(self.children, "sum"), _broadcast_out(self.children, "sum")
         )
 
-    def _apply(self, X):
+    _kids = property(attrgetter("children"))
+
+    def _steps(self, X):
         acc = np.zeros((len(X), self.out_dim))
-        for c in self.children:
-            acc = acc + c._apply(X)
+        for value in (yield [(c, X) for c in self.children]):
+            acc = acc + value
         return acc
 
 
@@ -298,10 +414,12 @@ class Product(SmoothMap):
             _common_in(self.children, "prod"), _broadcast_out(self.children, "prod")
         )
 
-    def _apply(self, X):
+    _kids = property(attrgetter("children"))
+
+    def _steps(self, X):
         acc = np.ones((len(X), self.out_dim))
-        for c in self.children:
-            acc = acc * c._apply(X)
+        for value in (yield [(c, X) for c in self.children]):
+            acc = acc * value
         return acc
 
 
@@ -318,8 +436,12 @@ class Compose(SmoothMap):
             )
         self._set_dims(self.inner.in_dim, self.outer.out_dim)
 
-    def _apply(self, X):
-        return self.outer._apply(self.inner._apply(X))
+    _kids = property(attrgetter("inner", "outer"))
+
+    def _steps(self, X):
+        (inner,) = yield [(self.inner, X)]
+        (outer,) = yield [(self.outer, inner)]
+        return outer
 
 
 @dataclass(frozen=True, eq=False)
@@ -333,11 +455,10 @@ class TupleMap(SmoothMap):
             _common_in(self.children, "tuple"), sum(c.out_dim for c in self.children)
         )
 
-    def _apply(self, X):
-        outs = []
-        for c in self.children:  # a comprehension would cost a second frame per level
-            outs.append(c._apply(X))
-        return np.concatenate(outs, axis=1)
+    _kids = property(attrgetter("children"))
+
+    def _steps(self, X):
+        return np.concatenate((yield [(c, X) for c in self.children]), axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -368,7 +489,11 @@ class Smash(SmoothMap):
 
 @dataclass(frozen=True, eq=False)
 class SmashDyn(SmoothMap):
-    """Smash kernel with runtime parameters: inputs are (t, sigma, tau)."""
+    """Smash kernel with runtime parameters: inputs are (t, sigma, tau).
+
+    A schedule error names an element of the batch this node evaluated,
+    which merges the rows of every path that reaches it in one call.
+    """
 
     in_dim = 3
     out_dim = 1
@@ -425,14 +550,17 @@ class PiecewiseAxis(SmoothMap):
             raise DimensionError(f"piece axis {self.axis} out of range 1..{n}")
         self._set_dims(n, outs.pop())
 
-    def _apply(self, X):
+    _kids = property(attrgetter("pieces"))
+
+    def _steps(self, X):
         t = X[:, self.axis - 1]
         idx = np.searchsorted(np.array(self.breakpoints), t, side="right")
+        masks = [idx == i for i in range(len(self.pieces))]
+        values = yield [(p, X[m] if m.any() else None) for p, m in zip(self.pieces, masks)]
         out = np.empty((len(X), self.out_dim))
-        for i, piece in enumerate(self.pieces):
-            mask = idx == i
-            if np.any(mask):
-                out[mask] = piece._apply(X[mask])
+        for mask, value in zip(masks, values):
+            if value is not None:
+                out[mask] = value
         return out
 
 

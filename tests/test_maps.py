@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tamecube.cubes import CubicalComplex, Face, boundary_complex
+from tamecube.cubes import CubicalComplex, Face, boundary_complex, complex_grid
 from tamecube.errors import DimensionError, DomainError, ParseError
 from tamecube.genmaps import random_map_admissible_on, random_smooth_map, random_tame_map
 from tamecube.kernels import SmashParams
@@ -17,8 +17,13 @@ from tamecube.maps import (
     Const,
     Coord,
     Gamma,
+    Lambda,
     PiecewiseAxis,
+    Product,
     Smash,
+    SmashDyn,
+    Sum,
+    TupleMap,
     add,
     compose,
     const,
@@ -119,7 +124,8 @@ def test_deep_sum_chain_builds():
 
 
 def test_deep_trees_evaluate_and_serialize():
-    # one frame per nesting level: 900-deep chains stay under the default recursion limit
+    # only serialize_map and parse_map use a frame per nesting level: 900-deep
+    # chains stay under the default recursion limit
     x = coord(1, 1)
     wraps = {
         "sum": lambda f: add(f, const(1.0, 1)),
@@ -145,15 +151,18 @@ def test_deep_trees_evaluate_and_serialize():
         assert parse_map(text.replace("(coord 1)", "(const 2.0)", 1)) != f
 
 
+def _replacement(n: int):
+    L = CubicalComplex(n, (Face(n, ((1, 0),)),))
+    f = random_map_admissible_on(np.random.default_rng([0, n]), n, L, 0.2)
+    return admissible_replace(f, boundary_complex(n), L, 0.2, ToleranceConfig(grid_res=9))
+
+
 def test_eval_rows_independent_of_batch():
     # the collar scan evaluates each distinct point once in a stacked batch,
     # so a row's value must not depend on the batch it sits in
     rng = np.random.default_rng(3)
     trees = [Affine(rng.uniform(-2.0, 2.0, (7, 4)), rng.uniform(-1.0, 1.0, 7))]
-    for n in (2, 3):
-        L = CubicalComplex(n, (Face(n, ((1, 0),)),))
-        f = random_map_admissible_on(np.random.default_rng([0, n]), n, L, 0.2)
-        trees.append(admissible_replace(f, boundary_complex(n), L, 0.2, ToleranceConfig(grid_res=9))[0])
+    trees += [_replacement(n)[0] for n in (2, 3)]
     trees.append(deformation_retraction_homotopy(3, 0.3).map)
     trees.append(approx_retraction(RetractionParams.from_eps(3, 0.2)))
     for f in trees:
@@ -164,6 +173,137 @@ def test_eval_rows_independent_of_batch():
             assert parts.tobytes() == whole[: len(parts)].tobytes()
         perm = rng.permutation(len(X))
         assert f.eval_many(X[perm]).tobytes() == whole[perm].tobytes()
+
+
+def _reference_eval(f, X):
+    """The recursive evaluator that ``eval_many`` replaced: every path through
+    the tree is evaluated on its own, one frame per nesting level."""
+    if isinstance(f, Sum):
+        acc = np.zeros((len(X), f.out_dim))
+        for c in f.children:
+            acc = acc + _reference_eval(c, X)
+        return acc
+    if isinstance(f, Product):
+        acc = np.ones((len(X), f.out_dim))
+        for c in f.children:
+            acc = acc * _reference_eval(c, X)
+        return acc
+    if isinstance(f, Compose):
+        return _reference_eval(f.outer, _reference_eval(f.inner, X))
+    if isinstance(f, TupleMap):
+        return np.concatenate([_reference_eval(c, X) for c in f.children], axis=1)
+    if isinstance(f, PiecewiseAxis):
+        idx = np.searchsorted(np.array(f.breakpoints), X[:, f.axis - 1], side="right")
+        out = np.empty((len(X), f.out_dim))
+        for i, piece in enumerate(f.pieces):
+            mask = idx == i
+            if np.any(mask):
+                out[mask] = _reference_eval(piece, X[mask])
+        return out
+    return f._apply(X)
+
+
+def _shared_trees():
+    """Hand-built trees that reach one node object along several paths."""
+    x, y = coord(1, 2), coord(2, 2)
+    f = add(lambda_map(coord(1, 1)), const(0.25, 1))
+    h = Lambda()
+    inner = tup(Compose(h, x), Compose(h, y))
+    outer = add(Compose(h, coord(1, 2)), mul(coord(2, 2), Compose(h, coord(1, 2))))
+    u = lambda_map(x)
+    g = tup(u, add(u, y))
+    shared = add(u, mul(u, y))
+    deep = x
+    for _ in range(10):
+        deep = add(deep, deep)
+    return [
+        Compose(f, f),
+        Compose(f, Compose(f, f)),
+        Compose(outer, inner),
+        piecewise(1, (0.3, 0.6), (g, g, g)),
+        piecewise(2, (0.5,), (shared, piecewise(1, (0.4,), (shared, u)))),
+        tup(u, y, u, u),
+        smashdyn_map(u, compose(Affine(((0.1,),), (0.05,)), u), compose(Affine(((0.2,),), (0.3,)), u)),
+        add(Compose(f, lambda_map(x)), Compose(f, u)),
+        deep,
+    ]
+
+
+def test_eval_matches_reference_recursion_bit_for_bit():
+    mid = ToleranceConfig(grid_res=17)
+    trees = []
+    for n in (2, 3):
+        g, H, _ = _replacement(n)
+        trees += [g, H.map]
+    trees.append(deformation_retraction_homotopy(3, 0.3).map)
+    trees.append(approx_retraction(RetractionParams.from_eps(4, 0.2)))
+    f = random_tame_map(np.random.default_rng(1), 2, 0.25, space_eps=0.375)
+    trees.append(extend_tame(f, eps=0.25, sigma=0.1, cfg=mid))
+    g, H = tame_replace(random_tame_map(np.random.default_rng(0), 2, 0.25), 0.1, 0.25)
+    trees.append(concat_homotopy(H, constant_homotopy(g)).map)
+    trees += [_random_tree(seed) for seed in range(40)]
+    trees += _shared_trees()
+    rng = np.random.default_rng(5)
+    for f in trees:
+        X = rng.uniform(size=(400, f.in_dim))
+        assert f.eval_many(X).tobytes() == _reference_eval(f, X).tobytes()
+
+
+def test_domain_errors_raise_inside_shared_trees():
+    r = recip_map(coord(1, 1))
+    f = add(r, Compose(lambda_map(coord(1, 1)), r), tup(r)).on_unit_box()
+    assert np.all(np.isfinite(f.eval_many([[0.5], [1.0]])))
+    with pytest.raises(DomainError, match="recip requires strictly positive input"):
+        f.eval_many([[0.5], [0.0]])
+    u = lambda_map(coord(1, 1))
+    # tau = 0.4 - 0.3 u falls below sigma = 0.2 where u > 2/3
+    bad = smashdyn_map(u, const(0.2, 1), compose(Affine(((-0.3,),), (0.4,)), u))
+    g = add(bad, tup(u), Compose(bad, u))
+    assert np.all(np.isfinite(g.eval_many([[0.1], [0.2]])))
+    with pytest.raises(DomainError, match="smash parameter schedule out of range"):
+        g.eval_many([[0.1], [0.9]])
+
+
+def test_each_kernel_object_is_called_once_per_evaluation(monkeypatch):
+    # the n = 3 replacement reaches its base map's nodes along many paths
+    g = _replacement(3)[0]
+    calls = {}
+    for cls in (Smash, Lambda, SmashDyn):
+
+        def counted(self, X, apply=cls._apply):
+            calls[id(self)] = calls.get(id(self), 0) + 1
+            return apply(self, X)
+
+        monkeypatch.setattr(cls, "_apply", counted)
+    pts = complex_grid(boundary_complex(3), 33)
+    assert len(pts) == 6146
+    g.eval_many(pts)
+    assert len(calls) > 100 and set(calls.values()) == {1}
+
+
+def test_doubly_shared_chain_visits_each_level_once(monkeypatch):
+    x = coord(1, 1)
+    f = add(x, x)
+    for _ in range(60):
+        f = add(f, f)
+    visits = []
+    steps = Sum._steps
+    monkeypatch.setattr(Sum, "_steps", lambda self, X: visits.append(self) or steps(self, X))
+    out = f.eval_many([[0.75], [-3.0]])
+    assert out[:, 0].tolist() == [0.75 * 2.0**61, -3.0 * 2.0**61]
+    assert len(visits) == len({id(v) for v in visits}) == 61
+
+
+def test_deep_chain_evaluates_without_a_frame_per_level():
+    f = coord(1, 1)
+    for _ in range(5000):
+        f = lambda_map(f)
+    try:
+        out = f.eval_many([[0.25], [0.5], [1.5]])
+    except RecursionError:  # caught here: a 5,000-frame traceback is slow to report
+        out = None
+    assert out is not None, "evaluation used a Python frame per nesting level"
+    assert out.shape == (3, 1) and np.all((out >= 0.0) & (out <= 1.0))
 
 
 def test_eval_many_returns_fresh_writable_array():
