@@ -100,13 +100,15 @@ def _cmd_sample(args) -> int:
         f = parse_map(source)
         if args.grid < 2:
             raise ValueError("grid must be at least 2")
-        if args.grid**f.in_dim > np.iinfo(np.intp).max:
-            raise ValueError(f"a grid of {args.grid}^{f.in_dim} rows is too large to index")
+        total = 1
+        for _ in range(f.in_dim):  # stops within 63 steps, unlike grid**in_dim
+            total *= args.grid
+            if total > np.iinfo(np.intp).max:
+                raise ValueError(f"a grid of {args.grid}^{f.in_dim} rows is too large to index")
     except (TameCubeError, ValueError) as exc:
         print(f"tamecube sample: {exc}", file=sys.stderr)
         return 2
     n, m = f.in_dim, f.out_dim
-    total = args.grid**n
     values = np.linspace(0.0, 1.0, args.grid)
     header = ",".join([f"t{i}" for i in range(1, n + 1)] + [f"y{i}" for i in range(1, m + 1)])
     out = Path(args.out)

@@ -178,8 +178,8 @@ class Box:
 
     def __post_init__(self):
         for lo, hi in self.intervals:
-            if not lo <= hi:
-                raise DomainError(f"bad interval [{lo}, {hi}]")
+            if not 0.0 <= lo <= hi <= 1.0:
+                raise DomainError(f"bad interval [{lo}, {hi}]: need 0 <= lo <= hi <= 1")
 
     @property
     def ambient_dim(self) -> int:

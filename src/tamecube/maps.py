@@ -19,6 +19,9 @@ records each node but neither the input dimension nor the domain.  The
 parser infers the smallest input dimension consistent with the text, so a
 tree round-trips exactly when its own nodes fix its input dimension, as the
 output of every construction does.  Numbers in the text must be finite.
+The text and the input dimension are a tree's identity: two trees are
+equal when they agree on both, so ``-0.0`` and ``0.0`` differ.  Writing
+the text costs no frame per level either; parsing it costs one.
 
 Two primitives take kernel parameters from their inputs instead of from
 construction-time constants: ``SmashDyn`` evaluates the smash kernel at
@@ -32,8 +35,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, fields, replace as _dc_replace
-from itertools import chain, zip_longest
+from dataclasses import dataclass, field, replace as _dc_replace
+from itertools import chain
 from operator import attrgetter
 from typing import ClassVar
 
@@ -100,15 +103,15 @@ class SmoothMap:
     """Base node.  ``domain`` restricts ``eval_many`` on this node to a box.
 
     The domain is read only on the node ``eval_many`` is called on, so it
-    is not part of the tree: equality and hashing ignore it.  They compare
-    every other field and walk the tree without recursion, so a deep tree
-    costs no frames; the node classes are declared with ``eq=False`` to
+    is not part of the tree.  A tree's identity is its type, its ``in_dim``
+    and its ``serialize_map`` text, which together fix every node below it:
+    equality, hashing and ``repr`` use them and ignore the domain.  The
+    node classes are declared with ``eq=False`` and ``repr=False`` to
     inherit them.
 
     ``in_dim`` and ``out_dim`` are fixed when a node is built: leaf nodes of
     fixed arity carry them as class constants, the others set them in
-    ``__post_init__``.  They are not dataclass fields, so equality, hashing
-    and ``repr`` see only the tree itself.
+    ``__post_init__``.
 
     A leaf computes its value on a batch in ``_apply``.  A container lists
     its child nodes in ``_kids`` and evaluates in ``_steps``, a generator
@@ -117,9 +120,7 @@ class SmoothMap:
     its own; ``_evaluate`` drives it.
     """
 
-    domain: tuple[tuple[float, float], ...] | None = field(
-        default=None, kw_only=True, compare=False
-    )
+    domain: tuple[tuple[float, float], ...] | None = field(default=None, kw_only=True)
     in_dim: ClassVar[int]
     out_dim: ClassVar[int]
     _kids: ClassVar[tuple["SmoothMap", ...]] = ()
@@ -133,10 +134,13 @@ class SmoothMap:
             return True
         if type(other) is not type(self):
             return NotImplemented
-        return all(a == b for a, b in zip_longest(_tokens(self), _tokens(other)))
+        return self.in_dim == other.in_dim and serialize_map(self) == serialize_map(other)
 
     def __hash__(self):
-        return hash(tuple(_tokens(self)))
+        return hash((self.in_dim, serialize_map(self)))
+
+    def __repr__(self):
+        return f"{type(self).__name__}(in_dim={self.in_dim}, {serialize_map(self)!r})"
 
     def _apply(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -168,31 +172,6 @@ class SmoothMap:
     def eval(self, point) -> np.ndarray:
         P = np.asarray(point, dtype=float).reshape(1, -1)
         return self.eval_many(P)[0]
-
-
-def _tokens(f: SmoothMap):
-    """The nodes of a tree in pre-order, each as its type and other fields.
-
-    A child tuple is replaced by its length, so the sequence determines the
-    tree.  The walk keeps its own stack: it costs no frame per level.
-    """
-    todo = [f]
-    while todo:
-        node = todo.pop()
-        kids, rest = [], []
-        for fd in fields(node):
-            if not fd.compare:
-                continue
-            v = getattr(node, fd.name)
-            if isinstance(v, SmoothMap):
-                kids.append(v)
-            elif isinstance(v, tuple) and v and isinstance(v[0], SmoothMap):
-                kids.extend(v)
-                rest.append(len(v))
-            else:
-                rest.append(v)
-        yield type(node), tuple(rest)
-        todo.extend(reversed(kids))
 
 
 class _Job:
@@ -298,7 +277,7 @@ def _evaluate(root: SmoothMap, X: np.ndarray) -> np.ndarray:
             run(next(iter(pending.values()))[0])
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Const(SmoothMap):
     values: tuple[float, ...]
     dim: int
@@ -317,7 +296,7 @@ class Const(SmoothMap):
         return np.broadcast_to(np.array(self.values), (len(X), len(self.values)))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Coord(SmoothMap):
     """Selects input coordinate ``index`` (1-based); ``(project k)`` reads as this."""
 
@@ -333,7 +312,7 @@ class Coord(SmoothMap):
         return X[:, self.index - 1 : self.index]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Affine(SmoothMap):
     matrix: tuple[tuple[float, ...], ...]
     offset: tuple[float, ...]
@@ -383,7 +362,7 @@ def _common_in(children, keyword):
     return ins.pop()
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Sum(SmoothMap):
     children: tuple[SmoothMap, ...]
 
@@ -403,7 +382,7 @@ class Sum(SmoothMap):
         return acc
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Product(SmoothMap):
     children: tuple[SmoothMap, ...]
 
@@ -423,7 +402,7 @@ class Product(SmoothMap):
         return acc
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Compose(SmoothMap):
     outer: SmoothMap
     inner: SmoothMap
@@ -436,7 +415,7 @@ class Compose(SmoothMap):
             )
         self._set_dims(self.inner.in_dim, self.outer.out_dim)
 
-    _kids = property(attrgetter("inner", "outer"))
+    _kids = property(attrgetter("outer", "inner"))
 
     def _steps(self, X):
         (inner,) = yield [(self.inner, X)]
@@ -444,7 +423,7 @@ class Compose(SmoothMap):
         return outer
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class TupleMap(SmoothMap):
     children: tuple[SmoothMap, ...]
 
@@ -461,7 +440,7 @@ class TupleMap(SmoothMap):
         return np.concatenate((yield [(c, X) for c in self.children]), axis=1)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Gamma(SmoothMap):
     in_dim = out_dim = 1
 
@@ -469,7 +448,7 @@ class Gamma(SmoothMap):
         return gamma_many(X[:, 0]).reshape(-1, 1)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Lambda(SmoothMap):
     in_dim = out_dim = 1
 
@@ -477,7 +456,7 @@ class Lambda(SmoothMap):
         return lambda_many(X[:, 0]).reshape(-1, 1)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Smash(SmoothMap):
     params: SmashParams
 
@@ -487,7 +466,7 @@ class Smash(SmoothMap):
         return smash(X[:, 0], self.params.sigma, self.params.tau).reshape(-1, 1)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class SmashDyn(SmoothMap):
     """Smash kernel with runtime parameters: inputs are (t, sigma, tau).
 
@@ -502,7 +481,7 @@ class SmashDyn(SmoothMap):
         return smash(X[:, 0], X[:, 1], X[:, 2]).reshape(-1, 1)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Recip(SmoothMap):
     """1/x on strictly positive inputs."""
 
@@ -515,7 +494,7 @@ class Recip(SmoothMap):
         return (1.0 / x).reshape(-1, 1)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class PiecewiseAxis(SmoothMap):
     """Branches on one input coordinate at fixed breakpoints in (0, 1).
 
@@ -691,8 +670,12 @@ _NUM_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 _SYM_RE = re.compile(r"[a-z][a-z0-9]*$")
 _ATOMS = {"gamma": Gamma, "lambda": Lambda, "recip": Recip, "smashdyn": SmashDyn}
 _SIBLINGS = {"tuple": TupleMap, "sum": Sum, "prod": Product}
-_ATOM_NAMES = {atom: name for name, atom in _ATOMS.items()}
-_SIBLING_NAMES = {node: name for name, node in _SIBLINGS.items()}
+# the text of a node that has no number in it, up to its children's
+_HEADS = {
+    **{atom: name for name, atom in _ATOMS.items()},
+    **{node: "(" + name for name, node in _SIBLINGS.items()},
+    Compose: "(compose",
+}
 
 
 class _Syntax(Exception):
@@ -925,27 +908,34 @@ def _fmt(v: float) -> str:
 
 
 def serialize_map(f: SmoothMap) -> str:
-    """Canonical text for a tree: lowercase keywords, single spaces."""
-    if type(f) in _ATOM_NAMES:
-        return _ATOM_NAMES[type(f)]
-    if isinstance(f, Const):
-        return "(const " + " ".join(_fmt(v) for v in f.values) + ")"
-    if isinstance(f, Coord):
-        return f"(coord {f.index})"
-    if isinstance(f, Affine):
-        rows = " ".join("[" + " ".join(_fmt(v) for v in row) + "]" for row in f.matrix)
-        offset = " ".join(_fmt(v) for v in f.offset)
-        return f"(affine [{rows}] [{offset}])"
-    if isinstance(f, Compose):
-        return f"(compose {serialize_map(f.outer)} {serialize_map(f.inner)})"
-    if isinstance(f, Smash):
-        return f"(smash {_fmt(f.params.sigma)} {_fmt(f.params.tau)})"
-    if isinstance(f, PiecewiseAxis):
-        parts, kids = [f"(piece {f.axis} (" + " ".join(_fmt(b) for b in f.breakpoints) + ")"], f.pieces
-    elif type(f) in _SIBLING_NAMES:
-        parts, kids = ["(" + _SIBLING_NAMES[type(f)]], f.children
-    else:
-        raise TypeError(f"cannot serialize {type(f).__name__}")
-    for kid in kids:  # a generator would cost a second frame per level
-        parts.append(serialize_map(kid))
-    return " ".join(parts) + ")"
+    """Canonical text for a tree: lowercase keywords, single spaces.
+
+    The walk keeps its own stack of nodes and pending text: it costs no
+    frame per level.
+    """
+    parts, todo = [], [f]
+    while todo:
+        f = todo.pop()
+        if isinstance(f, str):
+            parts.append(f)
+            continue
+        if type(f) in _HEADS:
+            parts.append(_HEADS[type(f)])
+        elif isinstance(f, Const):
+            parts.append("(const " + " ".join(_fmt(v) for v in f.values) + ")")
+        elif isinstance(f, Coord):
+            parts.append(f"(coord {f.index})")
+        elif isinstance(f, Affine):
+            rows = " ".join("[" + " ".join(_fmt(v) for v in row) + "]" for row in f.matrix)
+            parts.append(f"(affine [{rows}] [" + " ".join(_fmt(v) for v in f.offset) + "])")
+        elif isinstance(f, Smash):
+            parts.append(f"(smash {_fmt(f.params.sigma)} {_fmt(f.params.tau)})")
+        elif isinstance(f, PiecewiseAxis):
+            parts.append(f"(piece {f.axis} (" + " ".join(_fmt(b) for b in f.breakpoints) + ")")
+        else:
+            raise TypeError(f"cannot serialize {type(f).__name__}")
+        if f._kids:  # each child after a space, then the closing parenthesis
+            todo.append(")")
+            for kid in reversed(f._kids):
+                todo += (kid, " ")
+    return "".join(parts)

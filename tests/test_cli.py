@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -183,6 +184,16 @@ def test_sample_grid_too_large_to_index_is_usage_error(tmp_path, capsys):
     expr = "(tuple (coord 1) (coord 2) (coord 3) (coord 4))"
     assert main(["sample", "--map", expr, "--grid", "1000000", "--out", str(out)]) == 2
     assert capsys.readouterr().err == "tamecube sample: a grid of 1000000^4 rows is too large to index\n"
+    assert not out.exists()
+
+
+def test_sample_huge_dimension_is_refused_without_the_power(tmp_path, capsys):
+    # 3^(10^7) is a 15.8-million-bit integer that takes seconds to build
+    out = tmp_path / "x.csv"
+    start = time.perf_counter()
+    assert main(["sample", "--map", "(coord 10000000)", "--grid", "3", "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == "tamecube sample: a grid of 3^10000000 rows is too large to index\n"
     assert not out.exists()
 
 

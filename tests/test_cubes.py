@@ -134,8 +134,9 @@ def test_subcomplex_relation():
 
 
 def test_region_validation():
-    with pytest.raises(DomainError):
-        Box(((0.5, 0.2),))
+    for bad in ((0.5, 0.2), (0.0, float("inf")), (-0.5, 0.5), (0.5, 1.5), (float("nan"), 0.5)):
+        with pytest.raises(DomainError, match="bad interval"):
+            Box(((0.0, 1.0), bad))
     r = BoxRegion((Box(((0.0, 1.0),)),))
     d = dist_to_region(r, [(0.5,), (1.5,)])
     assert d[0] <= MEMBERSHIP_TOL < d[1]

@@ -124,8 +124,8 @@ def test_deep_sum_chain_builds():
 
 
 def test_deep_trees_evaluate_and_serialize():
-    # only serialize_map and parse_map use a frame per nesting level: 900-deep
-    # chains stay under the default recursion limit
+    # only parse_map uses a frame per nesting level: 900-deep chains stay
+    # under the default recursion limit
     x = coord(1, 1)
     wraps = {
         "sum": lambda f: add(f, const(1.0, 1)),
@@ -304,6 +304,32 @@ def test_deep_chain_evaluates_without_a_frame_per_level():
         out = None
     assert out is not None, "evaluation used a Python frame per nesting level"
     assert out.shape == (3, 1) and np.all((out >= 0.0) & (out <= 1.0))
+    g = coord(1, 1)
+    for _ in range(5000):
+        g = lambda_map(g)
+    try:
+        text, same, r = serialize_map(f), f == g and hash(f) == hash(g), repr(f)
+    except RecursionError:
+        text = None
+    assert text is not None, "serialize_map, ==, hash or repr used a frame per level"
+    assert text == "(compose lambda " * 5000 + "(coord 1)" + ")" * 5000
+    assert same and r == f"Compose(in_dim=1, {text!r})"
+
+
+def test_identity_is_input_dimension_and_text():
+    assert Const((-0.0,), 1) != Const((0.0,), 1)
+    assert Coord(1, 3) != Coord(1, 1)
+    assert Sum((Coord(1, 2),)) != Sum((Coord(1, 1),))
+    assert Compose(Lambda(), Coord(1, 1)) != Lambda()
+    pairs = [
+        (Const((0.0, 2.5), 2), const([0, 2.5], 2)),
+        (Sum((Coord(1, 2),)), add(coord(1, 2))),
+        (parse_map("(lambda (piece 1 (0.5) (coord 1) (coord 1)))"),
+         lambda_map(piecewise(1, [0.5], [coord(1, 1), coord(1, 1)]))),
+    ]
+    for f, g in pairs:
+        assert f is not g and f == g and hash(f) == hash(g)
+    assert repr(pairs[1][0]) == "Sum(in_dim=2, '(sum (coord 1))')"
 
 
 def test_eval_many_returns_fresh_writable_array():
