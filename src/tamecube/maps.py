@@ -3,9 +3,11 @@
 A map is an immutable tree of primitive nodes (coordinates, affine maps,
 sums, products, tuples, composition, the scalar kernels, and a piecewise
 node that branches on one input coordinate).  Every node but the piecewise
-one is smooth; the seam checks sample how its pieces meet.  Trees evaluate
-pointwise or on batches of points, exactly and with no interpolation.  One
-``eval_many`` call evaluates each node object once, on every row that
+one is smooth; the seam checks sample how its pieces meet.  Maps are on
+the cube [0, 1]^n and no node carries a box: a finite point evaluates by
+the same formulas in equal trees, a non-finite one raises ``DomainError``.
+Trees evaluate on batches of points, exactly and with no interpolation.
+One ``eval_many`` call evaluates each node object once, on every row that
 reaches it along any path: an object's turn comes after every object that
 can hand it rows, and it evaluates the concatenation of the distinct input
 arrays it was handed.  A row's value does not depend on its batch, so the
@@ -15,10 +17,10 @@ costs one visit per object.  The walk keeps its own lists and costs no
 Python frame per nesting level.
 
 A canonical s-expression text format (``serialize_map``, ``parse_map``)
-records each node but neither the input dimension nor the domain.  The
-parser infers the smallest input dimension consistent with the text, so a
-tree round-trips exactly when its own nodes fix its input dimension, as the
-output of every construction does.  Numbers in the text must be finite.
+records each node but not the input dimension.  The parser infers the
+smallest input dimension consistent with the text, so a tree round-trips
+exactly when its own nodes fix its input dimension, as the output of
+every construction does.  Numbers in the text must be finite.
 The text and the input dimension are a tree's identity: two trees are
 equal when they agree on both, so ``-0.0`` and ``0.0`` differ.  Writing
 the text costs no frame per level either; parsing it costs one.
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, replace as _dc_replace
+from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
 from typing import ClassVar
@@ -66,7 +68,6 @@ __all__ = [
     "Recip",
     "PiecewiseAxis",
     "Homotopy",
-    "unit_box",
     "const",
     "coord",
     "affine_row",
@@ -87,27 +88,20 @@ __all__ = [
     "serialize_map",
 ]
 
-DOMAIN_TOL = 1e-12
-
 # rows per ``eval_many`` call in a collar scan or a ``sample`` export: bounds
 # the evaluation's peak memory
 _EVAL_ROWS = 1 << 14
 
 
-def unit_box(n: int) -> tuple[tuple[float, float], ...]:
-    return tuple((0.0, 1.0) for _ in range(n))
-
-
 @dataclass(frozen=True)
 class SmoothMap:
-    """Base node.  ``domain`` restricts ``eval_many`` on this node to a box.
+    """Base node: a map on the cube [0, 1]^in_dim.
 
-    The domain is read only on the node ``eval_many`` is called on, so it
-    is not part of the tree.  A tree's identity is its type, its ``in_dim``
-    and its ``serialize_map`` text, which together fix every node below it:
-    equality, hashing and ``repr`` use them and ignore the domain.  The
-    node classes are declared with ``eq=False`` and ``repr=False`` to
-    inherit them.
+    ``eval_many`` evaluates any finite point, alike in equal trees, and rejects
+    a non-finite one.  A tree's identity is its type, its ``in_dim`` and its
+    ``serialize_map`` text, which together fix every node below it:
+    equality, hashing and ``repr`` use them.  The node classes are declared
+    with ``eq=False`` and ``repr=False`` to inherit them.
 
     ``in_dim`` and ``out_dim`` are fixed when a node is built: leaf nodes of
     fixed arity carry them as class constants, the others set them in
@@ -120,7 +114,6 @@ class SmoothMap:
     its own; ``_evaluate`` drives it.
     """
 
-    domain: tuple[tuple[float, float], ...] | None = field(default=None, kw_only=True)
     in_dim: ClassVar[int]
     out_dim: ClassVar[int]
     _kids: ClassVar[tuple["SmoothMap", ...]] = ()
@@ -146,7 +139,8 @@ class SmoothMap:
         raise NotImplementedError
 
     def on_unit_box(self) -> "SmoothMap":
-        return _dc_replace(self, domain=unit_box(self.in_dim))
+        """The map itself, as no node carries a box; the benchmark calls it."""
+        return self
 
     def eval_many(self, pts) -> np.ndarray:
         X = np.asarray(pts, dtype=float)
@@ -154,17 +148,10 @@ class SmoothMap:
             raise DimensionError(
                 f"expected points of shape (N, {self.in_dim}), got {X.shape}"
             )
-        if not np.all(np.isfinite(X)):
-            raise DomainError("points must be finite")
-        if self.domain is not None:
-            lo = np.array([iv[0] for iv in self.domain])
-            hi = np.array([iv[1] for iv in self.domain])
-            if np.any(X < lo - DOMAIN_TOL) or np.any(X > hi + DOMAIN_TOL):
-                bad = np.argmax(np.max(np.maximum(lo - X, X - hi), axis=1))
-                raise DomainError(
-                    f"point {tuple(X[bad])} outside declared domain box"
-                )
-            X = np.clip(X, lo, hi)
+        finite = np.isfinite(X)
+        if not np.all(finite):
+            bad = X[np.argmin(finite.all(axis=1))]
+            raise DomainError(f"point {tuple(bad.tolist())} is not finite")
         out = _evaluate(self, X)
         # a view can alias the points (Coord) or be a read-only broadcast (Const)
         return out if out.flags.owndata else out.copy()
@@ -648,17 +635,14 @@ class Homotopy:
 
     def slice(self, u: float) -> SmoothMap:
         u = float(u)
-        if not -DOMAIN_TOL <= u <= 1.0 + DOMAIN_TOL:
+        if not 0.0 <= u <= 1.0:
             raise DomainError(f"time value {u!r} outside [0, 1]")
-        u = min(1.0, max(0.0, u))
-        n = self.space_dim
-        return Compose(self.map, embed_time(n, u)).on_unit_box()
+        return Compose(self.map, embed_time(self.space_dim, u))
 
 
 def constant_homotopy(f: SmoothMap) -> Homotopy:
     """The homotopy that ignores its time coordinate."""
-    n = f.in_dim
-    return Homotopy(Compose(f, drop_time(n)).on_unit_box())
+    return Homotopy(Compose(f, drop_time(f.in_dim)))
 
 
 # ---------------------------------------------------------------------------

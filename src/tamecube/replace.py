@@ -198,9 +198,8 @@ def admissible_replace(
                 pre,
             )
     if K.is_empty or K.dim == 0 or K.is_subcomplex_of(L):
-        g = f.on_unit_box()
-        final = check_admissible(g, K, eps, cfg, seed)
-        return g, constant_homotopy(f), ReplacementTrace(0.0, 0.0, (), final)
+        final = check_admissible(f, K, eps, cfg, seed)
+        return f, constant_homotopy(f), ReplacementTrace(0.0, 0.0, (), final)
 
     dim_l = max(L.dim, 1)
     eps0 = eps**dim_l
@@ -253,7 +252,7 @@ def admissible_replace(
             cert = min(cert, sigma_j)
         union = _route_union(L.union(skeleton(K, j)), formulas, cert, fallback)
 
-    h_ind = Homotopy(union.on_unit_box())
+    h_ind = Homotopy(union)
     H = concat_homotopy(h_tame, h_ind, cfg)
     g = h_ind.slice(1.0)
     final = check_admissible(g, K, eps, cfg, seed)

@@ -98,7 +98,7 @@ def approx_retraction(p: RetractionParams) -> SmoothMap:
     last output hits 1 whenever no side output is pinned, which is what
     keeps the image inside the complex.
     """
-    return _retraction_tree(p).on_unit_box()
+    return _retraction_tree(p)
 
 
 def deformation_schedule(n: int, eps: float) -> dict:
@@ -147,7 +147,7 @@ def deformation_retraction_homotopy(n: int, eps: float) -> Homotopy:
     u = coord(dim, dim)
     if n == 1:
         h = add(mul(one_minus(u), coord(1, dim)), u)
-        return Homotopy(h.on_unit_box())
+        return Homotopy(h)
     R = _retraction_tree(RetractionParams.from_eps(n, sched["retraction_eps"]))
     ramp = lambda_map(affine_row(dim, {n: 1.0 / sched["ramp_scale"]}, 0.0))
     sigma_t = compose(
@@ -161,4 +161,4 @@ def deformation_retraction_homotopy(n: int, eps: float) -> Homotopy:
     squeezed = [smashdyn_map(coord(k, dim), sigma_t, tau_t) for k in range(1, n)]
     retracted = compose(R, tup(*squeezed, coord(n, dim)))
     h = add(mul(one_minus(u), drop_time(n)), mul(u, retracted))
-    return Homotopy(h.on_unit_box())
+    return Homotopy(h)

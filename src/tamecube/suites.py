@@ -3,7 +3,9 @@
 Each suite runs a battery of properties over a configured parameter grid
 and reports the worst violation per property.  All randomness flows from
 the configured seed, so reports are reproducible; the reduction over
-samples is an exact max, so they do not depend on evaluation order.
+samples is an exact max, so they do not depend on evaluation order.  A
+package error inside a suite replaces that suite's rows by one failing
+row, ``<suite>-error``, that names the error.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 from . import cubes as cb
 from . import kernels as kr
 from . import maps as mp
-from .errors import DomainError
+from .errors import DomainError, TameCubeError
 from .genmaps import random_map_admissible_on, random_tame_map
 from .replace import admissible_replace
 from .retract import RetractionParams, approx_retraction, deformation_retraction_homotopy, deformation_schedule
@@ -209,14 +211,14 @@ def _tame_suite(cfg: SuiteConfig) -> list[PropertyResult]:
     out = []
     tol = cfg.tolerances
     for eps in (0.05, 0.1, 0.25):
-        rep = check_tame(mp.Coord(1, 1).on_unit_box(), cb.full_cube(1), eps, tol, cfg.seed)
+        rep = check_tame(mp.Coord(1, 1), cb.full_cube(1), eps, tol, cfg.seed)
         witness_gap = 1.0
         if not rep.passed and rep.witness is not None:
             w = rep.witness
             moved = w.depth if w.alpha == 0 else 1.0 - w.depth
             witness_gap = abs(rep.worst_violation - abs(w.point[w.axis - 1] - moved))
         out.append(PropertyResult("identity-not-tame", {"eps": eps}, witness_gap, 1e-12))
-    g, H = tame_replace(mp.Coord(1, 1).on_unit_box(), 0.1, 0.25)
+    g, H = tame_replace(mp.Coord(1, 1), 0.1, 0.25)
     rep = check_tame(g, cb.full_cube(1), 0.1, tol, cfg.seed)
     out.append(
         PropertyResult("taming-produces-tame", {"sigma": 0.1, "eps": 0.25}, rep.worst_violation, tol.eq_tol)
@@ -233,7 +235,7 @@ def _tame_suite(cfg: SuiteConfig) -> list[PropertyResult]:
         f = random_tame_map(rng, n, eps, space_eps=0.5 * (eps + 0.5))
         gext = extend_tame(f, eps=eps, sigma=sigma, cfg=tol, seed=cfg.seed)
         pts = cb.complex_grid(cb.j_complex(n), min(cfg.grid_res, 17))
-        gap = float(np.max(np.abs(gext.eval_many(pts) - f.on_unit_box().eval_many(pts))))
+        gap = float(np.max(np.abs(gext.eval_many(pts) - f.eval_many(pts))))
         out.append(PropertyResult("extension-restriction", {"n": n, "eps": eps}, gap, tol.eq_tol))
         quick = _dc_replace(tol, grid_res=min(cfg.grid_res, 17))
         rep = check_tame(gext, cb.full_cube(n), sigma, quick, cfg.seed)
@@ -270,7 +272,7 @@ def _tame_suite(cfg: SuiteConfig) -> list[PropertyResult]:
     out.append(PropertyResult("concat-constant-boundary", {"n": 2}, worst, tol.eq_tol))
 
     p = kr.SmashParams(0.2, 0.35)
-    fc = mp.tup(*[mp.smash_map(p, mp.coord(k, 2)) for k in (1, 2)]).on_unit_box()
+    fc = mp.tup(*[mp.smash_map(p, mp.coord(k, 2)) for k in (1, 2)])
     rep = check_tame(fc, cb.full_cube(2), 0.2, _dc_replace(tol, grid_res=9), cfg.seed)
     out.append(PropertyResult("fiber-constant-smash", {"eps": 0.2}, rep.worst_violation, tol.eq_tol))
 
@@ -281,7 +283,7 @@ def _tame_suite(cfg: SuiteConfig) -> list[PropertyResult]:
         f = random_tame_map(rng, n, eps)
         fe = extend_to_jdelta(f, eps, cfg=_dc_replace(tol, grid_res=9), seed=cfg.seed)
         pts = cb.complex_grid(cb.j_complex(n), 9)
-        gap = float(np.max(np.abs(fe.eval_many(pts) - f.on_unit_box().eval_many(pts))))
+        gap = float(np.max(np.abs(fe.eval_many(pts) - f.eval_many(pts))))
         out.append(PropertyResult("jdelta-agrees-on-walls", {"n": n, "eps": eps}, gap, tol.eq_tol))
     return out
 
@@ -309,13 +311,12 @@ def _replace_suite(cfg: SuiteConfig) -> list[PropertyResult]:
             )
         )
         pts = cb.complex_grid(K, quick.grid_res)
-        f_unit = f.on_unit_box()
-        e0 = float(np.max(np.abs(H.slice(0.0).eval_many(pts) - f_unit.eval_many(pts))))
+        e0 = float(np.max(np.abs(H.slice(0.0).eval_many(pts) - f.eval_many(pts))))
         e1 = float(np.max(np.abs(H.slice(1.0).eval_many(pts) - g.eval_many(pts))))
         worst = max(e0, e1)
         out.append(PropertyResult("replace-endpoints", {"n": n, "L": L.describe()}, worst, tol.eq_tol))
         lpts = cb.complex_grid(L, quick.grid_res)
-        fl = f_unit.eval_many(lpts)
+        fl = f.eval_many(lpts)
         worst = 0.0
         for u in (0.0, 0.25, 0.5, 0.75, 1.0):
             worst = max(worst, float(np.max(np.abs(H.slice(u).eval_many(lpts) - fl))))
@@ -332,10 +333,17 @@ SUITES = {
 SUITE_NAMES = frozenset(SUITES)
 
 
+def _run_one(name: str, cfg: SuiteConfig) -> list[PropertyResult]:
+    try:
+        return SUITES[name](cfg)
+    except TameCubeError as exc:
+        return [PropertyResult(f"{name}-error", {"error": f"{type(exc).__name__}: {exc}"}, 1.0, 0.0)]
+
+
 def run_suite(cfg: SuiteConfig) -> dict:
     """Execute a suite (or all of them) and assemble the JSON report."""
     names = sorted(SUITES) if cfg.suite == "all" else [cfg.suite]
-    results = [r for s in names for r in SUITES[s](cfg)]
+    results = [r for s in names for r in _run_one(s, cfg)]
     failures = sum(1 for r in results if not r.passed)
     return {
         "schema": SCHEMA_VERSION,

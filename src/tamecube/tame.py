@@ -328,7 +328,7 @@ def tame_replace(f: SmoothMap, sigma: float, eps: float) -> tuple[SmoothMap, Hom
         )
     n = f.in_dim
     params = SmashParams(sigma, eps)
-    g = compose(f, _coordwise_smash(params, n)).on_unit_box()
+    g = compose(f, _coordwise_smash(params, n))
     dim = n + 1
     u = coord(dim, dim)
     moved = [
@@ -338,7 +338,7 @@ def tame_replace(f: SmoothMap, sigma: float, eps: float) -> tuple[SmoothMap, Hom
         )
         for k in range(1, n + 1)
     ]
-    H = compose(f, tup(*moved)).on_unit_box()
+    H = compose(f, tup(*moved))
     return g, Homotopy(H)
 
 
@@ -401,7 +401,7 @@ def extend_tame(
     b_u = compose(affine_row(1, {1: eps_prime - eps}, eps), ramp)
     args = [smashdyn_map(coord(k, n), a_u, b_u) for k in range(1, n)]
     args.append(squashed_time)
-    return compose(f, R, tup(*args)).on_unit_box()
+    return compose(f, R, tup(*args))
 
 
 def jdelta_collar(n: int, eps: float) -> tuple[float, float, float]:
@@ -449,7 +449,7 @@ def extend_to_jdelta(
     bottom = compose(
         f, tup(*[smash_map(params, coord(k, n)) for k in range(1, n)], coord(n, n))
     )
-    return piecewise(n, (delta,), (bottom, f)).on_unit_box()
+    return piecewise(n, (delta,), (bottom, f))
 
 
 def _splice(f: SmoothMap, g: SmoothMap, axis: int, cfg: ToleranceConfig, what: str) -> SmoothMap:
@@ -469,7 +469,7 @@ def _splice(f: SmoothMap, g: SmoothMap, axis: int, cfg: ToleranceConfig, what: s
     for h, offset in ((f, 0.0), (g, -2.0)):
         xs[axis - 1] = lambda_map(affine_row(n, {axis: 3.0}, offset))
         halves.append(compose(h, tup(*xs)))
-    return piecewise(axis, (0.5,), tuple(halves)).on_unit_box()
+    return piecewise(axis, (0.5,), tuple(halves))
 
 
 def concat_homotopy(F: Homotopy, G: Homotopy, cfg: ToleranceConfig | None = None) -> Homotopy:

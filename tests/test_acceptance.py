@@ -130,7 +130,7 @@ def test_criterion_4_tame_extension():
         g = extend_tame(f, eps=eps, sigma=sigma, cfg=CFG, seed=i)
         pts = complex_grid(j_complex(n), CFG.grid_res)
         worst_restrict = max(
-            worst_restrict, float(np.max(np.abs(g.eval_many(pts) - f.on_unit_box().eval_many(pts))))
+            worst_restrict, float(np.max(np.abs(g.eval_many(pts) - f.eval_many(pts))))
         )
         worst_tame = max(worst_tame, check_tame(g, full_cube(n), sigma, CFG, seed=i).worst_violation)
         bottom = CubicalComplex(n, (Face(n, ((n, 0),)),))
@@ -168,14 +168,13 @@ def test_criterion_5_admissible_replacement():
         rep65 = check_admissible(g, K, eps, ToleranceConfig(grid_res=65), seed=seed)
         worst_adm = max(worst_adm, rep65.worst_violation)
         pts = complex_grid(K, CFG.grid_res)
-        f_u = f.on_unit_box()
         worst_end = max(
             worst_end,
-            float(np.max(np.abs(H.slice(0.0).eval_many(pts) - f_u.eval_many(pts)))),
+            float(np.max(np.abs(H.slice(0.0).eval_many(pts) - f.eval_many(pts)))),
             float(np.max(np.abs(H.slice(1.0).eval_many(pts) - g.eval_many(pts)))),
         )
         lpts = complex_grid(L, CFG.grid_res)
-        fl = f_u.eval_many(lpts)
+        fl = f.eval_many(lpts)
         for u in (0.0, 0.25, 0.5, 0.75, 1.0):
             su = np.concatenate([lpts, np.full((len(lpts), 1), u)], axis=1)
             worst_rel = max(worst_rel, float(np.max(np.abs(H.map.eval_many(su) - fl))))
@@ -246,7 +245,7 @@ def test_criterion_8_negative_controls():
     witness_ok = True
     detail = []
     for eps in (0.05, 0.1, 0.25):
-        rep = check_tame(Coord(1, 1).on_unit_box(), full_cube(1), eps, CFG)
+        rep = check_tame(Coord(1, 1), full_cube(1), eps, CFG)
         w = rep.witness
         good = not rep.passed and w is not None
         if good:

@@ -10,7 +10,8 @@ import pytest
 
 from tamecube.cli import _csv_lines, _grid_rows, main
 from tamecube.cubes import Box, box_grid
-from tamecube.errors import DomainError
+from tamecube import suites
+from tamecube.errors import DomainError, ReplacementError
 from tamecube.maps import _EVAL_ROWS, SmoothMap, parse_map
 from tamecube.suites import SuiteConfig, report_schema_version
 from tamecube.tame import ToleranceConfig
@@ -60,6 +61,28 @@ def test_verify_all_rows_unique(tmp_path):
     assert main(["verify", "--suite", "all", "--seed", "2", "--out", str(out)]) == 0
     keys = [(r["name"], json.dumps(r["params"], sort_keys=True)) for r in json.loads(out.read_text())["results"]]
     assert len(keys) == len(set(keys))
+
+
+def test_verify_construction_error_is_a_failing_row(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ReplacementError("extension over face t1=0 (dim 1) failed")
+
+    monkeypatch.setattr(suites, "admissible_replace", broken)
+    out = tmp_path / "all.json"
+    assert main(["verify", "--suite", "all", "--seed", "0", "--out", str(out)]) == 1
+    rep = json.loads(out.read_text())
+    failed = [r for r in rep["results"] if not r["passed"]]
+    assert failed == [
+        {
+            "name": "replace-error",
+            "params": {"error": "ReplacementError: extension over face t1=0 (dim 1) failed"},
+            "worst": 1.0,
+            "tol": 0.0,
+            "passed": False,
+        }
+    ]
+    assert rep["failures"] == 1 and rep["passed"] is False
+    assert {r["name"].split("-")[0] for r in rep["results"]} >= {"lambda", "retraction", "taming"}
 
 
 def test_verify_deterministic_reports(tmp_path):

@@ -1,3 +1,4 @@
+import math
 import re
 from pathlib import Path
 
@@ -38,7 +39,6 @@ from tamecube.maps import (
     smash_map,
     smashdyn_map,
     tup,
-    unit_box,
 )
 from tamecube.replace import admissible_replace
 from tamecube.retract import RetractionParams, approx_retraction, deformation_retraction_homotopy
@@ -76,12 +76,46 @@ def test_eval_dimension_mismatch():
         f.eval([0.5, 0.5])
 
 
-def test_domain_checking():
-    f = coord(1, 1).on_unit_box()
-    assert f.eval([1.0 + 1e-13])[0] == 1.0  # tolerance clamp
+CORNERS_2 = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+
+# (name, map, its exact values at the corners of its cube)
+ON_THE_CUBE = [
+    ("parsed", lambda: parse_map("(sum (coord 1) (coord 2))"), [[0.0], [1.0], [1.0], [2.0]]),
+    ("built", lambda: tup(coord(2, 2), lambda_map(coord(1, 2))), CORNERS_2[:, ::-1]),
+    ("retraction", lambda: approx_retraction(RetractionParams.from_eps(2, 0.25)), CORNERS_2),
+    ("slice", lambda: deformation_retraction_homotopy(2, 0.3).slice(1.0), CORNERS_2),
+    ("coord", lambda: Coord(1, 1), [[0.0], [1.0]]),
+    ("on_unit_box", lambda: Coord(1, 1).on_unit_box(), [[0.0], [1.0]]),
+]
+
+
+@pytest.mark.parametrize("make,corners", [c[1:] for c in ON_THE_CUBE], ids=[c[0] for c in ON_THE_CUBE])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_every_map_rejects_a_non_finite_point(make, corners, bad):
+    f = make()
+    n = f.in_dim
+    X = CORNERS_2 if n == 2 else np.array([[0.0], [1.0]])
+    assert f.eval_many(X).tolist() == np.asarray(corners).tolist()
+    point = (0.5,) * (n - 1) + (bad,)
+    # the error names the first non-finite point
+    with pytest.raises(DomainError, match=re.escape(f"point {point} is not finite")):
+        f.eval_many([(1.0,) * n, point, (math.nan,) * n])
     with pytest.raises(DomainError):
-        f.eval([1.5])
-    assert coord(1, 1).eval([1.5])[0] == 1.5  # unbounded when no box declared
+        f.eval(point)
+
+
+@pytest.mark.parametrize("make", [c[1] for c in ON_THE_CUBE], ids=[c[0] for c in ON_THE_CUBE])
+@pytest.mark.parametrize("off", [1.0 + 1e-13, -1e-300, 2.0])
+def test_equal_trees_evaluate_alike_off_the_cube(make, off):
+    # no node carries a box: a point off the cube is neither clipped nor
+    # refused, and equal trees give the same bits on it
+    f, g = make(), make().on_unit_box()
+    assert f == g
+    X = np.array([(0.5,) * (f.in_dim - 1) + (off,), (off,) * f.in_dim])
+    out = f.eval_many(X)
+    assert np.isfinite(out).all()
+    assert out.tobytes() == g.eval_many(X).tobytes()
+    assert Coord(1, 1).eval_many(X[:, -1:]).tolist() == X[:, -1:].tolist()
 
 
 def test_compose_dim_check():
@@ -251,7 +285,7 @@ def test_eval_matches_reference_recursion_bit_for_bit():
 
 def test_domain_errors_raise_inside_shared_trees():
     r = recip_map(coord(1, 1))
-    f = add(r, Compose(lambda_map(coord(1, 1)), r), tup(r)).on_unit_box()
+    f = add(r, Compose(lambda_map(coord(1, 1)), r), tup(r))
     assert np.all(np.isfinite(f.eval_many([[0.5], [1.0]])))
     with pytest.raises(DomainError, match="recip requires strictly positive input"):
         f.eval_many([[0.5], [0.0]])
@@ -289,8 +323,8 @@ def test_doubly_shared_chain_visits_each_level_once(monkeypatch):
     visits = []
     steps = Sum._steps
     monkeypatch.setattr(Sum, "_steps", lambda self, X: visits.append(self) or steps(self, X))
-    out = f.eval_many([[0.75], [-3.0]])
-    assert out[:, 0].tolist() == [0.75 * 2.0**61, -3.0 * 2.0**61]
+    out = f.eval_many([[0.75], [1.0]])
+    assert out[:, 0].tolist() == [0.75 * 2.0**61, 1.0 * 2.0**61]
     assert len(visits) == len({id(v) for v in visits}) == 61
 
 
@@ -299,7 +333,7 @@ def test_deep_chain_evaluates_without_a_frame_per_level():
     for _ in range(5000):
         f = lambda_map(f)
     try:
-        out = f.eval_many([[0.25], [0.5], [1.5]])
+        out = f.eval_many([[0.25], [0.5], [1.0]])
     except RecursionError:  # caught here: a 5,000-frame traceback is slow to report
         out = None
     assert out is not None, "evaluation used a Python frame per nesting level"
@@ -377,8 +411,9 @@ def test_homotopy_slice():
     assert np.array_equal(
         H.slice(0.37).eval_many(grid), f.eval_many(grid)
     )
-    with pytest.raises(DomainError):
-        H.slice(1.5)
+    for u in (1.5, 1.0 + 1e-13, -1e-300, math.nan):
+        with pytest.raises(DomainError):
+            H.slice(u)
 
 
 # --- text format ---------------------------------------------------------
@@ -469,22 +504,6 @@ def test_smashdyn_sugar():
     f = parse_map("(smashdyn (coord 1) (const 0.1) (const 0.3))")
     g = smashdyn_map(coord(1, 1), const(0.1, 1), const(0.3, 1))
     assert f == g
-
-
-def test_unit_box():
-    assert unit_box(2) == ((0.0, 1.0), (0.0, 1.0))
-    f = coord(1, 2)
-    assert f.on_unit_box().domain == unit_box(2)
-
-
-def test_domain_is_not_part_of_the_tree():
-    f = lambda_map(coord(1, 2))
-    boxed = f.on_unit_box()
-    assert boxed == f and hash(boxed) == hash(f)
-    assert add(boxed, f) == add(f, f)
-    with pytest.raises(DomainError):
-        boxed.eval([0.5, 1.5])
-    assert f.eval([0.5, 1.5])[0] == 0.5
 
 
 def test_construction_outputs_round_trip():

@@ -53,10 +53,10 @@ def test_replace_trivial_when_L_is_K():
     f = random_tame_map(np.random.default_rng(0), 2, 0.2)
     g, H, trace = admissible_replace(f, K, K, 0.2, QUICK)
     pts = complex_grid(K, 11)
-    assert np.array_equal(g.eval_many(pts), f.on_unit_box().eval_many(pts))
+    assert np.array_equal(g.eval_many(pts), f.eval_many(pts))
     assert trace.steps == ()
     up = np.concatenate([pts, np.full((len(pts), 1), 0.37)], axis=1)
-    assert np.array_equal(H.map.eval_many(up), f.on_unit_box().eval_many(pts))
+    assert np.array_equal(H.map.eval_many(up), f.eval_many(pts))
 
 
 def test_replace_zero_dimensional_complex():
@@ -72,14 +72,14 @@ def test_replace_empty_complex():
     f = random_smooth_map(np.random.default_rng(2), 2)
     empty = CubicalComplex(2, ())
     g, H, trace = admissible_replace(f, empty, empty, 0.2, QUICK)
-    assert g == f.on_unit_box()
+    assert g == f
     assert trace.steps == ()
     assert trace.final_report.passed and trace.final_report.samples_checked == 0
 
 
 def _untame_face_extension(f, **kwargs):
     # the first chart coordinate: the identity along the face, so its time-0 face is not tame
-    return Coord(1, f.in_dim).on_unit_box()
+    return Coord(1, f.in_dim)
 
 
 def _failing_extension(f, **kwargs):
@@ -101,7 +101,7 @@ def test_failed_extension_step_raises(monkeypatch, fake):
 
 
 def test_replace_interval_identity():
-    f = Coord(1, 1).on_unit_box()
+    f = Coord(1, 1)
     K = full_cube(1)
     g, H, trace = admissible_replace(f, K, CubicalComplex(1, ()), 0.25, MID)
     assert trace.final_report.passed
@@ -123,12 +123,11 @@ def test_replace_boundary_cases(n, l_pins):
     assert trace.final_report.passed
     # endpoints
     pts = complex_grid(K, cfg.grid_res)
-    f_u = f.on_unit_box()
-    assert np.max(np.abs(H.slice(0.0).eval_many(pts) - f_u.eval_many(pts))) <= 1e-9
+    assert np.max(np.abs(H.slice(0.0).eval_many(pts) - f.eval_many(pts))) <= 1e-9
     assert np.max(np.abs(H.slice(1.0).eval_many(pts) - g.eval_many(pts))) <= 1e-9
     # relative to L
     lpts = complex_grid(L, cfg.grid_res)
-    fl = f_u.eval_many(lpts)
+    fl = f.eval_many(lpts)
     for u in (0.0, 0.25, 0.5, 0.75, 1.0):
         su = np.concatenate([lpts, np.full((len(lpts), 1), u)], axis=1)
         assert np.max(np.abs(H.map.eval_many(su) - fl)) <= 1e-9
@@ -173,7 +172,7 @@ def test_replace_validations():
     f = random_smooth_map(np.random.default_rng(5), 2)
     with pytest.raises(TamenessError):
         # the second coordinate is the identity along L, hence not tame there
-        admissible_replace(Coord(2, 2).on_unit_box(), K, L, 0.2, QUICK)
+        admissible_replace(Coord(2, 2), K, L, 0.2, QUICK)
     with pytest.raises(DomainError):
         admissible_replace(f, K, CubicalComplex(2, ()), 0.5, QUICK)
     bad_L = CubicalComplex(2, (Face(2, ()),))  # the full square is not in K

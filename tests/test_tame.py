@@ -66,12 +66,12 @@ def test_tolerance_config_validation():
 
 
 def test_constant_map_is_tame():
-    rep = check_tame(const(3.0, 2).on_unit_box(), full_cube(2), 0.4)
+    rep = check_tame(const(3.0, 2), full_cube(2), 0.4)
     assert rep.passed and rep.worst_violation == 0.0 and rep.witness is None
 
 
 def test_identity_fails_with_collar_witness():
-    rep = check_tame(Coord(1, 1).on_unit_box(), full_cube(1), 0.1)
+    rep = check_tame(Coord(1, 1), full_cube(1), 0.1)
     assert not rep.passed
     w = rep.witness
     assert w is not None
@@ -82,12 +82,12 @@ def test_identity_fails_with_collar_witness():
 
 def test_shifted_step_is_tame():
     # constant on [0, 0.2] and on [0.8, 1]
-    f = lambda_map(affine_row(1, {1: 1 / 0.6}, -(0.2 / 0.6))).on_unit_box()
+    f = lambda_map(affine_row(1, {1: 1 / 0.6}, -(0.2 / 0.6)))
     assert check_tame(f, full_cube(1), 0.2).passed
 
 
 def test_tameness_monotone_in_eps():
-    f = random_smooth_map(np.random.default_rng(0), 2).on_unit_box()
+    f = random_smooth_map(np.random.default_rng(0), 2)
     worst_small = check_tame(f, full_cube(2), 0.05, QUICK).worst_violation
     worst_big = check_tame(f, full_cube(2), 0.25, QUICK).worst_violation
     assert worst_small <= worst_big + 1e-15
@@ -95,14 +95,14 @@ def test_tameness_monotone_in_eps():
 
 def test_tame_implies_admissible_and_ladder():
     f = random_tame_map(np.random.default_rng(1), 2, 0.25)
-    assert check_tame(f.on_unit_box(), full_cube(2), 0.25, QUICK).passed
-    assert check_admissible(f.on_unit_box(), full_cube(2), 0.25, QUICK).passed
+    assert check_tame(f, full_cube(2), 0.25, QUICK).passed
+    assert check_admissible(f, full_cube(2), 0.25, QUICK).passed
     # graded tameness implies plain tameness at the deepest exponent
-    assert check_tame(f.on_unit_box(), full_cube(2), 0.25**2, QUICK).passed
+    assert check_tame(f, full_cube(2), 0.25**2, QUICK).passed
 
 
 def test_admissibility_counterexample():
-    f = Coord(1, 2).on_unit_box()
+    f = Coord(1, 2)
     rep = check_admissible(f, full_cube(2), 0.2, QUICK)
     assert not rep.passed
     assert any(not ok for (_, _, _, ok) in rep.per_face)
@@ -124,7 +124,7 @@ def test_check_tame_validation():
 
 def test_empty_domain_passes_with_no_comparisons():
     # an empty complex or region has nothing to compare; a complex still checks its ambient dimension
-    f = Coord(1, 2).on_unit_box()
+    f = Coord(1, 2)
     for check in (check_tame, check_admissible):
         for K in (CubicalComplex(2, ()), BoxRegion(())):
             rep = check(f, K, 0.2)
@@ -142,7 +142,7 @@ def test_tame_replace_constant():
 
 
 def test_tame_replace_identity_line():
-    f = Coord(1, 1).on_unit_box()
+    f = Coord(1, 1)
     g, H = tame_replace(f, 0.1, 0.25)
     band = SmashParams(0.1, 0.25)
     ts = np.linspace(0, 1, 41).reshape(-1, 1)
@@ -170,10 +170,10 @@ def test_uniqueness_on_chamber():
     # two independently flattened maps agreeing on the small chamber agree on K
     f = random_smooth_map(np.random.default_rng(2), 1)
     band = SmashParams(0.1, 0.25)
-    g1 = compose(f, tup(smash_map(band, coord(1, 1)))).on_unit_box()
+    g1 = compose(f, tup(smash_map(band, coord(1, 1))))
     g2 = compose(
         f, tup(smash_map(band, smash_map(SmashParams(0.05, 0.1), coord(1, 1))))
-    ).on_unit_box()
+    )
     chamber = region_grid(chamber_region(full_cube(1), 0.1), 17)
     assert np.max(np.abs(g1.eval_many(chamber) - g2.eval_many(chamber))) <= 1e-12
     everywhere = np.linspace(0, 1, 101).reshape(-1, 1)
@@ -193,7 +193,7 @@ def test_extend_tame_reproduces_input(n):
     f = _tame_on_j(n, n, eps, 0.5 * (eps + 0.5))
     g = extend_tame(f, eps=eps, sigma=sigma, cfg=QUICK)
     pts = complex_grid(j_complex(n), 17)
-    assert np.max(np.abs(g.eval_many(pts) - f.on_unit_box().eval_many(pts))) <= 1e-9
+    assert np.max(np.abs(g.eval_many(pts) - f.eval_many(pts))) <= 1e-9
     assert check_tame(g, full_cube(n), sigma, QUICK).passed
     bottom = CubicalComplex(n, (Face(n, ((n, 0),)),))
     assert check_tame(g, bottom, 0.5 * (sigma + eps), QUICK).passed
@@ -255,7 +255,7 @@ def test_extend_to_jdelta_properties(n):
     f = random_tame_map(np.random.default_rng(40 + n), n, eps)
     fe = extend_to_jdelta(f, eps, cfg=QUICK)
     pts = complex_grid(j_complex(n), 17)
-    assert np.max(np.abs(fe.eval_many(pts) - f.on_unit_box().eval_many(pts))) <= 1e-9
+    assert np.max(np.abs(fe.eval_many(pts) - f.eval_many(pts))) <= 1e-9
     delta = jdelta_collar(n, eps)[2]
     region = j_delta_region(n, delta)
     assert check_admissible(fe, region, eps, QUICK).passed
@@ -263,7 +263,7 @@ def test_extend_to_jdelta_properties(n):
     rim = CubicalComplex(n, tuple(Face(n, ((j, v), (n, 0))) for j in range(1, n) for v in (0, 1)))
     rim_pts = complex_grid(rim, 9)
     bottom_vals = fe.eval_many(rim_pts)
-    assert np.max(np.abs(bottom_vals - f.on_unit_box().eval_many(rim_pts))) <= 1e-9
+    assert np.max(np.abs(bottom_vals - f.eval_many(rim_pts))) <= 1e-9
 
 
 def test_extend_to_jdelta_n1_is_identity():
@@ -355,11 +355,11 @@ def test_fiber_constant():
     # a map factors through the coordinatewise smash with widths (0.2, 0.35)
     # exactly when it is 0.2-tame on the cube
     band = SmashParams(0.2, 0.35)
-    f = tup(smash_map(band, coord(1, 2)), smash_map(band, coord(2, 2))).on_unit_box()
+    f = tup(smash_map(band, coord(1, 2)), smash_map(band, coord(2, 2)))
     rep = check_tame(f, full_cube(2), 0.2, QUICK)
     assert rep.passed and rep.worst_violation == 0.0 and rep.samples_checked > 0
     assert check_tame(const(1.0, 1), full_cube(1), 0.2, QUICK).passed
-    rep = check_tame(Coord(1, 1).on_unit_box(), full_cube(1), 0.2, QUICK)
+    rep = check_tame(Coord(1, 1), full_cube(1), 0.2, QUICK)
     assert not rep.passed and rep.witness is not None
 
 
@@ -368,7 +368,7 @@ def test_fiber_constant():
 def test_collar_only_defect_fails(n, w):
     # lambda(2 t_1 / w) varies only inside [0, w/2]: a comparison at depth 0
     # alone misses it at w = 0.008, the deeper collar depths do not
-    f = lambda_map(affine_row(n, {1: 2.0 / w}, 0.0)).on_unit_box()
+    f = lambda_map(affine_row(n, {1: 2.0 / w}, 0.0))
     rep = check_tame(f, full_cube(n), w, CFG)
     assert not rep.passed and rep.worst_violation == 1.0
     wit = rep.witness
@@ -392,7 +392,7 @@ def test_collar_scan_evaluates_once(monkeypatch):
 
     monkeypatch.setattr(SmoothMap, "eval_many", counted)
     monkeypatch.setattr(tame_module, "unique_rows", counted_unique)
-    f = random_smooth_map(np.random.default_rng(11), 3).on_unit_box()
+    f = random_smooth_map(np.random.default_rng(11), 3)
     for K in (full_cube(3), boundary_complex(3), j_delta_region(3, 0.2)):
         calls.clear()
         sorts.clear()
@@ -414,7 +414,7 @@ def test_collar_scan_evaluates_once(monkeypatch):
 def test_collar_scan_pinned_values():
     # sample counts, worst gaps and witnesses fix the grid, the seeded draws
     # and the scan order; a change to any of them moves these values
-    f = random_smooth_map(np.random.default_rng(11), 3).on_unit_box()
+    f = random_smooth_map(np.random.default_rng(11), 3)
     cfg = ToleranceConfig(grid_res=9)
     cases = [
         (check_admissible(f, boundary_complex(3), 0.2, cfg, seed=4),
@@ -427,7 +427,7 @@ def test_collar_scan_pinned_values():
     for rep, samples, worst, witness in cases:
         assert (rep.samples_checked, rep.worst_violation, rep.witness) == (samples, worst, witness)
     band = SmashParams(0.2, 0.35)
-    fc = tup(smash_map(band, coord(1, 2)), smash_map(band, coord(2, 2))).on_unit_box()
+    fc = tup(smash_map(band, coord(1, 2)), smash_map(band, coord(2, 2)))
     rep = check_tame(fc, full_cube(2), 0.2, cfg, 0)
     assert (rep.samples_checked, rep.worst_violation) == (379, 0.0)
 
