@@ -132,12 +132,7 @@ def _cmd_sample(args) -> int:
 
 def _grid_rows(values: np.ndarray, n: int, start: int, stop: int) -> np.ndarray:
     """Rows start to stop - 1 of the row-major grid ``values``^n, the last axis fastest."""
-    index = np.arange(start, stop)
-    rows = np.empty((len(index), n))
-    for k in range(n - 1, -1, -1):
-        index, digit = np.divmod(index, len(values))
-        rows[:, k] = values[digit]
-    return rows
+    return values[np.stack(np.unravel_index(np.arange(start, stop), (len(values),) * n), axis=1)]
 
 
 def _csv_lines(block: np.ndarray) -> str:

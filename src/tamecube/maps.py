@@ -7,14 +7,16 @@ one is smooth; the seam checks sample how its pieces meet.  Maps are on
 the cube [0, 1]^n and no node carries a box: a finite point evaluates by
 the same formulas in equal trees, a non-finite one raises ``DomainError``.
 Trees evaluate on batches of points, exactly and with no interpolation.
-One ``eval_many`` call evaluates each node object once, on every row that
-reaches it along any path: an object's turn comes after every object that
-can hand it rows, and it evaluates the concatenation of the distinct input
-arrays it was handed.  A row's value does not depend on its batch, so the
-values are those of a plain recursion over the expanded tree, while a tree
-that reaches one object along many paths, as the replacement's outputs do,
-costs one visit per object.  The walk keeps its own lists and costs no
-Python frame per nesting level.
+One ``eval_many`` call of up to 16,384 rows evaluates each node object
+once, on every row that reaches it along any path: an object's turn comes
+after every object that can hand it rows, and it evaluates the
+concatenation of the distinct input arrays it was handed.  A larger call is
+evaluated in slices of that size, which bounds its peak memory.  A row's
+value does not depend on its batch, so the values are those of a plain
+recursion over the expanded tree, while a tree that reaches one object
+along many paths, as the replacement's outputs do, costs one visit per
+object.  The walk keeps its own lists and costs no Python frame per
+nesting level.
 
 A canonical s-expression text format (``serialize_map``, ``parse_map``)
 records each node but not the input dimension.  The parser infers the
@@ -88,8 +90,8 @@ __all__ = [
     "serialize_map",
 ]
 
-# rows per ``eval_many`` call in a collar scan or a ``sample`` export: bounds
-# the evaluation's peak memory
+# rows per evaluation pass of one ``eval_many`` call, and per slice of a
+# ``sample`` export: bounds the evaluation's peak memory
 _EVAL_ROWS = 1 << 14
 
 
@@ -152,6 +154,10 @@ class SmoothMap:
         if not np.all(finite):
             bad = X[np.argmin(finite.all(axis=1))]
             raise DomainError(f"point {tuple(bad.tolist())} is not finite")
+        if len(X) > _EVAL_ROWS:
+            return np.concatenate(
+                [_evaluate(self, X[i : i + _EVAL_ROWS]) for i in range(0, len(X), _EVAL_ROWS)]
+            )
         out = _evaluate(self, X)
         # a view can alias the points (Coord) or be a read-only broadcast (Const)
         return out if out.flags.owndata else out.copy()
@@ -350,43 +356,40 @@ def _common_in(children, keyword):
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class Sum(SmoothMap):
+class _Fold(SmoothMap):
+    """Folds its children's values with ``op``, starting from ``unit``.
+
+    The children share one input dimension; an output dimension of 1
+    broadcasts against the others.
+    """
+
     children: tuple[SmoothMap, ...]
+    keyword: ClassVar[str]
+    unit: ClassVar[float]
+    op: ClassVar[np.ufunc]
 
     def __post_init__(self):
         if not self.children:
-            raise DimensionError("sum needs at least one child")
+            raise DimensionError(f"{self.keyword} needs at least one child")
         self._set_dims(
-            _common_in(self.children, "sum"), _broadcast_out(self.children, "sum")
+            _common_in(self.children, self.keyword), _broadcast_out(self.children, self.keyword)
         )
 
     _kids = property(attrgetter("children"))
 
     def _steps(self, X):
-        acc = np.zeros((len(X), self.out_dim))
+        acc = np.full((len(X), self.out_dim), self.unit)
         for value in (yield [(c, X) for c in self.children]):
-            acc = acc + value
+            acc = self.op(acc, value)
         return acc
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Product(SmoothMap):
-    children: tuple[SmoothMap, ...]
+class Sum(_Fold):
+    keyword, unit, op = "sum", 0.0, np.add
 
-    def __post_init__(self):
-        if not self.children:
-            raise DimensionError("prod needs at least one child")
-        self._set_dims(
-            _common_in(self.children, "prod"), _broadcast_out(self.children, "prod")
-        )
 
-    _kids = property(attrgetter("children"))
-
-    def _steps(self, X):
-        acc = np.ones((len(X), self.out_dim))
-        for value in (yield [(c, X) for c in self.children]):
-            acc = acc * value
-        return acc
+class Product(_Fold):
+    keyword, unit, op = "prod", 1.0, np.multiply
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -624,10 +627,6 @@ class Homotopy:
     """A map on X x I; the last input coordinate is the time parameter."""
 
     map: SmoothMap
-
-    def __post_init__(self):
-        if self.map.in_dim < 1:
-            raise DimensionError("homotopy needs at least the time coordinate")
 
     @property
     def space_dim(self) -> int:

@@ -19,7 +19,7 @@ that width.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace as _dc_replace
+from dataclasses import asdict, dataclass, replace
 
 from .cubes import CubicalComplex, Face, full_cube, skeleton
 from .errors import DimensionError, DomainError, ReplacementError, TamenessError
@@ -55,10 +55,12 @@ class FaceChart:
     """Affine identification of (face x time) with a cube carrying the walls-plus-top pair.
 
     ``forward`` maps chart coordinates (s_1..s_j, w) into ambient
-    (t_1..t_n, u) with the face's pinned values filled in and w = 1 - u,
+    (t_1..t_n, u) with the face's pinned values filled in and u = 1 - w,
     so the boundary-and-start data of the face sits exactly on the
     walls-plus-top complex of the chart cube.  ``inverse`` projects back;
-    inverse o forward is the identity exactly.
+    its matrix is the transpose of ``forward``'s.  inverse o forward
+    returns the face coordinates exactly and the time to within 2^-54, the
+    rounding of 1 - (1 - w).
     """
 
     forward: SmoothMap
@@ -71,32 +73,14 @@ def face_chart(F: Face, n: int) -> FaceChart:
     j = F.dim
     if j == 0:
         raise DomainError("a vertex needs no chart; use the constant homotopy")
-    free = F.free_axes
+    # a 1 from each free axis to its ambient axis, and -1 from w to u
+    matrix = [[0.0] * (j + 1) for _ in range(n + 1)]
+    for i, axis in enumerate(F.free_axes):
+        matrix[axis - 1][i] = 1.0
+    matrix[n][j] = -1.0
     pins = dict(F.pinned)
-    fwd_rows = []
-    fwd_off = []
-    for axis in range(1, n + 1):
-        row = [0.0] * (j + 1)
-        if axis in pins:
-            fwd_off.append(float(pins[axis]))
-        else:
-            row[free.index(axis)] = 1.0
-            fwd_off.append(0.0)
-        fwd_rows.append(tuple(row))
-    fwd_rows.append(tuple([0.0] * j + [-1.0]))
-    fwd_off.append(1.0)
-    forward = Affine(tuple(fwd_rows), tuple(fwd_off))
-    inv_rows = []
-    inv_off = []
-    for axis in free:
-        row = [0.0] * (n + 1)
-        row[axis - 1] = 1.0
-        inv_rows.append(tuple(row))
-        inv_off.append(0.0)
-    inv_rows.append(tuple([0.0] * n + [-1.0]))
-    inv_off.append(1.0)
-    inverse = Affine(tuple(inv_rows), tuple(inv_off))
-    return FaceChart(forward=forward, inverse=inverse)
+    forward = Affine(tuple(map(tuple, matrix)), tuple(pins.get(a, 0.0) for a in range(1, n + 1)) + (1.0,))
+    return FaceChart(forward=forward, inverse=Affine(tuple(zip(*matrix)), (0.0,) * j + (1.0,)))
 
 
 @dataclass(frozen=True)
@@ -188,15 +172,9 @@ def admissible_replace(
         raise DomainError("L is not a subcomplex of K")
     # cheap internal config for per-step verification; the caller's cfg is
     # used for the final admissibility report
-    quick = _dc_replace(cfg, grid_res=min(cfg.grid_res, 11))
+    quick = replace(cfg, grid_res=min(cfg.grid_res, 11))
     if not L.is_empty:
-        pre = check_admissible(f, L, eps, quick, seed)
-        if not pre.passed:
-            raise TamenessError(
-                f"input map is not {eps}-admissible on L "
-                f"(worst violation {pre.worst_violation:.3e})",
-                pre,
-            )
+        check_admissible(f, L, eps, quick, seed).require(f"{eps}-admissible on L")
     if K.is_empty or K.dim == 0 or K.is_subcomplex_of(L):
         final = check_admissible(f, K, eps, cfg, seed)
         return f, constant_homotopy(f), ReplacementTrace(0.0, 0.0, (), final)

@@ -12,7 +12,6 @@ the chamber width.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -55,9 +54,6 @@ class RetractionParams:
     def __post_init__(self):
         if self.n < 1:
             raise DomainError("retraction needs dimension >= 1")
-        vals = (self.sigma, self.eps_prime, self.eps)
-        if not all(math.isfinite(v) for v in vals):
-            raise DomainError("retraction parameters must be finite")
         if not (0.0 < self.sigma < self.eps_prime < self.eps < 0.5):
             raise DomainError(
                 f"need 0 < sigma < eps_prime < eps < 1/2, got "
@@ -70,7 +66,13 @@ class RetractionParams:
         return cls(n=n, eps=eps, sigma=0.5 * eps, eps_prime=0.75 * eps)
 
 
-def _retraction_tree(p: RetractionParams) -> SmoothMap:
+def approx_retraction(p: RetractionParams) -> SmoothMap:
+    """Smooth map I^n -> I^n landing on the walls-plus-top boundary complex.
+
+    Fixes every point of the eps-chamber of that complex pointwise; the
+    last output hits 1 whenever no side output is pinned, which is what
+    keeps the image inside the complex.
+    """
     n = p.n
     band = SmashParams(p.sigma, p.eps)
     u = coord(n, n)
@@ -89,16 +91,6 @@ def _retraction_tree(p: RetractionParams) -> SmoothMap:
     last = add(t_of_u, mul(t_of_1mu, *gates))
     sides = [smashdyn_map(coord(k, n), m_u, const(p.eps, n)) for k in range(1, n)]
     return tup(*sides, last)
-
-
-def approx_retraction(p: RetractionParams) -> SmoothMap:
-    """Smooth map I^n -> I^n landing on the walls-plus-top boundary complex.
-
-    Fixes every point of the eps-chamber of that complex pointwise; the
-    last output hits 1 whenever no side output is pinned, which is what
-    keeps the image inside the complex.
-    """
-    return _retraction_tree(p)
 
 
 def deformation_schedule(n: int, eps: float) -> dict:
@@ -148,7 +140,7 @@ def deformation_retraction_homotopy(n: int, eps: float) -> Homotopy:
     if n == 1:
         h = add(mul(one_minus(u), coord(1, dim)), u)
         return Homotopy(h)
-    R = _retraction_tree(RetractionParams.from_eps(n, sched["retraction_eps"]))
+    R = approx_retraction(RetractionParams.from_eps(n, sched["retraction_eps"]))
     ramp = lambda_map(affine_row(dim, {n: 1.0 / sched["ramp_scale"]}, 0.0))
     sigma_t = compose(
         affine_row(1, {1: sched["sigma_narrow"] - sched["sigma_wide"]}, sched["sigma_wide"]),

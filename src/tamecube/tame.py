@@ -48,7 +48,6 @@ from .cubes import (
 from .errors import DimensionError, DomainError, TamenessError
 from .kernels import SmashParams
 from .maps import (
-    _EVAL_ROWS,
     Homotopy,
     PiecewiseAxis,
     SmoothMap,
@@ -136,6 +135,12 @@ class TamenessReport:
             "samples": self.samples_checked,
         }
 
+    def require(self, what: str) -> None:
+        """Raise ``TamenessError`` with this report unless it passed: the input
+        map is not ``what``."""
+        if not self.passed:
+            raise TamenessError(f"input map is not {what} (worst violation {self.worst_violation:.3e})", self)
+
 
 def _collar_rows(R: BoxRegion, eps: float, cfg: ToleranceConfig, seed: int):
     """Samples of R and their moves into the eps-collars, stacked.
@@ -194,8 +199,8 @@ def _collar_scan(
     """Check f for w-tameness on each (region, width w) part, in one evaluation.
 
     The parts' samples and moved points (``_collar_rows``) are stacked,
-    reduced to their distinct rows, and f is evaluated on those in slices
-    of ``_EVAL_ROWS``.  Evaluation does not depend on the batch a row sits
+    reduced to their distinct rows, and f is evaluated on those in one
+    ``eval_many`` call.  Evaluation does not depend on the batch a row sits
     in, so the values are those of one call per comparison.  Each part's
     comparisons are then reduced in (axis, side, depth) order: its report
     counts those whose moved point differs from the sample and keeps the
@@ -213,9 +218,7 @@ def _collar_scan(
     del part_rows
     rows, inverse = unique_rows(stacked)
     del stacked
-    values = np.empty((len(rows), f.out_dim))
-    for i in range(0, len(rows), _EVAL_ROWS):
-        values[i : i + _EVAL_ROWS] = f.eval_many(rows[i : i + _EVAL_ROWS])
+    values = f.eval_many(rows)
     reports = []
     for eps, start, blocks, offset in plans:
         index = inverse[offset:]
@@ -384,12 +387,7 @@ def extend_tame(
         parts.append((rim.region, eps_prime))
     reps = _collar_scan(f, tuple(parts), cfg, seed)
     for rep, where in zip(reps, ("walls-plus-top complex", "bottom rim")):
-        if not rep.passed:
-            raise TamenessError(
-                f"input map is not {rep.eps_tested}-tame on the {where} "
-                f"(worst violation {rep.worst_violation:.3e})",
-                rep,
-            )
+        rep.require(f"{rep.eps_tested}-tame on the {where}")
     R = approx_retraction(RetractionParams.from_eps(n, eps))
     # widths relax from (sigma', eps') at the bottom to (sigma, eps) once the
     # smashed time leaves its flat band; driving the ramp by the smashed time
@@ -435,13 +433,7 @@ def extend_to_jdelta(
     """
     cfg = cfg or DEFAULT_TOLERANCES
     n = f.in_dim
-    rep = check_admissible(f, j_complex(n), eps, cfg, seed)
-    if not rep.passed:
-        raise TamenessError(
-            f"input map is not {eps}-admissible on the walls-plus-top complex "
-            f"(worst violation {rep.worst_violation:.3e})",
-            rep,
-        )
+    check_admissible(f, j_complex(n), eps, cfg, seed).require(f"{eps}-admissible on the walls-plus-top complex")
     if n == 1:
         return f
     flat, band, delta = jdelta_collar(n, eps)
@@ -489,14 +481,16 @@ def concat_maps(phi: SmoothMap, psi: SmoothMap, cfg: ToleranceConfig | None = No
     return _splice(phi, psi, 1, cfg or DEFAULT_TOLERANCES, "face values")
 
 
-def seam_report(
-    pw: PiecewiseAxis, cfg: ToleranceConfig | None = None, h: float = 1e-4
-) -> tuple[float, float, bool]:
+# step of the one-sided finite differences in ``seam_report``
+SEAM_STEP = 1e-4
+
+
+def seam_report(pw: PiecewiseAxis, cfg: ToleranceConfig | None = None) -> tuple[float, float, bool]:
     """Worst value gap and one-sided derivative gap across all breakpoints.
 
     This is the smoothness gate for spliced constructions: neighbouring
     pieces must agree at the breakpoint to eq_tol and their one-sided
-    finite differences to deriv_tol.
+    finite differences, of step ``SEAM_STEP``, to deriv_tol.
     """
     cfg = cfg or DEFAULT_TOLERANCES
     n = pw.in_dim
@@ -507,12 +501,12 @@ def seam_report(
     for i, b in enumerate(pw.breakpoints):
         left, right = pw.pieces[i], pw.pieces[i + 1]
         at_b = np.insert(rest, pw.axis - 1, b, axis=1)
-        before = np.insert(rest, pw.axis - 1, b - h, axis=1)
-        after = np.insert(rest, pw.axis - 1, b + h, axis=1)
+        before = np.insert(rest, pw.axis - 1, b - SEAM_STEP, axis=1)
+        after = np.insert(rest, pw.axis - 1, b + SEAM_STEP, axis=1)
         lv, rv = left.eval_many(at_b), right.eval_many(at_b)
         worst_val = max(worst_val, float(np.max(np.abs(lv - rv))))
-        dl = (lv - left.eval_many(before)) / h
-        dr = (right.eval_many(after) - rv) / h
+        dl = (lv - left.eval_many(before)) / SEAM_STEP
+        dr = (right.eval_many(after) - rv) / SEAM_STEP
         worst_fd = max(worst_fd, float(np.max(np.abs(dl - dr))))
     passed = worst_val <= cfg.eq_tol and worst_fd <= cfg.deriv_tol
     return worst_val, worst_fd, passed

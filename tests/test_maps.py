@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tamecube.cubes import CubicalComplex, Face, boundary_complex, complex_grid
+from tamecube.cubes import Box, CubicalComplex, Face, boundary_complex, box_grid, complex_grid
 from tamecube.errors import DimensionError, DomainError, ParseError
 from tamecube.genmaps import random_map_admissible_on, random_smooth_map, random_tame_map
 from tamecube.kernels import SmashParams
 from tamecube.maps import (
     _ATOMS,
+    _EVAL_ROWS,
     Affine,
     Compose,
     Const,
@@ -383,6 +385,24 @@ def test_eval_many_returns_fresh_writable_array():
         out[...] = 99.0  # raises on a read-only array
         assert np.array_equal(pts, before)
         assert np.array_equal(f.eval_many(X), again)
+
+
+def test_large_call_is_evaluated_in_slices():
+    # one call of the 83,521 grid-17 rows on the n = 4 retraction: slicing
+    # bounds its peak memory and changes no bit of its values
+    f = approx_retraction(RetractionParams.from_eps(4, 0.2))
+    rows = box_grid(Box(((0.0, 1.0),) * 4), 17)
+    assert len(rows) == 83521 > 5 * _EVAL_ROWS
+    f.eval_many(rows[:2])
+    tracemalloc.start()
+    try:
+        out = f.eval_many(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8.7e6
+    by_hand = [f.eval_many(rows[i : i + _EVAL_ROWS]) for i in range(0, len(rows), _EVAL_ROWS)]
+    assert out.tobytes() == np.concatenate(by_hand).tobytes()
 
 
 def test_recip_guard():

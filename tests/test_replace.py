@@ -7,6 +7,7 @@ from tamecube.cubes import (
     boundary_complex,
     complex_grid,
     full_cube,
+    positive_faces,
     skeleton,
 )
 from tamecube.errors import DomainError, ReplacementError, TamenessError
@@ -30,6 +31,22 @@ def test_face_chart_round_trip():
         pts = rng.uniform(size=(50, F.dim + 1))
         back = compose(ch.inverse, ch.forward)
         assert np.array_equal(back.eval_many(pts), pts)
+
+
+def test_face_chart_round_trip_bounds():
+    # the face coordinates come back exactly, the time to within 2^-54:
+    # 1 - (1 - w) rounds at w = 0.1 and 0.3
+    grid = np.array([0.0, 0.1, 0.2, 0.3, 0.7, 0.9, 1.0])
+    rng = np.random.default_rng(1)
+    for n in range(1, 5):
+        for F in positive_faces(n):
+            ch = face_chart(F, n)
+            assert ch.inverse.matrix == tuple(zip(*ch.forward.matrix))
+            pts = np.concatenate([np.tile(grid[:, None], F.dim + 1), rng.uniform(size=(20, F.dim + 1))])
+            back = compose(ch.inverse, ch.forward).eval_many(pts)
+            assert np.array_equal(back[:, :-1], pts[:, :-1])
+            assert np.max(np.abs(back[:, -1] - pts[:, -1])) <= 2.0**-54
+            assert back[1, -1] != 0.1 and back[3, -1] != 0.3
 
 
 def test_face_chart_carries_face_start_to_chart_bottom():
