@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
@@ -665,18 +666,13 @@ class _Syntax(Exception):
     """A parse error at a text offset; ``parse_map`` adds line and column."""
 
 
-class _Within:
+@contextmanager
+def _within(name: str):
     """Prefixes the dimension and domain errors raised while building a form."""
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def __enter__(self):
-        pass
-
-    def __exit__(self, kind, exc, tb):
-        if isinstance(exc, (DimensionError, DomainError)):
-            raise kind(f"in ({self.name} ...): {exc}") from exc
+    try:
+        yield
+    except (DimensionError, DomainError) as exc:
+        raise type(exc)(f"in ({name} ...): {exc}") from exc
 
 
 def _read(tok, at, rest):
@@ -747,14 +743,13 @@ def _form(ast):
     if not val or val[0][0] != "sym":
         raise _Syntax("expected a keyword after '('", at)
     name, args = val[0][1], val[1:]
-    within = _Within(name)
     if name in ("coord", "project"):
         if len(args) != 1:
             raise _Syntax(f"{name} takes one index", at)
         index = _int(args[0], f"{name} index")
 
         def build(n):
-            with within:
+            with _within(name):
                 return Coord(index, n)
 
         return index, False, build
@@ -763,7 +758,7 @@ def _form(ast):
             raise _Syntax("const needs at least one value", at)
 
         def build(n):
-            with within:
+            with _within(name):
                 return Const(tuple(_num(a, "const value") for a in args), n)
 
         return 1, False, build
@@ -775,7 +770,7 @@ def _form(ast):
             raise _Syntax("affine matrix must be a vector of row vectors", at)
 
         def build(n):
-            with within:
+            with _within(name):
                 matrix = tuple(_row(row, "matrix entry", at) for row in rows)
                 return Affine(matrix, _row(args[1], "offset entry", at))
 
@@ -786,7 +781,7 @@ def _form(ast):
         m, exact, inner = _form(args[2]) if len(args) == 3 else (1, True, None)
 
         def build(n):
-            with within:
+            with _within(name):
                 sigma, tau = _num(args[0], "smash sigma"), _num(args[1], "smash tau")
                 node = Smash(SmashParams(sigma, tau))
                 return node if inner is None else Compose(node, inner(n))
@@ -802,7 +797,7 @@ def _form(ast):
         outer_ast = args[0] if name == "compose" else val[0]
 
         def build(n):
-            with within:
+            with _within(name):
                 f = inner(n)
                 k = f.out_dim
                 m_out, exact_out, outer = _form(outer_ast)
@@ -854,7 +849,7 @@ def _form(ast):
         m = max(m, axis)
 
     def build(n):
-        with within:
+        with _within(name):
             bs = tuple(_num(b, "breakpoint") for b in breaks)
             built = []
             for b in builders:

@@ -29,7 +29,6 @@ from .maps import (
     SmoothMap,
     compose,
     constant_homotopy,
-    embed_time,
     piecewise,
 )
 from .tame import (
@@ -213,7 +212,7 @@ def admissible_replace(
                 )
             except TamenessError as exc:
                 raise ReplacementError(f"extension over face {F.describe()} (dim {j}) failed: {exc}") from exc
-            rep = check_tame(compose(ext, embed_time(j, 0.0)), full_cube(j), sigma_p, quick, seed)
+            rep = check_tame(Homotopy(ext).slice(0.0), full_cube(j), sigma_p, quick, seed)
             if not rep.passed:
                 raise ReplacementError(
                     f"extension over face {F.describe()} (dim {j}) is not {sigma_p}-tame "

@@ -118,6 +118,13 @@ def _riemann_smash_F1(sigma: float, tau: float, panels: int = 10**6) -> float:
     return float(integrand.mean() + (tau + sigma) / (2.0 * tau))
 
 
+def _at_times(H: mp.Homotopy, pts: np.ndarray, times: tuple[float, ...]) -> np.ndarray:
+    """H's slices at ``times`` on pts, shape (times, points, m), from one evaluation
+    on pts with each time appended; a row's value does not depend on its batch."""
+    rows = np.concatenate([np.insert(pts, pts.shape[1], u, axis=1) for u in times])
+    return H.map.eval_many(rows).reshape(len(times), len(pts), H.map.out_dim)
+
+
 def _kernels_suite(cfg: SuiteConfig) -> list[PropertyResult]:
     out = []
     ts = _sample_ts(cfg.seed)
@@ -183,20 +190,18 @@ def _retract_suite(cfg: SuiteConfig) -> list[PropertyResult]:
         H = deformation_retraction_homotopy(n, eps)
         delta = deformation_schedule(n, eps)["retraction_eps"]
         pts = cb.box_grid(cb.Box(((0.0, 1.0),) * n), 9 if n >= 3 else 21)
-        dev0 = float(np.max(np.abs(H.slice(0.0).eval_many(pts) - pts)))
+        at0, at1 = _at_times(H, pts, (0.0, 1.0))
+        dev0 = float(np.max(np.abs(at0 - pts)))
         out.append(PropertyResult("deformation-identity-at-0", {"n": n, "eps": eps}, dev0, 1e-12))
-        dist1 = float(cb.dist_to_complex(cb.j_complex(n), H.slice(1.0).eval_many(pts)).max())
+        dist1 = float(cb.dist_to_complex(cb.j_complex(n), at1).max())
         out.append(PropertyResult("deformation-containment-at-1", {"n": n, "eps": eps}, dist1, 1e-9))
         ch = cb.region_grid(cb.chamber_region(cb.j_complex(n), delta), 7)
-        worst = 0.0
-        for u in (0.0, 0.25, 0.5, 0.75, 1.0):
-            worst = max(worst, float(np.max(np.abs(H.slice(u).eval_many(ch) - ch))))
+        worst = float(np.max(np.abs(_at_times(H, ch, (0.0, 0.25, 0.5, 0.75, 1.0)) - ch)))
         out.append(PropertyResult("deformation-chamber-fixed", {"n": n, "eps": eps}, worst, 1e-12))
         region = cb.j_delta_region(n, delta)
         rp = cb.region_grid(region, 9)
-        worst_in = 0.0
-        for u in (0.25, 0.5, 0.75, 1.0):
-            worst_in = max(worst_in, float(cb.dist_to_region(region, H.slice(u).eval_many(rp)).max()))
+        moved = _at_times(H, rp, (0.25, 0.5, 0.75, 1.0)).reshape(-1, n)
+        worst_in = float(cb.dist_to_region(region, moved).max())
         out.append(PropertyResult("deformation-collar-region-stable", {"n": n, "eps": eps}, worst_in, 1e-9))
     try:
         RetractionParams(2, eps=0.2, sigma=0.05, eps_prime=0.3)
@@ -224,9 +229,7 @@ def _tame_suite(cfg: SuiteConfig) -> list[PropertyResult]:
         PropertyResult("taming-produces-tame", {"sigma": 0.1, "eps": 0.25}, rep.worst_violation, tol.eq_tol)
     )
     ch = cb.region_grid(cb.chamber_region(cb.full_cube(1), 0.25), 9)
-    worst = 0.0
-    for u in (0.0, 0.5, 1.0):
-        worst = max(worst, float(np.max(np.abs(H.slice(u).eval_many(ch) - ch))))
+    worst = float(np.max(np.abs(_at_times(H, ch, (0.0, 0.5, 1.0)) - ch)))
     out.append(PropertyResult("taming-relative-to-chamber", {"sigma": 0.1, "eps": 0.25}, worst, tol.eq_tol))
 
     for i, n in enumerate([n for n in cfg.ns if n <= 3][:3]):
@@ -311,15 +314,12 @@ def _replace_suite(cfg: SuiteConfig) -> list[PropertyResult]:
             )
         )
         pts = cb.complex_grid(K, quick.grid_res)
-        e0 = float(np.max(np.abs(H.slice(0.0).eval_many(pts) - f.eval_many(pts))))
-        e1 = float(np.max(np.abs(H.slice(1.0).eval_many(pts) - g.eval_many(pts))))
-        worst = max(e0, e1)
+        ends = np.stack([f.eval_many(pts), g.eval_many(pts)])
+        worst = float(np.max(np.abs(_at_times(H, pts, (0.0, 1.0)) - ends)))
         out.append(PropertyResult("replace-endpoints", {"n": n, "L": L.describe()}, worst, tol.eq_tol))
         lpts = cb.complex_grid(L, quick.grid_res)
         fl = f.eval_many(lpts)
-        worst = 0.0
-        for u in (0.0, 0.25, 0.5, 0.75, 1.0):
-            worst = max(worst, float(np.max(np.abs(H.slice(u).eval_many(lpts) - fl))))
+        worst = float(np.max(np.abs(_at_times(H, lpts, (0.0, 0.25, 0.5, 0.75, 1.0)) - fl)))
         out.append(PropertyResult("replace-relative-on-L", {"n": n, "L": L.describe()}, worst, tol.eq_tol))
     return out
 

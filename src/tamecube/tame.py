@@ -90,8 +90,8 @@ class ToleranceConfig:
     grid_res: int = 33
 
     def __post_init__(self):
-        if not (self.eq_tol > 0 and self.deriv_tol > 0):
-            raise DomainError("tolerances must be positive")
+        if not (0 < self.eq_tol < np.inf and 0 < self.deriv_tol < np.inf):
+            raise DomainError("tolerances must be positive and finite")
         if self.grid_res < 3:
             raise DomainError("grid_res must be at least 3")
 
@@ -444,15 +444,20 @@ def extend_to_jdelta(
     return piecewise(n, (delta,), (bottom, f))
 
 
+def _hyperplanes(n: int, axis: int, values: tuple[float, ...], cfg: ToleranceConfig) -> np.ndarray:
+    """The hyperplanes t_axis = v of R^n, v in ``values``, stacked: each on one grid of
+    the other axes, ``cfg.grid_res`` points per axis (at most 9 from n >= 4)."""
+    rest = box_grid(Box(((0.0, 1.0),) * (n - 1)), min(cfg.grid_res, 9) if n >= 4 else cfg.grid_res)
+    return np.concatenate([np.insert(rest, axis - 1, v, axis=1) for v in values])
+
+
 def _splice(f: SmoothMap, g: SmoothMap, axis: int, cfg: ToleranceConfig, what: str) -> SmoothMap:
     """Run f then g along ``axis``, each reparametrized by lambda to be flat at the seam 1/2.
 
-    Requires f on t_axis = 1 to match g on t_axis = 0, compared on a grid of
-    the other axes (at most 9 points per axis when there are three or more).
+    Requires f on t_axis = 1 to match g on t_axis = 0 on the ``_hyperplanes`` grid.
     """
     n = f.in_dim
-    rest = box_grid(Box(((0.0, 1.0),) * (n - 1)), min(cfg.grid_res, 9) if n >= 4 else cfg.grid_res)
-    at1, at0 = np.insert(rest, axis - 1, 1.0, axis=1), np.insert(rest, axis - 1, 0.0, axis=1)
+    at1, at0 = np.split(_hyperplanes(n, axis, (1.0, 0.0), cfg), 2)
     gap = float(np.max(np.abs(f.eval_many(at1) - g.eval_many(at0))))
     if gap > cfg.eq_tol:
         raise DomainError(f"{what} disagree by {gap:.3e} (> eq_tol {cfg.eq_tol})")
@@ -490,23 +495,20 @@ def seam_report(pw: PiecewiseAxis, cfg: ToleranceConfig | None = None) -> tuple[
 
     This is the smoothness gate for spliced constructions: neighbouring
     pieces must agree at the breakpoint to eq_tol and their one-sided
-    finite differences, of step ``SEAM_STEP``, to deriv_tol.
+    finite differences, of step ``SEAM_STEP``, to deriv_tol, on the
+    ``_hyperplanes`` grid.  Each piece is evaluated once per breakpoint, on
+    the seam and its offset stacked.
     """
     cfg = cfg or DEFAULT_TOLERANCES
-    n = pw.in_dim
-    res = min(cfg.grid_res, 9) if n >= 3 else cfg.grid_res
-    rest = box_grid(Box(((0.0, 1.0),) * (n - 1)), res)
-    worst_val = 0.0
-    worst_fd = 0.0
+    n, axis = pw.in_dim, pw.axis
+    worst_val = worst_fd = 0.0
     for i, b in enumerate(pw.breakpoints):
-        left, right = pw.pieces[i], pw.pieces[i + 1]
-        at_b = np.insert(rest, pw.axis - 1, b, axis=1)
-        before = np.insert(rest, pw.axis - 1, b - SEAM_STEP, axis=1)
-        after = np.insert(rest, pw.axis - 1, b + SEAM_STEP, axis=1)
-        lv, rv = left.eval_many(at_b), right.eval_many(at_b)
+        left = pw.pieces[i].eval_many(_hyperplanes(n, axis, (b, b - SEAM_STEP), cfg))
+        right = pw.pieces[i + 1].eval_many(_hyperplanes(n, axis, (b, b + SEAM_STEP), cfg))
+        (lv, before), (rv, after) = np.split(left, 2), np.split(right, 2)
         worst_val = max(worst_val, float(np.max(np.abs(lv - rv))))
-        dl = (lv - left.eval_many(before)) / SEAM_STEP
-        dr = (right.eval_many(after) - rv) / SEAM_STEP
+        dl = (lv - before) / SEAM_STEP
+        dr = (after - rv) / SEAM_STEP
         worst_fd = max(worst_fd, float(np.max(np.abs(dl - dr))))
     passed = worst_val <= cfg.eq_tol and worst_fd <= cfg.deriv_tol
     return worst_val, worst_fd, passed

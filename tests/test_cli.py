@@ -12,7 +12,7 @@ from tamecube.cli import _csv_lines, _grid_rows, main
 from tamecube.cubes import Box, box_grid
 from tamecube import suites
 from tamecube.errors import DomainError, ReplacementError
-from tamecube.maps import _EVAL_ROWS, SmoothMap, parse_map
+from tamecube.maps import _EVAL_ROWS, Homotopy, SmoothMap, parse_map
 from tamecube.suites import SuiteConfig, report_schema_version
 from tamecube.tame import ToleranceConfig
 
@@ -41,6 +41,27 @@ def test_bad_arguments_exit_2():
     # usage errors in the numeric flags, not failed properties
     for flags in (["--eps", "0.6"], ["--eps", "0"], ["--eq-tol", "-1"], ["--n", ""], ["--eps", ""], ["--seed", "-1"]):
         assert main(["verify", "--suite", "retract", *flags]) == 2
+
+
+def test_infinite_tolerance_is_usage_error(tmp_path, capsys):
+    # an infinite eq_tol would pass every eq_tol gate and write "Infinity" into the report
+    out = tmp_path / "r.json"
+    assert main(["verify", "--suite", "tame", "--eq-tol", "inf", "--out", str(out)]) == 2
+    assert "tolerances must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_suites_evaluate_time_slices_as_rows(monkeypatch):
+    # each time-slice row appends the time column to its points and evaluates
+    # the homotopy once; a construction may still slice
+    slice_ = Homotopy.slice
+
+    def guarded(self, u):
+        assert sys._getframe(1).f_globals["__name__"] != "tamecube.suites", "a suite sliced a homotopy"
+        return slice_(self, u)
+
+    monkeypatch.setattr(Homotopy, "slice", guarded)
+    assert suites.run_suite(SuiteConfig("all"))["passed"]
 
 
 def test_verify_kernels_report(tmp_path):

@@ -436,6 +436,40 @@ def test_homotopy_slice():
             H.slice(u)
 
 
+def _replacement_homotopy(n):
+    L = CubicalComplex(n, (Face(n, ((1, 0),)),))
+    f = random_map_admissible_on(np.random.default_rng(n), n, L, 0.2)
+    return admissible_replace(f, boundary_complex(n), L, 0.2, ToleranceConfig(grid_res=11), seed=n)[1]
+
+
+def _concat_homotopy():
+    f = random_tame_map(np.random.default_rng(5), 2, 0.25)
+    g1, h1 = tame_replace(f, 0.1, 0.25)
+    return concat_homotopy(h1, tame_replace(g1, 0.05, 0.1)[1])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: deformation_retraction_homotopy(2, 0.3),
+        lambda: deformation_retraction_homotopy(3, 0.3),
+        lambda: _replacement_homotopy(2),
+        lambda: _replacement_homotopy(3),
+        _concat_homotopy,
+    ],
+    ids=["deformation-2", "deformation-3", "replace-2", "replace-3", "concat"],
+)
+def test_time_column_evaluates_like_the_slice(build):
+    # the suites' time-slice rows append the time column instead of slicing
+    H = build()
+    n = H.space_dim
+    pts = np.concatenate([box_grid(Box(((0.0, 1.0),) * n), 9), np.random.default_rng(0).uniform(size=(200, n))])
+    for u in (0.0, 0.25, 0.5, 0.75, 1.0):
+        stacked = H.map.eval_many(np.insert(pts, n, u, axis=1))
+        sliced = H.slice(u).eval_many(pts)
+        assert stacked.tobytes() == sliced.tobytes(), u
+
+
 # --- text format ---------------------------------------------------------
 
 

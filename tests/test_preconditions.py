@@ -74,6 +74,17 @@ CASES = [
         for field in ("sigma", "eps_prime", "eps")
         for value in (math.nan, math.inf, -math.inf)
     ),
+    *(
+        (
+            f"tolerance-{field}-{value}",
+            lambda field=field, value=value: ToleranceConfig(**{field: value}),
+            DomainError,
+            "tolerances must be positive and finite",
+            None,
+        )
+        for field in ("eq_tol", "deriv_tol")
+        for value in (math.nan, math.inf, -math.inf)
+    ),
 ]
 
 

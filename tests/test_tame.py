@@ -34,6 +34,7 @@ from tamecube.maps import (
     coord,
     lambda_map,
     mul,
+    piecewise,
     smash_map,
     tup,
 )
@@ -293,6 +294,22 @@ def test_concat_homotopy_seam_and_endpoints():
     assert np.max(np.abs(hh.slice(1.0).eval_many(pts) - h2.slice(1.0).eval_many(pts))) <= 1e-12
     val, fd, ok = seam_report(hh.map)
     assert ok and val <= 1e-9 and fd <= 1e-6
+
+
+def test_seam_report_evaluates_each_piece_once_per_breakpoint(monkeypatch):
+    pieces = tuple(lambda_map(affine_row(2, {1: a, 2: 1.0}, 0.0)) for a in (0.5, 1.0, 2.0))
+    pw = piecewise(1, (0.3, 0.6), pieces)
+    calls = []
+    eval_many = SmoothMap.eval_many
+
+    def counted(self, pts):
+        calls.append(len(pts))
+        return eval_many(self, pts)
+
+    monkeypatch.setattr(SmoothMap, "eval_many", counted)
+    seam_report(pw)
+    # the seam and its offset, 33 points each, per piece and breakpoint
+    assert calls == [66] * 4
 
 
 def test_concat_homotopy_constant():
