@@ -6,26 +6,29 @@ node that branches on one input coordinate).  Every node but the piecewise
 one is smooth; the seam checks sample how its pieces meet.  Maps are on
 the cube [0, 1]^n and no node carries a box: a finite point evaluates by
 the same formulas in equal trees, a non-finite one raises ``DomainError``.
+Nodes are hash-consed when built: equal trees are one object, ``==`` is
+``is``, and a construction that reuses a subtree, as the replacement's
+skeleton induction does at every stage, holds it once.
+
 Trees evaluate on batches of points, exactly and with no interpolation.
-One ``eval_many`` call of up to 16,384 rows evaluates each node object
-once, on every row that reaches it along any path: an object's turn comes
-after every object that can hand it rows, and it evaluates the
-concatenation of the distinct input arrays it was handed.  A larger call is
-evaluated in slices of that size, which bounds its peak memory.  A row's
-value does not depend on its batch, so the values are those of a plain
-recursion over the expanded tree, while a tree that reaches one object
-along many paths, as the replacement's outputs do, costs one visit per
-object.  The walk keeps its own lists and costs no Python frame per
+One ``eval_many`` call of up to 16,384 rows evaluates each distinct node
+on every row that reaches it along any path: a node's turn comes after
+every node that can hand it rows, and it evaluates the concatenation of
+the distinct input arrays it was handed.  A larger call is evaluated in
+slices of that size, which bounds its peak memory.  A row's value does not
+depend on its batch, so the values are those of a plain recursion over the
+expanded tree.  The walk keeps its own lists and costs no Python frame per
 nesting level.
 
 A canonical s-expression text format (``serialize_map``, ``parse_map``)
 records each node but not the input dimension.  The parser infers the
 smallest input dimension consistent with the text, so a tree round-trips
-exactly when its own nodes fix its input dimension, as the output of
-every construction does.  Numbers in the text must be finite.
-The text and the input dimension are a tree's identity: two trees are
-equal when they agree on both, so ``-0.0`` and ``0.0`` differ.  Writing
-the text costs no frame per level either; parsing it costs one.
+to the same object exactly when its own nodes fix its input dimension, as
+the output of every construction does.  Numbers in the text must be
+finite.  The text and the input dimension are a tree's identity: two trees
+are one object when they agree on both, so ``-0.0`` and ``0.0`` differ.
+The text writes a shared subtree once per path.  Writing it costs no frame
+per level either; parsing it costs one.
 
 Two primitives take kernel parameters from their inputs instead of from
 construction-time constants: ``SmashDyn`` evaluates the smash kernel at
@@ -39,8 +42,11 @@ from __future__ import annotations
 
 import math
 import re
+import struct
+import threading
+import weakref
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain
 from operator import attrgetter
 from typing import ClassVar
@@ -96,15 +102,54 @@ __all__ = [
 _EVAL_ROWS = 1 << 14
 
 
-@dataclass(frozen=True)
-class SmoothMap:
+# the intern table: every live node, keyed on its structure
+_NODES = weakref.WeakValueDictionary()
+_NODES_LOCK = threading.Lock()
+_BITS = struct.Struct("<d").pack
+
+
+def _frozen(v):
+    """A node field as part of an intern key: a float by its bit pattern, so
+    that ``-0.0`` and ``0.0`` stay apart, and a child node by identity."""
+    if isinstance(v, float):
+        return _BITS(v)
+    if isinstance(v, tuple):
+        return tuple(map(_frozen, v))
+    if isinstance(v, SmashParams):
+        return _BITS(float(v.sigma)), _BITS(float(v.tau))
+    return v
+
+
+class _Interned(type):
+    """Makes every node constructor, and so every builder, ``parse_map`` and
+    ``dataclasses.replace``, return the one live node of its structure.
+
+    The node is built and validated first, then looked up by its type and
+    its normalized fields, its children by identity: one O(1) lookup
+    however deep the tree.  The weak table only decides identity; it
+    holds nothing computed from points.
+    """
+
+    def __call__(cls, *args, **kwargs):
+        node = super().__call__(*args, **kwargs)
+        # a node's __dict__ holds its normalized fields and the dimensions
+        # that ``_set_dims`` stored
+        key = (cls, *map(_frozen, vars(node).values()))
+        with _NODES_LOCK:  # look up and insert as one step
+            return _NODES.setdefault(key, node)
+
+
+@dataclass(frozen=True, eq=False)
+class SmoothMap(metaclass=_Interned):
     """Base node: a map on the cube [0, 1]^in_dim.
 
     ``eval_many`` evaluates any finite point, alike in equal trees, and rejects
-    a non-finite one.  A tree's identity is its type, its ``in_dim`` and its
-    ``serialize_map`` text, which together fix every node below it:
-    equality, hashing and ``repr`` use them.  The node classes are declared
-    with ``eq=False`` and ``repr=False`` to inherit them.
+    a non-finite one.  Trees with one input dimension and one
+    ``serialize_map`` text are one object (``_Interned``), which ``copy``,
+    ``deepcopy`` and ``pickle`` give back; ``repr`` shows the input
+    dimension and the text.  The node classes are declared with
+    ``eq=False`` and ``repr=False`` to inherit identity equality and that
+    ``repr``.
 
     ``in_dim`` and ``out_dim`` are fixed when a node is built: leaf nodes of
     fixed arity carry them as class constants, the others set them in
@@ -125,18 +170,14 @@ class SmoothMap:
         object.__setattr__(self, "in_dim", in_dim)
         object.__setattr__(self, "out_dim", out_dim)
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.in_dim == other.in_dim and serialize_map(self) == serialize_map(other)
-
-    def __hash__(self):
-        return hash((self.in_dim, serialize_map(self)))
-
     def __repr__(self):
         return f"{type(self).__name__}(in_dim={self.in_dim}, {serialize_map(self)!r})"
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def __reduce__(self):  # rebuilt through the constructor, so canonical
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     def _apply(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -180,18 +221,21 @@ class _Job:
 
 
 def _evaluate(root: SmoothMap, X: np.ndarray) -> np.ndarray:
-    """The value of ``root`` on the rows ``X``, each node object evaluated once.
+    """The value of ``root`` on the rows ``X``, visiting each distinct node.
 
-    Kahn's algorithm over the objects: an object waits for one message per
+    Kahn's algorithm over the nodes: a node waits for one message per
     child slot that names it, a request with rows or a notice that none
     come, and takes its turn when all are in.  It then evaluates the
     concatenation of the distinct arrays it was handed (an array handed
     twice, as by ``add(f, f)``, once) and hands each requester its slice.
     A ``Compose`` hands its ``outer`` rows only once ``inner`` has
     returned, so ``outer`` waits for the whole inner subtree.  When every
-    object left waits on another, as in a cycle such as ``Compose(f, f)``
-    with one ``f``, the longest-waiting object is evaluated on the rows it
-    has and evaluates again when more arrive.
+    node left waits on another, the longest-waiting node is evaluated on
+    the rows it has and evaluates again when more arrive.  That is the
+    normal path for a node that several composition stages reach, as one
+    ``Lambda()`` is reached by every ``lambda_map`` in a tree, since a
+    later stage's rows depend on an earlier stage's value; ``Compose(f, f)``
+    is its smallest case.
     """
     waiting = {id(root): 1}  # messages still to come, per object
     todo = [root]
