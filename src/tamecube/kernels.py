@@ -122,6 +122,8 @@ def lambda_integral(s) -> np.ndarray:
     Lambda(1) = 1/2 to rounding.  Satisfies Lambda(1 - s) = 1/2 - s + Lambda(s).
     """
     s = np.asarray(s, dtype=float)
+    if not np.all(np.isfinite(s)):
+        raise DomainError("expected finite reals")
     inside = np.clip(s, 0.0, 1.0)
     k = np.minimum((inside * _PANELS).astype(int), _PANELS - 1)
     return _CUMULATIVE[k] + _gauss(_EDGES[k], inside) + np.maximum(s - 1.0, 0.0)

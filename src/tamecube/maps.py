@@ -12,10 +12,11 @@ skeleton induction does at every stage, holds it once.
 
 Trees evaluate on batches of points, exactly and with no interpolation.
 One ``eval_many`` call of up to 16,384 rows evaluates each distinct node
-on every row that reaches it along any path: a node's turn comes after
-every node that can hand it rows, and it evaluates the concatenation of
-the distinct input arrays it was handed.  A larger call is evaluated in
-slices of that size, which bounds its peak memory.  A row's value does not
+on every row that reaches it along any path.  Every node's height is fixed
+when it is built, and when no container can resume, every waiting node of
+the greatest height takes its turn on the concatenation of the distinct
+input arrays it was handed.  A larger call is evaluated in slices of that
+size, which bounds its peak memory.  A row's value does not
 depend on its batch, so the values are those of a plain recursion over the
 expanded tree.  The walk keeps its own lists and costs no Python frame per
 nesting level.
@@ -151,9 +152,11 @@ class SmoothMap(metaclass=_Interned):
     ``eq=False`` and ``repr=False`` to inherit identity equality and that
     ``repr``.
 
-    ``in_dim`` and ``out_dim`` are fixed when a node is built: leaf nodes of
-    fixed arity carry them as class constants, the others set them in
-    ``__post_init__``.
+    ``in_dim``, ``out_dim`` and ``_height`` are fixed when a node is built:
+    leaf nodes of fixed arity carry them as class constants, the others set
+    them in ``__post_init__`` through ``_set_dims``.  ``_height`` is 0 for a
+    leaf and one more than the greatest child height for a container; the
+    children are built first, so it costs no walk.
 
     A leaf computes its value on a batch in ``_apply``.  A container lists
     its child nodes in ``_kids`` and evaluates in ``_steps``, a generator
@@ -164,11 +167,14 @@ class SmoothMap(metaclass=_Interned):
 
     in_dim: ClassVar[int]
     out_dim: ClassVar[int]
+    _height: ClassVar[int] = 0
     _kids: ClassVar[tuple["SmoothMap", ...]] = ()
 
     def _set_dims(self, in_dim: int, out_dim: int) -> None:
         object.__setattr__(self, "in_dim", in_dim)
         object.__setattr__(self, "out_dim", out_dim)
+        if self._kids:
+            object.__setattr__(self, "_height", 1 + max(k._height for k in self._kids))
 
     def __repr__(self):
         return f"{type(self).__name__}(in_dim={self.in_dim}, {serialize_map(self)!r})"
@@ -223,66 +229,32 @@ class _Job:
 def _evaluate(root: SmoothMap, X: np.ndarray) -> np.ndarray:
     """The value of ``root`` on the rows ``X``, visiting each distinct node.
 
-    Kahn's algorithm over the nodes: a node waits for one message per
-    child slot that names it, a request with rows or a notice that none
-    come, and takes its turn when all are in.  It then evaluates the
-    concatenation of the distinct arrays it was handed (an array handed
-    twice, as by ``add(f, f)``, once) and hands each requester its slice.
-    A ``Compose`` hands its ``outer`` rows only once ``inner`` has
-    returned, so ``outer`` waits for the whole inner subtree.  When every
-    node left waits on another, the longest-waiting node is evaluated on
-    the rows it has and evaluates again when more arrive.  That is the
-    normal path for a node that several composition stages reach, as one
-    ``Lambda()`` is reached by every ``lambda_map`` in a tree, since a
-    later stage's rows depend on an earlier stage's value; ``Compose(f, f)``
-    is its smallest case.
+    One rule: jobs resume while any can, and when none can, every asked
+    node of the greatest ``_height`` takes its turn in one round.  Each
+    evaluates the concatenation of the distinct arrays it was asked for (an
+    array asked twice, as by ``add(f, f)``, once) and hands each requester
+    its slice.  Only a container asks for rows, and it is higher than its
+    children, so by then every node above has run or waits on a child.
+    What can still ask later is a suspended ``Compose`` that hands its
+    ``outer`` rows once its ``inner`` has returned; a node that several
+    composition stages reach, as one ``Lambda()`` is reached by every
+    ``lambda_map`` in a tree, evaluates again on those rows.
+    ``Compose(f, f)`` is the smallest case.
     """
-    waiting = {id(root): 1}  # messages still to come, per object
-    todo = [root]
-    while todo:
-        for kid in todo.pop()._kids:
-            k = id(kid)
-            if k in waiting:
-                waiting[k] += 1
-            else:
-                waiting[k] = 1
-                todo.append(kid)
-    pending = {}  # id -> (object, {id(rows): (rows, [(job, slot), ...])})
-    started = set()
-    ready, resume = [], []
+    asked = {}  # height -> {id: (node, {id(rows): (rows, [(job, slot), ...])})}
+    resume = []
 
-    def arrive(node, rows, job, slot):
-        k = id(node)
-        if rows is not None:
-            groups = pending.setdefault(k, (node, {}))[1]
-            groups.setdefault(id(rows), (rows, []))[1].append((job, slot))
-        waiting[k] -= 1
-        if waiting[k] <= 0:
-            ready.append(node)
-
-    def run(node):
-        k = id(node)
-        if k not in pending:
-            if k not in started:  # no rows reach it: release its children
-                started.add(k)
-                for kid in node._kids:
-                    arrive(kid, None, None, None)
-            return
-        started.add(k)
-        groups = list(pending.pop(k)[1].values())
-        rows = groups[0][0] if len(groups) == 1 else np.concatenate([g[0] for g in groups])
-        if node._kids:
-            resume.append(_Job(node._steps(rows), groups))
-        else:
-            hand(groups, node._apply(rows))
+    def ask(node, rows, job, slot):
+        groups = asked.setdefault(node._height, {}).setdefault(id(node), (node, {}))[1]
+        groups.setdefault(id(rows), (rows, []))[1].append((job, slot))
 
     def hand(groups, value):
         """Hand each group of requests its rows' slice of ``value``."""
         start = 0
-        for rows, asked in groups:
+        for rows, requests in groups:
             stop = start + len(rows)
             part = value if len(groups) == 1 else value[start:stop]
-            for job, slot in asked:
+            for job, slot in requests:
                 job.values[slot] = part
                 job.left -= 1
                 if not job.left:
@@ -291,7 +263,7 @@ def _evaluate(root: SmoothMap, X: np.ndarray) -> np.ndarray:
 
     top = _Job(None, None)  # receives the root's value
     top.values, top.left = [None], 1
-    arrive(root, X, top, 0)
+    ask(root, X, top, 0)
     while True:
         if resume:
             job = resume.pop()
@@ -306,13 +278,17 @@ def _evaluate(root: SmoothMap, X: np.ndarray) -> np.ndarray:
             for slot, (kid, rows) in enumerate(calls):
                 if rows is not None:
                     job.left += 1
-                arrive(kid, rows, job, slot)
+                    ask(kid, rows, job, slot)
             if not job.left:
                 resume.append(job)
-        elif ready:
-            run(ready.pop())
-        else:
-            run(next(iter(pending.values()))[0])
+            continue
+        for node, by_rows in asked.pop(max(asked)).values():
+            groups = list(by_rows.values())
+            rows = groups[0][0] if len(groups) == 1 else np.concatenate([g[0] for g in groups])
+            if node._kids:
+                resume.append(_Job(node._steps(rows), groups))
+            else:
+                hand(groups, node._apply(rows))
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -506,7 +482,7 @@ class SmashDyn(SmoothMap):
     """Smash kernel with runtime parameters: inputs are (t, sigma, tau).
 
     A schedule error names an element of the batch this node evaluated,
-    which merges the rows of every path that reaches it in one call.
+    which merges the rows of every path that reaches it in one round.
     """
 
     in_dim = 3

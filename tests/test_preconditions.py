@@ -15,6 +15,7 @@ import pytest
 from tamecube.cubes import CubicalComplex, Face, boundary_complex, j_complex
 from tamecube.errors import DimensionError, DomainError, TamenessError
 from tamecube.genmaps import random_smooth_map
+from tamecube.kernels import lambda_integral
 from tamecube.maps import Coord, Product, Sum, affine_row, lambda_map
 from tamecube.replace import admissible_replace
 from tamecube.retract import RetractionParams
@@ -72,6 +73,16 @@ CASES = [
     *(
         (f"retraction-{field}-{value}", _params(field, value), DomainError, None, None)
         for field in ("sigma", "eps_prime", "eps")
+        for value in (math.nan, math.inf, -math.inf)
+    ),
+    *(
+        (
+            f"lambda_integral-{value}",
+            lambda value=value: lambda_integral(value),
+            DomainError,
+            "expected finite reals",
+            None,
+        )
         for value in (math.nan, math.inf, -math.inf)
     ),
     *(
