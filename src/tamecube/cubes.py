@@ -369,10 +369,9 @@ def unique_rows(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def region_random(R: BoxRegion, count: int, rng: np.random.Generator) -> np.ndarray:
     if not R.boxes or count <= 0:
         return np.zeros((0, R.ambient_dim))
-    chunks = []
-    for b in R.boxes:
-        lo = np.array([iv[0] for iv in b.intervals])
-        hi = np.array([iv[1] for iv in b.intervals])
-        pts = rng.uniform(size=(count, len(b.intervals)))
-        chunks.append(lo + pts * (hi - lo))
-    return np.concatenate(chunks, axis=0)
+    # one draw for every box gives the numbers, in order, of one draw per box
+    n = R.ambient_dim
+    ends = np.array([b.intervals for b in R.boxes]).reshape(len(R.boxes), 1, n, 2)
+    lo, hi = ends[..., 0], ends[..., 1]
+    pts = rng.uniform(size=(len(R.boxes), count, n))
+    return (lo + pts * (hi - lo)).reshape(len(R.boxes) * count, n)

@@ -87,6 +87,9 @@ class SuiteConfig:
             raise DomainError(f"dimensions must be a non-empty list within 1..4, got {self.ns}")
         if not self.eps_list or any(not 0.0 < e < 0.5 for e in self.eps_list):
             raise DomainError(f"widths must be a non-empty list within (0, 1/2), got {self.eps_list}")
+        for what, values in (("dimensions", self.ns), ("widths", self.eps_list)):
+            if len(set(values)) < len(values):
+                raise DomainError(f"{what} must not repeat, got {values}")
         if self.seed < 0:
             raise DomainError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(

@@ -10,10 +10,11 @@ face: a grid per box plus seeded random points, each compared with its
 moves to the depths (0, w/3, 2w/3, w) and one seeded draw, with exact max
 reduction so the worst violation and its witness are deterministic.  A
 move stays in the region when some box holds both the sample's other
-coordinates, decided once per axis and side, and the new coordinate, one
-scalar test per box and depth.  A scan evaluates the map once, in
-fixed-size slices of the distinct rows among all its parts' samples and
-moved points.
+coordinates and the new coordinate; per axis and side this is one
+(box, sample) test per other coordinate and one (depth, box) test, so
+its cost in array operations does not grow with the boxes or depths.  A
+scan evaluates the map once, in fixed-size slices of the distinct rows
+among all its parts' samples and moved points.
 
 The operators: ``tame_replace`` composes with a coordinatewise smash to
 produce a tame map together with the straight-line homotopy; ``extend_tame``
@@ -151,19 +152,21 @@ def _collar_rows(R: BoxRegion, eps: float, cfg: ToleranceConfig, seed: int):
     face (coordinate j set to d or 1 - d) for d in (0, eps/3, 2eps/3, eps)
     and one seeded uniform draw in [0, eps]; moves that leave R, that is
     lie farther than ``MEMBERSHIP_TOL`` from every box, are skipped.
-    Returns the sample count, one (axis, side, depth, sample
-    indices) block per comparison, and the samples stacked over the moved
-    points in block order.
+    Returns the sample count, one (axis, side, depths, depth index per
+    comparison, sample indices) block per axis and side with any
+    comparison, its comparisons depth-major, and the samples stacked over
+    the moved points in block order.
     """
     pts = region_grid(R, cfg.grid_res)
     extra = region_random(R, cfg.grid_res, np.random.default_rng(seed))
     if len(extra):
         pts = np.concatenate([pts, extra], axis=0)
     rng = np.random.default_rng(seed)
+    n = R.ambient_dim
+    lo, hi = np.array([box.intervals for box in R.boxes]).reshape(len(R.boxes), n, 2).T  # [axis, box]
     blocks = []
     chunks = [pts]
-    for j in range(1, R.ambient_dim + 1):
-        lo_j, hi_j = np.array([box.intervals[j - 1] for box in R.boxes]).T
+    for j in range(1, n + 1):
         for alpha in (0, 1):
             near = np.flatnonzero(np.abs(pts[:, j - 1] - alpha) <= eps)
             if len(near) == 0:
@@ -172,21 +175,18 @@ def _collar_rows(R: BoxRegion, eps: float, cfg: ToleranceConfig, seed: int):
             # in box b; a move changes only coordinate j
             P = pts[near]
             fits = np.ones((len(R.boxes), len(near)), dtype=bool)
-            for b, box in enumerate(R.boxes):
-                for i, (lo, hi) in enumerate(box.intervals):
-                    if i != j - 1:
-                        fits[b] &= np.maximum(lo - P[:, i], P[:, i] - hi) <= MEMBERSHIP_TOL
-            for d in (0.0, eps / 3.0, 2.0 * eps / 3.0, eps, None):
-                if d is None:
-                    d = float(rng.uniform(0, eps))
-                x = d if alpha == 0 else 1.0 - d
-                hit = np.maximum(lo_j - x, x - hi_j) <= MEMBERSHIP_TOL
-                inside = np.any(fits[hit], axis=0)
-                if np.any(inside):
-                    Q = P[inside]
-                    Q[:, j - 1] = x
-                    blocks.append((j, alpha, d, near[inside]))
-                    chunks.append(Q)
+            for i in range(n):
+                if i != j - 1:
+                    fits &= np.maximum(lo[i, :, None] - P[:, i], P[:, i] - hi[i, :, None]) <= MEMBERSHIP_TOL
+            depths = np.array([0.0, eps / 3.0, 2.0 * eps / 3.0, eps, rng.uniform(0, eps)])
+            x = depths[:, None] if alpha == 0 else 1.0 - depths[:, None]
+            hit = np.maximum(lo[j - 1] - x, x - hi[j - 1]) <= MEMBERSHIP_TOL  # [depth, box]
+            di, k = np.nonzero(hit @ fits)  # depth-major
+            if len(k):
+                Q = P[k]
+                Q[:, j - 1] = x[di, 0]
+                blocks.append((j, alpha, depths, di.astype(np.int8), near[k]))
+                chunks.append(Q)
     return len(pts), blocks, np.concatenate(chunks, axis=0)
 
 
@@ -225,7 +225,7 @@ def _collar_scan(
         worst = 0.0
         witness = None
         comparisons = 0
-        for j, alpha, d, idx in blocks:
+        for j, alpha, depths, di, idx in blocks:
             stop = start + len(idx)
             here, moved = index[idx], index[start:stop]
             start = stop
@@ -234,7 +234,7 @@ def _collar_scan(
             k = int(np.argmax(gap))
             if gap[k] > worst:
                 worst = float(gap[k])
-                witness = Witness(tuple(float(x) for x in rows[here[k]]), j, alpha, d)
+                witness = Witness(tuple(float(x) for x in rows[here[k]]), j, alpha, float(depths[di[k]]))
         passed = worst <= cfg.eq_tol
         reports.append(
             TamenessReport(passed, eps, worst, witness if not passed else None, comparisons)

@@ -43,6 +43,16 @@ def test_bad_arguments_exit_2():
         assert main(["verify", "--suite", "retract", *flags]) == 2
 
 
+def test_repeated_dimension_or_width_is_usage_error(tmp_path, capsys):
+    # a repeated value would run and report each of its rows twice
+    out = tmp_path / "r.json"
+    cases = ((["--n", "1,1"], "dimensions must not repeat"), (["--eps", "0.1,0.1"], "widths must not repeat"))
+    for flags, message in cases:
+        assert main(["verify", "--suite", "retract", *flags, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_infinite_tolerance_is_usage_error(tmp_path, capsys):
     # an infinite eq_tol would pass every eq_tol gate and write "Infinity" into the report
     out = tmp_path / "r.json"

@@ -19,6 +19,7 @@ from tamecube.kernels import lambda_integral
 from tamecube.maps import Coord, Product, Sum, affine_row, lambda_map
 from tamecube.replace import admissible_replace
 from tamecube.retract import RetractionParams
+from tamecube.suites import SuiteConfig
 from tamecube.tame import ToleranceConfig, check_admissible, check_tame, extend_tame, extend_to_jdelta
 
 QUICK = ToleranceConfig(grid_res=11)
@@ -84,6 +85,20 @@ CASES = [
             None,
         )
         for value in (math.nan, math.inf, -math.inf)
+    ),
+    (
+        "suite-config-repeated-dimension",
+        lambda: SuiteConfig("retract", ns=(1, 2, 1)),
+        DomainError,
+        "dimensions must not repeat, got (1, 2, 1)",
+        None,
+    ),
+    (
+        "suite-config-repeated-width",
+        lambda: SuiteConfig("retract", eps_list=(0.25, 0.1, 0.25)),
+        DomainError,
+        "widths must not repeat, got (0.25, 0.1, 0.25)",
+        None,
     ),
     *(
         (

@@ -41,6 +41,7 @@ from tamecube.maps import (
 from tamecube.tame import (
     _bottom_rim_face,
     _collar_rows,
+    _collar_scan,
     TamenessReport,
     ToleranceConfig,
     Witness,
@@ -449,6 +450,19 @@ def test_collar_scan_pinned_values():
     assert (rep.samples_checked, rep.worst_violation) == (379, 0.0)
 
 
+def test_collar_scan_without_comparisons():
+    # no sample of a box inside the chamber is near a face: the check passes
+    # with no comparison, and a part without comparisons, whose samples still
+    # sit in the stacked rows, leaves the next part's report as it is alone
+    f = random_smooth_map(np.random.default_rng(11), 2)
+    inner = BoxRegion((Box(((0.4, 0.6), (0.4, 0.6))),))
+    rep = check_tame(f, inner, 0.05)
+    assert (rep.passed, rep.worst_violation, rep.witness, rep.samples_checked) == (True, 0.0, None, 0)
+    alone = _collar_scan(f, ((full_cube(2).region, 0.2),), CFG, 0)
+    both = _collar_scan(f, ((inner, 0.05), (full_cube(2).region, 0.2)), CFG, 0)
+    assert both == [rep] + alone and alone[0].witness is not None
+
+
 # --- collar membership per box ----------------------------------------------
 
 
@@ -477,10 +491,24 @@ def _collar_rows_by_distance(R, eps, cfg, seed):
     return len(pts), blocks, np.concatenate(chunks, axis=0)
 
 
+def _per_depth(blocks):
+    """``_collar_rows`` blocks split into one (axis, side, depth, sample
+    indices) group per depth, in block order."""
+    groups = []
+    for j, a, depths, di, idx in blocks:
+        assert di.dtype == np.int8 and len(di) == len(idx) > 0 and np.all(np.diff(di) >= 0)  # depth-major
+        for k in np.unique(di):
+            groups.append((j, a, float(depths[k]), idx[di == k]))
+    return groups
+
+
 def _assert_same_collar_rows(R, eps, cfg, seed):
     count, blocks, stacked = _collar_rows(R, eps, cfg, seed)
     ref_count, ref_blocks, ref_stacked = _collar_rows_by_distance(R, eps, cfg, seed)
-    assert count == ref_count
+    sides = [(j, a) for j, a, *_ in blocks]
+    assert len(sides) == len(set(sides)) <= 2 * R.ambient_dim  # one block per axis and side
+    blocks = _per_depth(blocks)
+    assert count == ref_count and len(blocks) == len(ref_blocks)
     assert [(j, a, d) for j, a, d, _ in blocks] == [(j, a, d) for j, a, d, _ in ref_blocks]
     for (*_, idx), (*_, ref_idx) in zip(blocks, ref_blocks):
         assert np.array_equal(idx, ref_idx)
