@@ -5,7 +5,8 @@ sums, products, tuples, composition, the scalar kernels, and a piecewise
 node that branches on one input coordinate).  Every node but the piecewise
 one is smooth; the seam checks sample how its pieces meet.  Maps are on
 the cube [0, 1]^n and no node carries a box: a finite point evaluates by
-the same formulas in equal trees, a non-finite one raises ``DomainError``.
+the same formulas in equal trees, a non-finite one raises ``DomainError``,
+and so does a point whose value holds NaN or +-inf.
 Nodes are hash-consed when built: equal trees are one object, ``==`` is
 ``is``, and a construction that reuses a subtree, as the replacement's
 skeleton induction does at every stage, holds it once.
@@ -122,14 +123,20 @@ def _frozen(v):
 
 
 class _Interned(type):
-    """Makes every node constructor, and so every builder, ``parse_map`` and
-    ``dataclasses.replace``, return the one live node of its structure.
+    """Makes every node class a frozen dataclass that keeps identity
+    equality and ``SmoothMap``'s ``repr``, and every node constructor, and
+    so every builder, ``parse_map`` and ``dataclasses.replace``, return the
+    one live node of its structure.
 
     The node is built and validated first, then looked up by its type and
     its normalized fields, its children by identity: one O(1) lookup
     however deep the tree.  The weak table only decides identity; it
     holds nothing computed from points.
     """
+
+    def __new__(mcls, name, bases, namespace, **kwargs):
+        cls = super().__new__(mcls, name, bases, namespace, **kwargs)
+        return dataclass(frozen=True, eq=False, repr=False)(cls)
 
     def __call__(cls, *args, **kwargs):
         node = super().__call__(*args, **kwargs)
@@ -140,17 +147,14 @@ class _Interned(type):
             return _NODES.setdefault(key, node)
 
 
-@dataclass(frozen=True, eq=False)
 class SmoothMap(metaclass=_Interned):
     """Base node: a map on the cube [0, 1]^in_dim.
 
     ``eval_many`` evaluates any finite point, alike in equal trees, and rejects
-    a non-finite one.  Trees with one input dimension and one
+    a non-finite point or value.  Trees with one input dimension and one
     ``serialize_map`` text are one object (``_Interned``), which ``copy``,
     ``deepcopy`` and ``pickle`` give back; ``repr`` shows the input
-    dimension and the text.  The node classes are declared with
-    ``eq=False`` and ``repr=False`` to inherit identity equality and that
-    ``repr``.
+    dimension and the text.
 
     ``in_dim``, ``out_dim`` and ``_height`` are fixed when a node is built:
     leaf nodes of fixed arity carry them as class constants, the others set
@@ -198,21 +202,28 @@ class SmoothMap(metaclass=_Interned):
             raise DimensionError(
                 f"expected points of shape (N, {self.in_dim}), got {X.shape}"
             )
-        finite = np.isfinite(X)
-        if not np.all(finite):
-            bad = X[np.argmin(finite.all(axis=1))]
-            raise DomainError(f"point {tuple(bad.tolist())} is not finite")
+        _require_finite(X, X, "point {} is not finite")
         if len(X) > _EVAL_ROWS:
-            return np.concatenate(
+            out = np.concatenate(
                 [_evaluate(self, X[i : i + _EVAL_ROWS]) for i in range(0, len(X), _EVAL_ROWS)]
             )
-        out = _evaluate(self, X)
+        else:
+            out = _evaluate(self, X)
+        _require_finite(out, X, "value at point {} is not finite")
         # a view can alias the points (Coord) or be a read-only broadcast (Const)
         return out if out.flags.owndata else out.copy()
 
     def eval(self, point) -> np.ndarray:
         P = np.asarray(point, dtype=float).reshape(1, -1)
         return self.eval_many(P)[0]
+
+
+def _require_finite(A: np.ndarray, X: np.ndarray, message: str) -> None:
+    """Raise ``DomainError`` naming the first point of ``X`` whose row of ``A``
+    holds NaN or ±inf."""
+    finite = np.isfinite(A)
+    if not finite.all():
+        raise DomainError(message.format(tuple(X[np.argmin(finite.all(axis=1))].tolist())))
 
 
 class _Job:
@@ -291,7 +302,6 @@ def _evaluate(root: SmoothMap, X: np.ndarray) -> np.ndarray:
                 hand(groups, node._apply(rows))
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Const(SmoothMap):
     values: tuple[float, ...]
     dim: int
@@ -310,7 +320,6 @@ class Const(SmoothMap):
         return np.broadcast_to(np.array(self.values), (len(X), len(self.values)))
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Coord(SmoothMap):
     """Selects input coordinate ``index`` (1-based); ``(project k)`` reads as this."""
 
@@ -326,7 +335,6 @@ class Coord(SmoothMap):
         return X[:, self.index - 1 : self.index]
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Affine(SmoothMap):
     matrix: tuple[tuple[float, ...], ...]
     offset: tuple[float, ...]
@@ -361,14 +369,6 @@ class Affine(SmoothMap):
         return out
 
 
-def _broadcast_out(children, keyword):
-    outs = {c.out_dim for c in children}
-    m = max(outs)
-    if not outs <= {1, m}:
-        raise DimensionError(f"{keyword}: children out_dims {sorted(outs)} incompatible")
-    return m
-
-
 def _common_in(children, keyword):
     ins = {c.in_dim for c in children}
     if len(ins) != 1:
@@ -376,27 +376,36 @@ def _common_in(children, keyword):
     return ins.pop()
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class _Fold(SmoothMap):
-    """Folds its children's values with ``op``, starting from ``unit``.
-
-    The children share one input dimension; an output dimension of 1
-    broadcasts against the others.
+class _Siblings(SmoothMap):
+    """At least one child, all on one input dimension and handed the same
+    rows.  A subclass states its text ``keyword``, its ``_out_dim`` from
+    the children's and its ``_steps``.
     """
 
     children: tuple[SmoothMap, ...]
     keyword: ClassVar[str]
-    unit: ClassVar[float]
-    op: ClassVar[np.ufunc]
 
     def __post_init__(self):
         if not self.children:
             raise DimensionError(f"{self.keyword} needs at least one child")
-        self._set_dims(
-            _common_in(self.children, self.keyword), _broadcast_out(self.children, self.keyword)
-        )
+        self._set_dims(_common_in(self.children, self.keyword), self._out_dim())
 
     _kids = property(attrgetter("children"))
+
+
+class _Fold(_Siblings):
+    """Folds its children's values with ``op``, starting from ``unit``; an
+    output dimension of 1 broadcasts against the others."""
+
+    unit: ClassVar[float]
+    op: ClassVar[np.ufunc]
+
+    def _out_dim(self):
+        outs = {c.out_dim for c in self.children}
+        m = max(outs)
+        if not outs <= {1, m}:
+            raise DimensionError(f"{self.keyword}: children out_dims {sorted(outs)} incompatible")
+        return m
 
     def _steps(self, X):
         acc = np.full((len(X), self.out_dim), self.unit)
@@ -413,7 +422,16 @@ class Product(_Fold):
     keyword, unit, op = "prod", 1.0, np.multiply
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+class TupleMap(_Siblings):
+    keyword = "tuple"
+
+    def _out_dim(self):
+        return sum(c.out_dim for c in self.children)
+
+    def _steps(self, X):
+        return np.concatenate((yield [(c, X) for c in self.children]), axis=1)
+
+
 class Compose(SmoothMap):
     outer: SmoothMap
     inner: SmoothMap
@@ -434,24 +452,6 @@ class Compose(SmoothMap):
         return outer
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class TupleMap(SmoothMap):
-    children: tuple[SmoothMap, ...]
-
-    def __post_init__(self):
-        if not self.children:
-            raise DimensionError("tuple needs at least one child")
-        self._set_dims(
-            _common_in(self.children, "tuple"), sum(c.out_dim for c in self.children)
-        )
-
-    _kids = property(attrgetter("children"))
-
-    def _steps(self, X):
-        return np.concatenate((yield [(c, X) for c in self.children]), axis=1)
-
-
-@dataclass(frozen=True, eq=False, repr=False)
 class Gamma(SmoothMap):
     in_dim = out_dim = 1
 
@@ -459,7 +459,6 @@ class Gamma(SmoothMap):
         return gamma_many(X[:, 0]).reshape(-1, 1)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Lambda(SmoothMap):
     in_dim = out_dim = 1
 
@@ -467,7 +466,6 @@ class Lambda(SmoothMap):
         return lambda_many(X[:, 0]).reshape(-1, 1)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Smash(SmoothMap):
     params: SmashParams
 
@@ -477,7 +475,6 @@ class Smash(SmoothMap):
         return smash(X[:, 0], self.params.sigma, self.params.tau).reshape(-1, 1)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class SmashDyn(SmoothMap):
     """Smash kernel with runtime parameters: inputs are (t, sigma, tau).
 
@@ -492,7 +489,6 @@ class SmashDyn(SmoothMap):
         return smash(X[:, 0], X[:, 1], X[:, 2]).reshape(-1, 1)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Recip(SmoothMap):
     """1/x on strictly positive inputs."""
 
@@ -505,7 +501,6 @@ class Recip(SmoothMap):
         return (1.0 / x).reshape(-1, 1)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class PiecewiseAxis(SmoothMap):
     """Branches on one input coordinate at fixed breakpoints in (0, 1).
 
@@ -673,7 +668,7 @@ _TOKEN_RE = re.compile(r"[()\[\]]|[^\s()\[\]]+")
 _NUM_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 _SYM_RE = re.compile(r"[a-z][a-z0-9]*$")
 _ATOMS = {"gamma": Gamma, "lambda": Lambda, "recip": Recip, "smashdyn": SmashDyn}
-_SIBLINGS = {"tuple": TupleMap, "sum": Sum, "prod": Product}
+_SIBLINGS = {node.keyword: node for node in (TupleMap, Sum, Product)}
 # the text of a node that has no number in it, up to its children's
 _HEADS = {
     **{atom: name for name, atom in _ATOMS.items()},

@@ -32,6 +32,7 @@ from .maps import (
     piecewise,
 )
 from .tame import (
+    DEFAULT_TOLERANCES,
     TamenessReport,
     ToleranceConfig,
     check_admissible,
@@ -150,7 +151,7 @@ def admissible_replace(
     K: CubicalComplex,
     L: CubicalComplex,
     eps: float,
-    cfg: ToleranceConfig | None = None,
+    cfg: ToleranceConfig = DEFAULT_TOLERANCES,
     seed: int = 0,
 ) -> tuple[SmoothMap, Homotopy, ReplacementTrace]:
     """Homotope f, relative to L, to a map that is eps-admissible on K.
@@ -158,7 +159,6 @@ def admissible_replace(
     Returns (g, H, trace); H runs from f at time 0 to g at time 1 and is
     constant in time on L.  Requires f to be eps-admissible on L.
     """
-    cfg = cfg or ToleranceConfig()
     n = K.ambient_dim
     if f.in_dim != n:
         raise DimensionError(f"map has in_dim {f.in_dim}, complex has ambient {n}")

@@ -258,7 +258,7 @@ def check_tame(
     f: SmoothMap,
     K,
     eps: float,
-    cfg: ToleranceConfig | None = None,
+    cfg: ToleranceConfig = DEFAULT_TOLERANCES,
     seed: int = 0,
 ) -> TamenessReport:
     """Sampled check that f is eps-tame on K (a complex, region, or full cube).
@@ -269,7 +269,6 @@ def check_tame(
     norm.  The worst discrepancy, its witness, and the number of real
     comparisons are reported.
     """
-    cfg = cfg or DEFAULT_TOLERANCES
     if not 0.0 < eps <= 0.5:
         raise DomainError(f"tameness width must satisfy 0 < eps <= 1/2, got {eps!r}")
     R = _domain(f, K)
@@ -282,11 +281,10 @@ def check_admissible(
     f: SmoothMap,
     K,
     eps: float,
-    cfg: ToleranceConfig | None = None,
+    cfg: ToleranceConfig = DEFAULT_TOLERANCES,
     seed: int = 0,
 ) -> TamenessReport:
     """Check graded tameness: width eps**dim(F) on K meet F, per positive face F."""
-    cfg = cfg or DEFAULT_TOLERANCES
     if not 0.0 < eps <= 0.5:
         raise DomainError(f"admissibility width must satisfy 0 < eps <= 1/2, got {eps!r}")
     _domain(f, K)
@@ -352,7 +350,7 @@ def extend_tame(
     eps_prime: float | None = None,
     sigma_prime: float | None = None,
     *,
-    cfg: ToleranceConfig | None = None,
+    cfg: ToleranceConfig = DEFAULT_TOLERANCES,
     seed: int = 0,
 ) -> SmoothMap:
     """Extend an eps-tame map on the walls-plus-top complex over the whole cube.
@@ -361,7 +359,6 @@ def extend_tame(
     face.  Default auxiliary widths: eps_prime = (eps + 1/2)/2 and
     sigma_prime = (sigma + eps)/2.
     """
-    cfg = cfg or DEFAULT_TOLERANCES
     n = f.in_dim
     if eps_prime is None:
         eps_prime = 0.5 * (eps + 0.5)
@@ -423,7 +420,7 @@ def extend_to_jdelta(
     f: SmoothMap,
     eps: float,
     *,
-    cfg: ToleranceConfig | None = None,
+    cfg: ToleranceConfig = DEFAULT_TOLERANCES,
     seed: int = 0,
 ) -> SmoothMap:
     """Extend an eps-admissible map on walls-plus-top over the collared boundary.
@@ -431,7 +428,6 @@ def extend_to_jdelta(
     On the bottom-face collar the map factors through a coordinatewise
     smash that collapses the collar onto the walls; elsewhere it is f.
     """
-    cfg = cfg or DEFAULT_TOLERANCES
     n = f.in_dim
     check_admissible(f, j_complex(n), eps, cfg, seed).require(f"{eps}-admissible on the walls-plus-top complex")
     if n == 1:
@@ -469,28 +465,28 @@ def _splice(f: SmoothMap, g: SmoothMap, axis: int, cfg: ToleranceConfig, what: s
     return piecewise(axis, (0.5,), tuple(halves))
 
 
-def concat_homotopy(F: Homotopy, G: Homotopy, cfg: ToleranceConfig | None = None) -> Homotopy:
+def concat_homotopy(F: Homotopy, G: Homotopy, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Homotopy:
     """Splice two homotopies end to start, reparametrized to be flat at the seam."""
     if G.space_dim != F.space_dim or F.map.out_dim != G.map.out_dim:
         raise DimensionError("homotopies do not share space and target dimensions")
-    return Homotopy(_splice(F.map, G.map, F.map.in_dim, cfg or DEFAULT_TOLERANCES, "homotopy endpoints"))
+    return Homotopy(_splice(F.map, G.map, F.map.in_dim, cfg, "homotopy endpoints"))
 
 
-def concat_maps(phi: SmoothMap, psi: SmoothMap, cfg: ToleranceConfig | None = None) -> SmoothMap:
+def concat_maps(phi: SmoothMap, psi: SmoothMap, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SmoothMap:
     """Splice two maps along the first coordinate, flat at the seam.
 
     Requires the value of phi on the face t1 = 1 to match psi on t1 = 0.
     """
     if psi.in_dim != phi.in_dim or phi.out_dim != psi.out_dim:
         raise DimensionError("maps do not share input and target dimensions")
-    return _splice(phi, psi, 1, cfg or DEFAULT_TOLERANCES, "face values")
+    return _splice(phi, psi, 1, cfg, "face values")
 
 
 # step of the one-sided finite differences in ``seam_report``
 SEAM_STEP = 1e-4
 
 
-def seam_report(pw: PiecewiseAxis, cfg: ToleranceConfig | None = None) -> tuple[float, float, bool]:
+def seam_report(pw: PiecewiseAxis, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> tuple[float, float, bool]:
     """Worst value gap and one-sided derivative gap across all breakpoints.
 
     This is the smoothness gate for spliced constructions: neighbouring
@@ -499,7 +495,6 @@ def seam_report(pw: PiecewiseAxis, cfg: ToleranceConfig | None = None) -> tuple[
     ``_hyperplanes`` grid.  Each piece is evaluated once per breakpoint, on
     the seam and its offset stacked.
     """
-    cfg = cfg or DEFAULT_TOLERANCES
     n, axis = pw.in_dim, pw.axis
     worst_val = worst_fd = 0.0
     for i, b in enumerate(pw.breakpoints):

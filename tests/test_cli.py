@@ -204,6 +204,16 @@ def test_sample_evaluation_error_exit_2_and_no_file(tmp_path, capsys, expr, grid
     assert not out.exists()
 
 
+def test_sample_non_finite_value_exit_2_and_no_file(tmp_path, capsys):
+    # 1e308 * (1 + t) overflows to +inf for t > 0.8; numpy's warning is off
+    out = tmp_path / "x.csv"
+    with np.errstate(over="ignore"):
+        rc = main(["sample", "--map", "(affine [[1e308]] [1e308])", "--grid", "17", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == "tamecube sample: value at point (0.8125,) is not finite\n"
+    assert not out.exists()
+
+
 def _reference_csv(pts, vals):
     """The CSV as a per-value f-string loop writes it."""
     return "".join(",".join(f"{v:.17g}" for v in list(row) + list(val)) + "\n" for row, val in zip(pts, vals))

@@ -21,6 +21,7 @@ from tamecube.kernels import SmashParams
 from tamecube.maps import (
     _ATOMS,
     _EVAL_ROWS,
+    _HEADS,
     _NODES,
     Affine,
     Compose,
@@ -32,9 +33,11 @@ from tamecube.maps import (
     Product,
     Smash,
     SmashDyn,
+    SmoothMap,
     Sum,
     TupleMap,
     add,
+    affine_row,
     compose,
     const,
     constant_homotopy,
@@ -111,6 +114,19 @@ def test_every_map_rejects_a_non_finite_point(make, corners, bad):
         f.eval_many([(1.0,) * n, point, (math.nan,) * n])
     with pytest.raises(DomainError):
         f.eval(point)
+
+
+def test_eval_many_rejects_a_non_finite_value():
+    # 1e308 * (1 + t) overflows to +inf for t > 0.8, and inf * 0 is NaN;
+    # the error names the first such point, in a later slice of a large call
+    big = affine_row(1, {1: 1e308}, 1e308)
+    X = np.full((2 * _EVAL_ROWS, 1), 0.5)
+    X[_EVAL_ROWS + 7], X[-1] = 0.9, 1.0
+    for f in (big, mul(big, const(0.0, 1)), tup(coord(1, 1), big)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DomainError, match=re.escape("value at point (0.9,) is not finite")):
+                f.eval_many(X)
+            assert f.eval_many(X[:_EVAL_ROWS]).shape == (_EVAL_ROWS, f.out_dim)
 
 
 @pytest.mark.parametrize("make", [c[1] for c in ON_THE_CUBE], ids=[c[0] for c in ON_THE_CUBE])
@@ -407,6 +423,27 @@ def test_identity_is_input_dimension_and_text():
     f = pairs[3][0]
     assert copy.copy(f) is f and copy.deepcopy(f) is f and pickle.loads(pickle.dumps(f)) is f
     assert repr(pairs[2][0]) == "Sum(in_dim=2, '(sum (coord 1))')"
+
+
+def test_node_class_needs_no_decorator(monkeypatch):
+    # the metaclass makes a plain subclass a frozen, interned node that
+    # compares by identity and shows its text as its repr
+    class Scale(SmoothMap):
+        factor: float
+        in_dim = out_dim = 1
+
+        def _apply(self, X):
+            return X * self.factor
+
+    f = Scale(2.0)
+    assert f is Scale(2.0) and f != Scale(3.0)
+    assert Scale.__eq__ is object.__eq__ and Scale.__hash__ is object.__hash__
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        f.factor = 3.0
+    assert dataclasses.replace(f, factor=3.0) is Scale(3.0)
+    assert add(f, coord(1, 1)).eval_many([[0.25], [1.0]]).tolist() == [[0.75], [3.0]]
+    monkeypatch.setitem(_HEADS, Scale, "scale")
+    assert repr(f) == "Scale(in_dim=1, 'scale')"
 
 
 def test_intern_table_keeps_no_tree_alive():

@@ -12,15 +12,23 @@ import math
 import numpy as np
 import pytest
 
-from tamecube.cubes import CubicalComplex, Face, boundary_complex, j_complex
+from tamecube.cubes import CubicalComplex, Face, boundary_complex, full_cube, j_complex
 from tamecube.errors import DimensionError, DomainError, TamenessError
 from tamecube.genmaps import random_smooth_map
 from tamecube.kernels import lambda_integral
-from tamecube.maps import Coord, Product, Sum, affine_row, lambda_map
+from tamecube.maps import Coord, Product, Sum, TupleMap, add, affine_row, const, lambda_map, piecewise, tup
 from tamecube.replace import admissible_replace
 from tamecube.retract import RetractionParams
 from tamecube.suites import SuiteConfig
-from tamecube.tame import ToleranceConfig, check_admissible, check_tame, extend_tame, extend_to_jdelta
+from tamecube.tame import (
+    ToleranceConfig,
+    check_admissible,
+    check_tame,
+    concat_maps,
+    extend_tame,
+    extend_to_jdelta,
+    seam_report,
+)
 
 QUICK = ToleranceConfig(grid_res=11)
 FACET = CubicalComplex(2, (Face(2, ((1, 0),)),))
@@ -28,10 +36,26 @@ RIM = CubicalComplex(3, tuple(Face(3, ((j, v), (3, 0))) for j in (1, 2) for v in
 # varies in t_1 only on [0.25, 0.35]: 0.25-tame on the walls and top, not
 # 0.375-tame on the bottom rim
 STEP = lambda_map(affine_row(3, {1: 10.0}, -2.5))
+# the first component overflows to +inf where t_2 > 0.8; INF_G's second
+# component is INF_F's plus 1, so a seam between them jumps by 1
+BIG = affine_row(2, {2: 1e308}, 1e308)
+INF_F = tup(BIG, Coord(1, 2))
+INF_G = tup(BIG, add(Coord(1, 2), const(1.0, 2)))
 
 
 def _smooth(seed, n):
     return random_smooth_map(np.random.default_rng(seed), n)
+
+
+def _overflowing(call):
+    """``call`` with numpy's overflow warning off: the gate, not the warning,
+    must refuse the value."""
+
+    def run():
+        with np.errstate(over="ignore"):
+            return call()
+
+    return run
 
 
 def _params(field, value):
@@ -71,6 +95,42 @@ CASES = [
     ),
     ("sum-empty", lambda: Sum(()), DimensionError, "sum needs at least one child", None),
     ("prod-empty", lambda: Product(()), DimensionError, "prod needs at least one child", None),
+    ("tuple-empty", lambda: TupleMap(()), DimensionError, "tuple needs at least one child", None),
+    (
+        "tuple-in-dims",
+        lambda: TupleMap((Coord(1, 1), Coord(1, 2))),
+        DimensionError,
+        "tuple: children in_dims [1, 2] differ",
+        None,
+    ),
+    (
+        "sum-in-dims",
+        lambda: Sum((Coord(2, 2), Coord(1, 1))),
+        DimensionError,
+        "sum: children in_dims [1, 2] differ",
+        None,
+    ),
+    (
+        "concat_maps-non-finite-value",
+        _overflowing(lambda: concat_maps(INF_F, INF_G)),
+        DomainError,
+        "value at point (1.0, 0.8125) is not finite",
+        None,
+    ),
+    (
+        "seam_report-non-finite-value",
+        _overflowing(lambda: seam_report(piecewise(1, (0.5,), (INF_F, INF_G)))),
+        DomainError,
+        "value at point (0.5, 0.8125) is not finite",
+        None,
+    ),
+    (
+        "check_tame-non-finite-value",
+        _overflowing(lambda: check_tame(INF_F, full_cube(2), 0.3, ToleranceConfig(grid_res=9))),
+        DomainError,
+        "value at point (0.0, 0.8) is not finite",
+        None,
+    ),
     *(
         (f"retraction-{field}-{value}", _params(field, value), DomainError, None, None)
         for field in ("sigma", "eps_prime", "eps")
