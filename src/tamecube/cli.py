@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -113,7 +114,11 @@ def _cmd_sample(args) -> int:
     header = ",".join([f"t{i}" for i in range(1, n + 1)] + [f"y{i}" for i in range(1, m + 1)])
     out = Path(args.out)
     try:
-        with out.open("w", encoding="utf-8", newline="\n") as fh:
+        # numpy's warnings wait until the grid is written: eval_many's message
+        # alone reports a value that is not finite, while an overflow inside
+        # the tree that still ends in a finite value warns as before
+        with warnings.catch_warnings(record=True) as held, out.open("w", encoding="utf-8", newline="\n") as fh:
+            warnings.simplefilter("default")
             fh.write(header + "\n")
             for i in range(0, total, _EVAL_ROWS):
                 rows = _grid_rows(values, n, i, min(i + _EVAL_ROWS, total))
@@ -127,6 +132,8 @@ def _cmd_sample(args) -> int:
     except OSError as exc:
         print(f"tamecube sample: cannot write CSV: {exc}", file=sys.stderr)
         return 3
+    for w in held:
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
     return 0
 
 

@@ -114,11 +114,30 @@ def _simpson_integral(fn, a: float, b: float, panels: int = 4096) -> float:
     return float(h / 3.0 * (ys[0] + ys[-1] + 4 * ys[1:-1:2].sum() + 2 * ys[2:-2:2].sum()))
 
 
+_ORACLE_SLICE = 2**15
+
+
 def _riemann_smash_F1(sigma: float, tau: float, panels: int = 10**6) -> float:
-    """Midpoint Riemann value of the smash integral form at t = 1."""
-    x = (np.arange(panels) + 0.5) / panels
-    integrand = kr.lambda_many((tau * x - sigma) / (tau - sigma))
-    return float(integrand.mean() + (tau + sigma) / (2.0 * tau))
+    """Midpoint Riemann value of the smash integral form at t = 1.
+
+    The integrand is evaluated in slices of at most ``_ORACLE_SLICE``
+    panels, so ``lambda_many``'s temporaries take about 2 MB instead of
+    50 MB.  numpy sums a contiguous array pairwise: a block of more than
+    128 values is cut at ``n//2 - (n//2) % 8`` and the sums of its two
+    halves are added.  The slices are cut by that rule and their sums added
+    in that tree, so the value is the unsliced ``integrand.mean()`` bit for
+    bit; summing the slices in a row instead, or cutting at a fixed depth,
+    changes the last bits.
+    """
+
+    def block_sum(lo: int, n: int) -> float:
+        if n > _ORACLE_SLICE:
+            half = n // 2 - (n // 2) % 8
+            return block_sum(lo, half) + block_sum(lo + half, n - half)
+        x = (np.arange(lo, lo + n) + 0.5) / panels
+        return kr.lambda_many((tau * x - sigma) / (tau - sigma)).sum()
+
+    return float(block_sum(0, panels) / panels + (tau + sigma) / (2.0 * tau))
 
 
 def _at_times(H: mp.Homotopy, pts: np.ndarray, times: tuple[float, ...]) -> np.ndarray:

@@ -486,6 +486,10 @@ def concat_maps(phi: SmoothMap, psi: SmoothMap, cfg: ToleranceConfig = DEFAULT_T
 SEAM_STEP = 1e-4
 
 
+def _finite_or_inf(gap) -> float:
+    return float(gap) if np.isfinite(gap) else np.inf
+
+
 def seam_report(pw: PiecewiseAxis, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> tuple[float, float, bool]:
     """Worst value gap and one-sided derivative gap across all breakpoints.
 
@@ -493,7 +497,9 @@ def seam_report(pw: PiecewiseAxis, cfg: ToleranceConfig = DEFAULT_TOLERANCES) ->
     pieces must agree at the breakpoint to eq_tol and their one-sided
     finite differences, of step ``SEAM_STEP``, to deriv_tol, on the
     ``_hyperplanes`` grid.  Each piece is evaluated once per breakpoint, on
-    the seam and its offset stacked.
+    the seam and its offset stacked.  A gap that is not finite, such as
+    ``inf - inf`` between two overflowing slopes, is reported as ``inf`` and
+    fails the gate.
     """
     n, axis = pw.in_dim, pw.axis
     worst_val = worst_fd = 0.0
@@ -501,9 +507,10 @@ def seam_report(pw: PiecewiseAxis, cfg: ToleranceConfig = DEFAULT_TOLERANCES) ->
         left = pw.pieces[i].eval_many(_hyperplanes(n, axis, (b, b - SEAM_STEP), cfg))
         right = pw.pieces[i + 1].eval_many(_hyperplanes(n, axis, (b, b + SEAM_STEP), cfg))
         (lv, before), (rv, after) = np.split(left, 2), np.split(right, 2)
-        worst_val = max(worst_val, float(np.max(np.abs(lv - rv))))
-        dl = (lv - before) / SEAM_STEP
-        dr = (after - rv) / SEAM_STEP
-        worst_fd = max(worst_fd, float(np.max(np.abs(dl - dr))))
+        with np.errstate(over="ignore", invalid="ignore"):
+            dl = (lv - before) / SEAM_STEP
+            dr = (after - rv) / SEAM_STEP
+            worst_val = max(worst_val, _finite_or_inf(np.max(np.abs(lv - rv))))
+            worst_fd = max(worst_fd, _finite_or_inf(np.max(np.abs(dl - dr))))
     passed = worst_val <= cfg.eq_tol and worst_fd <= cfg.deriv_tol
     return worst_val, worst_fd, passed

@@ -205,13 +205,23 @@ def test_sample_evaluation_error_exit_2_and_no_file(tmp_path, capsys, expr, grid
 
 
 def test_sample_non_finite_value_exit_2_and_no_file(tmp_path, capsys):
-    # 1e308 * (1 + t) overflows to +inf for t > 0.8; numpy's warning is off
+    # 1e308 * (1 + t) overflows to +inf for t > 0.8; numpy's overflow warning,
+    # which this suite turns into an error, is not shown beside the message
     out = tmp_path / "x.csv"
-    with np.errstate(over="ignore"):
-        rc = main(["sample", "--map", "(affine [[1e308]] [1e308])", "--grid", "17", "--out", str(out)])
-    assert rc == 2
-    assert capsys.readouterr().err == "tamecube sample: value at point (0.8125,) is not finite\n"
-    assert not out.exists()
+    for grid, point in ((17, "0.8125"), (5, "1.0")):
+        rc = main(["sample", "--map", "(affine [[1e308]] [1e308])", "--grid", str(grid), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"tamecube sample: value at point ({point},) is not finite\n"
+        assert not out.exists()
+
+
+def test_sample_overflow_to_a_finite_value_still_warns(tmp_path):
+    # the affine node overflows to inf for t > 0.8 and recip turns it into 0.0
+    out = tmp_path / "x.csv"
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        rc = main(["sample", "--map", "(compose recip (affine [[1e308]] [1e308]))", "--grid", "5", "--out", str(out)])
+    assert rc == 0
+    assert out.read_text().splitlines()[-1] == "1,0"
 
 
 def _reference_csv(pts, vals):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,7 +16,7 @@ from tamecube.kernels import (
     smash,
     smash_F,
 )
-from tamecube.suites import SMASH_PAIRS
+from tamecube.suites import SMASH_PAIRS, SuiteConfig, _kernels_suite, _riemann_smash_F1
 
 P = SmashParams(0.1, 0.25)
 
@@ -147,6 +148,27 @@ def test_smash_F_riemann_oracle():
             + (tau + sigma) / (2.0 * tau)
         )
         assert smash_F(SmashParams(sigma, tau), 1.0) == pytest.approx(oracle, abs=1e-8)
+
+
+@pytest.mark.parametrize("panels", [10**6, 999_999, 1000])
+def test_sliced_riemann_oracle_is_the_unsliced_mean_bit_for_bit(panels):
+    # 1000 panels is where a split at a fixed depth drifts from numpy's sum
+    for sigma, tau in SMASH_PAIRS:
+        x = (np.arange(panels) + 0.5) / panels
+        whole = lambda_many((tau * x - sigma) / (tau - sigma)).mean() + (tau + sigma) / (2.0 * tau)
+        assert _riemann_smash_F1(sigma, tau, panels) == float(whole), (sigma, tau)
+
+
+def test_kernels_suite_peak_memory():
+    # the unsliced million-panel oracle alone peaked at about 54 MiB
+    cfg = SuiteConfig("kernels", seed=3)
+    tracemalloc.start()
+    try:
+        _kernels_suite(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 def test_smash_T_examples():

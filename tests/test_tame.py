@@ -313,6 +313,16 @@ def test_seam_report_evaluates_each_piece_once_per_breakpoint(monkeypatch):
     assert calls == [66] * 4
 
 
+def test_seam_report_fails_an_overflowing_slope_gap():
+    # every value is finite, but both one-sided differences overflow to inf,
+    # so their gap is inf - inf = NaN; the right slope is twice the left
+    def steep(k):
+        return mul(const(1e308, 1), lambda_map(affine_row(1, {1: k}, 0.5 - 0.5 * k)))
+
+    val, fd, ok = seam_report(piecewise(1, (0.5,), (steep(1e6), steep(2e6))))
+    assert (val, fd, ok) == (0.0, np.inf, False)
+
+
 def test_concat_homotopy_constant():
     f = const(1.5, 2)
     from tamecube.maps import constant_homotopy
