@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import warnings
+from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -20,30 +21,24 @@ import numpy as np
 from .errors import TameCubeError
 from .maps import _EVAL_ROWS, parse_map
 from .suites import SuiteConfig, report_schema_version, run_suite
+from .tame import ToleranceConfig
 
 __all__ = ["main", "console_main"]
-
-
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.split(",") if x)
-
-
-def _parse_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(",") if x)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tamecube")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    verify = sub.add_parser("verify", help="run a named verification suite")
+    # a flag left out is absent from args, so its field keeps the config's default
+    verify = sub.add_parser("verify", help="run a named verification suite", argument_default=argparse.SUPPRESS)
     verify.add_argument("--suite", required=True, help="suite name or 'all'")
-    verify.add_argument("--n", default="1,2,3", help="comma-separated dimensions")
-    verify.add_argument("--eps", default="0.1,0.25,0.4", help="comma-separated widths")
-    verify.add_argument("--grid", type=int, default=33)
-    verify.add_argument("--eq-tol", type=float, default=1e-9)
-    verify.add_argument("--deriv-tol", type=float, default=1e-6)
-    verify.add_argument("--seed", type=int, default=0)
+    verify.add_argument("--n", dest="ns", metavar="N", help="comma-separated dimensions")
+    verify.add_argument("--eps", dest="eps_list", metavar="EPS", help="comma-separated widths")
+    verify.add_argument("--grid", dest="grid_res", metavar="GRID", type=int)
+    verify.add_argument("--eq-tol", type=float)
+    verify.add_argument("--deriv-tol", type=float)
+    verify.add_argument("--seed", type=int)
     verify.add_argument("--out", default=None, help="write the JSON report here")
 
     sample = sub.add_parser("sample", help="sample a map expression to CSV")
@@ -55,17 +50,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _given(cls, opts: dict) -> dict:
+    """The entries of ``opts`` that name a field of the dataclass ``cls``."""
+    return {f.name: opts[f.name] for f in fields(cls) if f.name in opts}
+
+
 def _cmd_verify(args) -> int:
+    opts = dict(vars(args))
     try:
-        cfg = SuiteConfig(
-            suite=args.suite,
-            ns=_parse_ints(args.n),
-            eps_list=_parse_floats(args.eps),
-            grid_res=args.grid,
-            eq_tol=args.eq_tol,
-            deriv_tol=args.deriv_tol,
-            seed=args.seed,
-        )
+        for key, kind in (("ns", int), ("eps_list", float)):  # comma-separated lists
+            if key in opts:
+                opts[key] = tuple(kind(x) for x in opts[key].split(",") if x)
+        cfg = SuiteConfig(**_given(SuiteConfig, opts), tolerances=ToleranceConfig(**_given(ToleranceConfig, opts)))
     except (TameCubeError, ValueError) as exc:
         print(f"tamecube verify: {exc}", file=sys.stderr)
         return 2
@@ -91,13 +87,9 @@ def _cmd_sample(args) -> int:
     except OSError:
         # e.g. an inline expression longer than the file-name limit
         is_file = False
-    if is_file:
-        try:
-            source = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            print(f"tamecube sample: cannot read map file: {exc}", file=sys.stderr)
-            return 3
     try:
+        if is_file:
+            source = path.read_text(encoding="utf-8")
         f = parse_map(source)
         if args.grid < 2:
             raise ValueError("grid must be at least 2")
@@ -106,7 +98,10 @@ def _cmd_sample(args) -> int:
             total *= args.grid
             if total > np.iinfo(np.intp).max:
                 raise ValueError(f"a grid of {args.grid}^{f.in_dim} rows is too large to index")
-    except (TameCubeError, ValueError) as exc:
+    except OSError as exc:
+        print(f"tamecube sample: cannot read map file: {exc}", file=sys.stderr)
+        return 3
+    except (TameCubeError, ValueError) as exc:  # a file that is not UTF-8 is a ValueError too
         print(f"tamecube sample: {exc}", file=sys.stderr)
         return 2
     n, m = f.in_dim, f.out_dim

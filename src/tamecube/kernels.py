@@ -62,14 +62,20 @@ class SmashParams:
             )
 
 
+def _finite_reals(ts) -> np.ndarray:
+    """ts as a float array; raises ``DomainError`` unless every value is finite."""
+    ts = np.asarray(ts, dtype=float)
+    if not np.all(np.isfinite(ts)):
+        raise DomainError("expected finite reals")
+    return ts
+
+
 def gamma_many(ts) -> np.ndarray:
     """Flat exponential, elementwise: 0 for t <= 0, exp(-1/t) for t > 0.
 
     Underflows silently to 0 for tiny positive t, the correct limit value.
     """
-    ts = np.asarray(ts, dtype=float)
-    if not np.all(np.isfinite(ts)):
-        raise DomainError("expected finite reals")
+    ts = _finite_reals(ts)
     out = np.zeros_like(ts)
     pos = ts > 0.0
     with np.errstate(over="ignore"):
@@ -84,9 +90,7 @@ def lambda_many(ts) -> np.ndarray:
     lambda(1-t) = 1 - lambda(t) holds to rounding, not exactly (a few ulp);
     the suites check it at 1e-12.
     """
-    ts = np.asarray(ts, dtype=float)
-    if not np.all(np.isfinite(ts)):
-        raise DomainError("expected finite reals")
+    ts = _finite_reals(ts)
     out = np.zeros_like(ts)
     out[ts >= 1.0] = 1.0
     mid = (ts > 0.0) & (ts < 1.0)
@@ -121,9 +125,7 @@ def lambda_integral(s) -> np.ndarray:
     Exactly 0 for s <= 0 and Lambda(1) + (s - 1) for s >= 1, where
     Lambda(1) = 1/2 to rounding.  Satisfies Lambda(1 - s) = 1/2 - s + Lambda(s).
     """
-    s = np.asarray(s, dtype=float)
-    if not np.all(np.isfinite(s)):
-        raise DomainError("expected finite reals")
+    s = _finite_reals(s)
     inside = np.clip(s, 0.0, 1.0)
     k = np.minimum((inside * _PANELS).astype(int), _PANELS - 1)
     return _CUMULATIVE[k] + _gauss(_EDGES[k], inside) + np.maximum(s - 1.0, 0.0)
@@ -153,8 +155,7 @@ def smash(ts, sigma, tau) -> np.ndarray:
                 f"smash parameter schedule out of range at element {bad}: "
                 f"sigma={sigma.flat[bad]!r}, tau={tau.flat[bad]!r}"
             )
-    if not np.all(np.isfinite(ts)):
-        raise DomainError("expected finite reals")
+    _finite_reals(ts)
     out = np.where(ts >= 1.0 - sigma, 1.0, 0.0)
     ident = (ts >= tau) & (ts <= 1.0 - tau)
     out[ident] = ts[ident]

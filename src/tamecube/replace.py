@@ -19,7 +19,7 @@ that width.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 from .cubes import CubicalComplex, Face, full_cube, skeleton
 from .errors import DimensionError, DomainError, ReplacementError, TamenessError
@@ -171,7 +171,7 @@ def admissible_replace(
         raise DomainError("L is not a subcomplex of K")
     # cheap internal config for per-step verification; the caller's cfg is
     # used for the final admissibility report
-    quick = replace(cfg, grid_res=min(cfg.grid_res, 11))
+    quick = cfg.capped(11)
     if not L.is_empty:
         check_admissible(f, L, eps, quick, seed).require(f"{eps}-admissible on L")
     if K.is_empty or K.dim == 0 or K.is_subcomplex_of(L):

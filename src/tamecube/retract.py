@@ -93,6 +93,12 @@ def approx_retraction(p: RetractionParams) -> SmoothMap:
     return tup(*sides, last)
 
 
+def ramped(start: float, end: float, ramp: SmoothMap) -> SmoothMap:
+    """start + (end - start) * ramp, for a scalar-valued ramp: a width that
+    moves from start to end as the ramp runs from 0 to 1."""
+    return compose(affine_row(1, {1: end - start}, start), ramp)
+
+
 def deformation_schedule(n: int, eps: float) -> dict:
     """Band-width endpoints used by the deformation homotopy.
 
@@ -142,14 +148,8 @@ def deformation_retraction_homotopy(n: int, eps: float) -> Homotopy:
         return Homotopy(h)
     R = approx_retraction(RetractionParams.from_eps(n, sched["retraction_eps"]))
     ramp = lambda_map(affine_row(dim, {n: 1.0 / sched["ramp_scale"]}, 0.0))
-    sigma_t = compose(
-        affine_row(1, {1: sched["sigma_narrow"] - sched["sigma_wide"]}, sched["sigma_wide"]),
-        ramp,
-    )
-    tau_t = compose(
-        affine_row(1, {1: sched["tau_narrow"] - sched["tau_wide"]}, sched["tau_wide"]),
-        ramp,
-    )
+    sigma_t = ramped(sched["sigma_wide"], sched["sigma_narrow"], ramp)
+    tau_t = ramped(sched["tau_wide"], sched["tau_narrow"], ramp)
     squeezed = [smashdyn_map(coord(k, dim), sigma_t, tau_t) for k in range(1, n)]
     retracted = compose(R, tup(*squeezed, coord(n, dim)))
     h = add(mul(one_minus(u), drop_time(n)), mul(u, retracted))

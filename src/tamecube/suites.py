@@ -10,8 +10,8 @@ row, ``<suite>-error``, that names the error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as _dc_replace
-from typing import ClassVar
+from dataclasses import asdict, dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .genmaps import random_map_admissible_on, random_tame_map
 from .replace import admissible_replace
 from .retract import RetractionParams, approx_retraction, deformation_retraction_homotopy, deformation_schedule
 from .tame import (
+    DEFAULT_TOLERANCES,
     ToleranceConfig,
     check_tame,
     concat_homotopy,
@@ -65,36 +66,33 @@ class PropertyResult:
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Suite name and parameter grid.
+    """Suite name, parameter grid, the checks' tolerances and grid, and seed.
 
-    ``tolerances`` is built, and so validated, once in ``__post_init__``;
-    it is not a dataclass field.
+    The rows of the ``tame`` and ``replace`` suites check on grids of
+    ``tolerances.grid_res`` points per axis, capped per row with
+    ``ToleranceConfig.capped``.
     """
 
     suite: str
     ns: tuple[int, ...] = (1, 2, 3)
     eps_list: tuple[float, ...] = (0.1, 0.25, 0.4)
-    grid_res: int = 33
-    eq_tol: float = 1e-9
-    deriv_tol: float = 1e-6
+    tolerances: ToleranceConfig = DEFAULT_TOLERANCES
     seed: int = 0
-    tolerances: ClassVar[ToleranceConfig]
 
     def __post_init__(self):
         if self.suite not in SUITE_NAMES and self.suite != "all":
             raise DomainError(f"unknown suite {self.suite!r}; known: {sorted(SUITE_NAMES)}")
-        if not self.ns or any(not 1 <= n <= 4 for n in self.ns):
-            raise DomainError(f"dimensions must be a non-empty list within 1..4, got {self.ns}")
-        if not self.eps_list or any(not 0.0 < e < 0.5 for e in self.eps_list):
-            raise DomainError(f"widths must be a non-empty list within (0, 1/2), got {self.eps_list}")
+        if not self.ns or any(not (isinstance(n, Integral) and 1 <= n <= 4) for n in self.ns):
+            raise DomainError(f"dimensions must be a non-empty list of integers within 1..4, got {self.ns}")
+        if not self.eps_list or any(not (isinstance(e, Real) and 0.0 < e < 0.5) for e in self.eps_list):
+            raise DomainError(f"widths must be a non-empty list of reals within (0, 1/2), got {self.eps_list}")
+        if not isinstance(self.tolerances, ToleranceConfig):
+            raise DomainError(f"tolerances must be a ToleranceConfig, got {self.tolerances!r}")
         for what, values in (("dimensions", self.ns), ("widths", self.eps_list)):
             if len(set(values)) < len(values):
                 raise DomainError(f"{what} must not repeat, got {values}")
-        if self.seed < 0:
-            raise DomainError(f"seed must be >= 0, got {self.seed}")
-        object.__setattr__(
-            self, "tolerances", ToleranceConfig(self.eq_tol, self.deriv_tol, self.grid_res)
-        )
+        if not isinstance(self.seed, Integral) or self.seed < 0:
+            raise DomainError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 def _sample_ts(seed: int, count: int = 1000) -> np.ndarray:
@@ -259,10 +257,10 @@ def _tame_suite(cfg: SuiteConfig) -> list[PropertyResult]:
         rng = np.random.default_rng(cfg.seed + 100 + i)
         f = random_tame_map(rng, n, eps, space_eps=0.5 * (eps + 0.5))
         gext = extend_tame(f, eps=eps, sigma=sigma, cfg=tol, seed=cfg.seed)
-        pts = cb.complex_grid(cb.j_complex(n), min(cfg.grid_res, 17))
+        quick = tol.capped(17)
+        pts = cb.complex_grid(cb.j_complex(n), quick.grid_res)
         gap = float(np.max(np.abs(gext.eval_many(pts) - f.eval_many(pts))))
         out.append(PropertyResult("extension-restriction", {"n": n, "eps": eps}, gap, tol.eq_tol))
-        quick = _dc_replace(tol, grid_res=min(cfg.grid_res, 17))
         rep = check_tame(gext, cb.full_cube(n), sigma, quick, cfg.seed)
         out.append(PropertyResult("extension-tame", {"n": n, "sigma": sigma}, rep.worst_violation, tol.eq_tol))
         bottom = cb.CubicalComplex(n, (cb.Face(n, ((n, 0),)),))
@@ -292,13 +290,13 @@ def _tame_suite(cfg: SuiteConfig) -> list[PropertyResult]:
         ),
     )
     star = concat_maps(flat, flat, tol)
-    bpts = cb.complex_grid(cb.boundary_complex(2), min(cfg.grid_res, 17))
+    bpts = cb.complex_grid(cb.boundary_complex(2), tol.capped(17).grid_res)
     worst = float(np.max(np.abs(star.eval_many(bpts) - np.asarray(c0))))
     out.append(PropertyResult("concat-constant-boundary", {"n": 2}, worst, tol.eq_tol))
 
     p = kr.SmashParams(0.2, 0.35)
     fc = mp.tup(*[mp.smash_map(p, mp.coord(k, 2)) for k in (1, 2)])
-    rep = check_tame(fc, cb.full_cube(2), 0.2, _dc_replace(tol, grid_res=9), cfg.seed)
+    rep = check_tame(fc, cb.full_cube(2), 0.2, tol.capped(9), cfg.seed)
     out.append(PropertyResult("fiber-constant-smash", {"eps": 0.2}, rep.worst_violation, tol.eq_tol))
 
     rng = np.random.default_rng(cfg.seed + 400)
@@ -306,8 +304,9 @@ def _tame_suite(cfg: SuiteConfig) -> list[PropertyResult]:
         eps = 0.3
         # exactly eps-tame, hence eps-admissible; push onto the collared region
         f = random_tame_map(rng, n, eps)
-        fe = extend_to_jdelta(f, eps, cfg=_dc_replace(tol, grid_res=9), seed=cfg.seed)
-        pts = cb.complex_grid(cb.j_complex(n), 9)
+        quick = tol.capped(9)
+        fe = extend_to_jdelta(f, eps, cfg=quick, seed=cfg.seed)
+        pts = cb.complex_grid(cb.j_complex(n), quick.grid_res)
         gap = float(np.max(np.abs(fe.eval_many(pts) - f.eval_many(pts))))
         out.append(PropertyResult("jdelta-agrees-on-walls", {"n": n, "eps": eps}, gap, tol.eq_tol))
     return out
@@ -325,7 +324,7 @@ def _replace_suite(cfg: SuiteConfig) -> list[PropertyResult]:
     for n, K, L, seed in cases:
         rng = np.random.default_rng(seed)
         f = random_map_admissible_on(rng, n, L, eps)
-        quick = _dc_replace(tol, grid_res=min(cfg.grid_res, 17 if n == 3 else 33))
+        quick = tol.capped(17 if n == 3 else 33)
         g, H, trace = admissible_replace(f, K, L, eps, quick, seed=seed)
         out.append(
             PropertyResult(
@@ -370,14 +369,7 @@ def run_suite(cfg: SuiteConfig) -> dict:
     return {
         "schema": SCHEMA_VERSION,
         "suite": cfg.suite,
-        "config": {
-            "ns": list(cfg.ns),
-            "eps": list(cfg.eps_list),
-            "grid_res": cfg.grid_res,
-            "eq_tol": cfg.eq_tol,
-            "deriv_tol": cfg.deriv_tol,
-            "seed": cfg.seed,
-        },
+        "config": {"ns": list(cfg.ns), "eps": list(cfg.eps_list), **asdict(cfg.tolerances), "seed": cfg.seed},
         "results": [r.to_json() for r in results],
         "failures": failures,
         "passed": failures == 0,

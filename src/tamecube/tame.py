@@ -27,7 +27,8 @@ maps (along the first axis) through one splice, flat at the seam 1/2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -64,7 +65,7 @@ from .maps import (
     smashdyn_map,
     tup,
 )
-from .retract import RetractionParams, approx_retraction
+from .retract import RetractionParams, approx_retraction, ramped
 
 __all__ = [
     "ToleranceConfig",
@@ -91,10 +92,14 @@ class ToleranceConfig:
     grid_res: int = 33
 
     def __post_init__(self):
-        if not (0 < self.eq_tol < np.inf and 0 < self.deriv_tol < np.inf):
+        if not all(isinstance(t, Real) and 0 < t < np.inf for t in (self.eq_tol, self.deriv_tol)):
             raise DomainError("tolerances must be positive and finite")
-        if self.grid_res < 3:
-            raise DomainError("grid_res must be at least 3")
+        if not isinstance(self.grid_res, Integral) or self.grid_res < 3:
+            raise DomainError(f"grid_res must be an integer of at least 3, got {self.grid_res!r}")
+
+    def capped(self, k: int) -> "ToleranceConfig":
+        """This configuration with its grid at most ``k`` points per axis."""
+        return replace(self, grid_res=min(self.grid_res, k))
 
 
 DEFAULT_TOLERANCES = ToleranceConfig()
@@ -392,8 +397,8 @@ def extend_tame(
     # makes the result exactly sigma-tame in the time direction
     squashed_time = smash_map(SmashParams(sigma, eps), coord(n, n))
     ramp = lambda_map(compose(affine_row(1, {1: -1.0 / sigma}, 1.0), squashed_time))
-    a_u = compose(affine_row(1, {1: sigma_prime - sigma}, sigma), ramp)
-    b_u = compose(affine_row(1, {1: eps_prime - eps}, eps), ramp)
+    a_u = ramped(sigma, sigma_prime, ramp)
+    b_u = ramped(eps, eps_prime, ramp)
     args = [smashdyn_map(coord(k, n), a_u, b_u) for k in range(1, n)]
     args.append(squashed_time)
     return compose(f, R, tup(*args))
@@ -443,7 +448,7 @@ def extend_to_jdelta(
 def _hyperplanes(n: int, axis: int, values: tuple[float, ...], cfg: ToleranceConfig) -> np.ndarray:
     """The hyperplanes t_axis = v of R^n, v in ``values``, stacked: each on one grid of
     the other axes, ``cfg.grid_res`` points per axis (at most 9 from n >= 4)."""
-    rest = box_grid(Box(((0.0, 1.0),) * (n - 1)), min(cfg.grid_res, 9) if n >= 4 else cfg.grid_res)
+    rest = box_grid(Box(((0.0, 1.0),) * (n - 1)), (cfg.capped(9) if n >= 4 else cfg).grid_res)
     return np.concatenate([np.insert(rest, axis - 1, v, axis=1) for v in values])
 
 

@@ -190,6 +190,17 @@ def test_sample_io_error_exit_3(tmp_path):
     assert rc == 3
 
 
+def test_sample_map_file_not_utf8_exit_2_and_no_file(tmp_path, capsys):
+    # a usage error with one message line, not a traceback and exit 1
+    src = tmp_path / "bad.map"
+    src.write_bytes(b"(coord 1)\xff")
+    out = tmp_path / "bad.csv"
+    assert main(["sample", "--map", str(src), "--grid", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("tamecube sample: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "expr, grid",
     [
@@ -290,11 +301,54 @@ def test_suite_config_validation():
     with pytest.raises(Exception):
         SuiteConfig(suite="kernels", ns=(5,))
     with pytest.raises(Exception):
-        SuiteConfig(suite="kernels", grid_res=2)
-    for bad in ({"eps_list": (0.5,)}, {"eps_list": ()}, {"ns": ()}, {"deriv_tol": 0.0}, {"seed": -1}):
+        SuiteConfig(suite="kernels", tolerances=ToleranceConfig(grid_res=2))
+    for bad in ({"eps_list": (0.5,)}, {"eps_list": ()}, {"ns": ()}, {"tolerances": 33}, {"seed": -1}):
         with pytest.raises(DomainError):
             SuiteConfig(suite="retract", **bad)
-    assert SuiteConfig(suite="tame", grid_res=9).tolerances == ToleranceConfig(grid_res=9)
+    assert SuiteConfig(suite="tame").tolerances == ToleranceConfig()
+    # numpy integers are integers
+    cfg = SuiteConfig("tame", ns=(np.int64(2),), tolerances=ToleranceConfig(grid_res=np.int32(9)), seed=np.uint8(1))
+    assert cfg.tolerances.capped(5) == ToleranceConfig(grid_res=5)
+    assert cfg.tolerances.capped(17) == cfg.tolerances
+
+
+def test_verify_passes_the_config_defaults(monkeypatch, tmp_path):
+    # every flag left out takes SuiteConfig's and ToleranceConfig's default;
+    # each flag given sets its own field
+    import tamecube.cli as cli_mod
+
+    seen = []
+
+    def capture(cfg):
+        seen.append(cfg)
+        return {"schema": report_schema_version(), "suite": cfg.suite, "results": [], "failures": 0, "passed": True}
+
+    monkeypatch.setattr(cli_mod, "run_suite", capture)
+    out = str(tmp_path / "r.json")
+    assert main(["verify", "--suite", "all", "--out", out]) == 0
+    flags = ["--n", "2,3", "--eps", "0.2", "--grid", "9", "--eq-tol", "1e-8", "--deriv-tol", "1e-5", "--seed", "4"]
+    assert main(["verify", "--suite", "tame", *flags, "--out", out]) == 0
+    assert seen == [
+        SuiteConfig("all"),
+        SuiteConfig("tame", (2, 3), (0.2,), ToleranceConfig(1e-8, 1e-5, 9), 4),
+    ]
+
+
+def test_verify_grid_caps_every_scan(monkeypatch, tmp_path):
+    # each row scans at the configured grid capped at the row's own cap, so
+    # no scan is finer than --grid
+    from tamecube import tame
+
+    grids = []
+    collar_scan = tame._collar_scan
+
+    def recording(f, parts, cfg, seed):
+        grids.append(cfg.grid_res)
+        return collar_scan(f, parts, cfg, seed)
+
+    monkeypatch.setattr(tame, "_collar_scan", recording)
+    assert main(["verify", "--suite", "tame", "--grid", "5", "--out", str(tmp_path / "r.json")]) == 0
+    assert set(grids) == {5}
 
 
 def test_sample_retraction_csv_containment(tmp_path):

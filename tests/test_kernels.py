@@ -28,10 +28,12 @@ def test_gamma_piecewise():
 
 
 def test_gamma_rejects_non_finite():
-    with pytest.raises(DomainError):
-        gamma_many(float("nan"))
-    with pytest.raises(DomainError):
-        lambda_many(float("inf"))
+    kernels = (gamma_many, lambda_many, lambda_integral, lambda ts: smash(ts, P.sigma, P.tau))
+    for kernel in kernels:
+        for bad in (math.nan, math.inf, -math.inf):
+            for ts in (bad, np.array([0.2, bad, 0.7])):
+                with pytest.raises(DomainError, match="^expected finite reals$"):
+                    kernel(ts)
 
 
 def test_kernels_underflow_silently_below_smallest_normal():
@@ -286,6 +288,10 @@ def test_smash_dyn_rejects_bad_schedule():
             smash(np.array([0.5, 0.6]), sigma, tau)
     with pytest.raises(DomainError, match="finite"):
         smash(np.array([0.5, np.inf]), P.sigma, P.tau)
+    # the schedule is checked first, whatever t holds
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="out of range at element 1"):
+            smash(np.array([0.5, bad]), np.array([0.1, 0.3]), np.array([0.25, 0.2]))
 
 
 def test_kernels_thread_safe():

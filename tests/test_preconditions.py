@@ -169,7 +169,45 @@ CASES = [
             None,
         )
         for field in ("eq_tol", "deriv_tol")
-        for value in (math.nan, math.inf, -math.inf)
+        for value in (math.nan, math.inf, -math.inf, "1", None)
+    ),
+    *(
+        (
+            f"tolerance-grid_res-{value}",
+            lambda value=value: ToleranceConfig(grid_res=value),
+            DomainError,
+            f"grid_res must be an integer of at least 3, got {value!r}",
+            None,
+        )
+        for value in (3.5, 33.0, "33", 2)
+    ),
+    (
+        "suite-config-fractional-dimension",
+        lambda: SuiteConfig("retract", ns=(2.5,)),
+        DomainError,
+        "dimensions must be a non-empty list of integers within 1..4, got (2.5,)",
+        None,
+    ),
+    (
+        "suite-config-width-not-real",
+        lambda: SuiteConfig("retract", eps_list=("0.2",)),
+        DomainError,
+        "widths must be a non-empty list of reals within (0, 1/2), got ('0.2',)",
+        None,
+    ),
+    (
+        "suite-config-fractional-seed",
+        lambda: SuiteConfig("tame", seed=1.5),
+        DomainError,
+        "seed must be an integer >= 0, got 1.5",
+        None,
+    ),
+    (
+        "suite-config-tolerances-not-a-config",
+        lambda: SuiteConfig("tame", tolerances=1e-9),
+        DomainError,
+        "tolerances must be a ToleranceConfig, got 1e-09",
+        None,
     ),
 ]
 
