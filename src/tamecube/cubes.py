@@ -138,7 +138,7 @@ class CubicalComplex:
     @property
     def region(self) -> "BoxRegion":
         """One box per maximal face, in maximal-face order."""
-        return BoxRegion(tuple(f.box() for f in self.maximal_faces))
+        return BoxRegion(self.ambient_dim, tuple(f.box() for f in self.maximal_faces))
 
     def faces(self, min_dim: int = 0) -> tuple[Face, ...]:
         """All subfaces of the complex with dimension >= min_dim."""
@@ -188,18 +188,15 @@ class Box:
 
 @dataclass(frozen=True)
 class BoxRegion:
-    """A finite union of boxes; carrier for chambers and boundary collars."""
+    """A finite union of boxes in I^n; carrier for chambers and boundary collars."""
 
+    ambient_dim: int
     boxes: tuple[Box, ...]
 
     def __post_init__(self):
-        dims = {b.ambient_dim for b in self.boxes}
-        if len(dims) > 1:
-            raise DimensionError("boxes of mixed ambient dimension")
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.boxes[0].ambient_dim if self.boxes else 0
+        for b in self.boxes:
+            if b.ambient_dim != self.ambient_dim:
+                raise DimensionError(f"box has ambient {b.ambient_dim}, region has {self.ambient_dim}")
 
 
 def full_cube(n: int) -> CubicalComplex:
@@ -241,7 +238,7 @@ def chamber_region(K: CubicalComplex, eps: float) -> BoxRegion:
     """Per maximal face, shrink the free coordinates to [eps, 1-eps]."""
     if not 0.0 < eps <= 0.5:
         raise DomainError(f"chamber width must satisfy 0 < eps <= 1/2, got {eps!r}")
-    return BoxRegion(tuple(f.box(eps, 1.0 - eps) for f in K.maximal_faces))
+    return BoxRegion(K.ambient_dim, tuple(f.box(eps, 1.0 - eps) for f in K.maximal_faces))
 
 
 def j_delta_region(n: int, delta: float) -> BoxRegion:
@@ -262,7 +259,7 @@ def j_delta_region(n: int, delta: float) -> BoxRegion:
             ivals[k - 1] = (lo, hi)
             ivals[n - 1] = (0.0, 0.0)
             boxes.append(Box(tuple(ivals)))
-    return BoxRegion(tuple(boxes))
+    return BoxRegion(n, tuple(boxes))
 
 
 def positive_faces(n: int) -> tuple[Face, ...]:
@@ -299,7 +296,7 @@ def intersect_region_face(R: BoxRegion, F: Face) -> BoxRegion:
                 break
         if ok:
             boxes.append(Box(tuple(ivals)))
-    return BoxRegion(tuple(boxes))
+    return BoxRegion(R.ambient_dim, tuple(boxes))
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +333,7 @@ def box_grid(b: Box, res: int) -> np.ndarray:
 
 
 def complex_grid(K: CubicalComplex, res: int) -> np.ndarray:
-    # an empty region has no boxes to carry the ambient dimension
-    return np.zeros((0, K.ambient_dim)) if K.is_empty else region_grid(K.region, res)
+    return region_grid(K.region, res)
 
 
 def region_grid(R: BoxRegion, res: int) -> np.ndarray:

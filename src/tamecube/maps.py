@@ -12,15 +12,14 @@ Nodes are hash-consed when built: equal trees are one object, ``==`` is
 skeleton induction does at every stage, holds it once.
 
 Trees evaluate on batches of points, exactly and with no interpolation.
-One ``eval_many`` call of up to 16,384 rows evaluates each distinct node
-on every row that reaches it along any path.  Every node's height is fixed
-when it is built, and when no container can resume, every waiting node of
-the greatest height takes its turn on the concatenation of the distinct
-input arrays it was handed.  A larger call is evaluated in slices of that
-size, which bounds its peak memory.  A row's value does not
-depend on its batch, so the values are those of a plain recursion over the
-expanded tree.  The walk keeps its own lists and costs no Python frame per
-nesting level.
+``eval_many`` evaluates its rows in slices of 16,384, which bounds its
+peak memory, and each slice evaluates each distinct node on every row
+that reaches it along any path.  Every node's height is fixed when it is
+built, and when no container can resume, every waiting node of the
+greatest height takes its turn on the concatenation of the distinct
+input arrays it was handed.  A row's value does not depend on its batch,
+so the values are those of a plain recursion over the expanded tree.
+The walk keeps its own lists and costs no Python frame per nesting level.
 
 A canonical s-expression text format (``serialize_map``, ``parse_map``)
 records each node but not the input dimension.  The parser infers the
@@ -203,15 +202,12 @@ class SmoothMap(metaclass=_Interned):
                 f"expected points of shape (N, {self.in_dim}), got {X.shape}"
             )
         _require_finite(X, X, "point {} is not finite")
-        if len(X) > _EVAL_ROWS:
-            out = np.concatenate(
-                [_evaluate(self, X[i : i + _EVAL_ROWS]) for i in range(0, len(X), _EVAL_ROWS)]
-            )
-        else:
-            out = _evaluate(self, X)
+        # zero rows are one empty slice; the concatenation is a fresh array
+        out = np.concatenate(
+            [_evaluate(self, X[i : i + _EVAL_ROWS]) for i in range(0, len(X) or 1, _EVAL_ROWS)]
+        )
         _require_finite(out, X, "value at point {} is not finite")
-        # a view can alias the points (Coord) or be a read-only broadcast (Const)
-        return out if out.flags.owndata else out.copy()
+        return out
 
     def eval(self, point) -> np.ndarray:
         P = np.asarray(point, dtype=float).reshape(1, -1)
@@ -619,6 +615,11 @@ def one_minus(f: SmoothMap) -> SmoothMap:
     if f.out_dim != 1:
         raise DimensionError("one_minus expects a scalar-valued map")
     return Compose(Affine(((-1.0,),), (1.0,)), f)
+
+
+def straight_line(u: SmoothMap, a: SmoothMap, b: SmoothMap) -> SmoothMap:
+    """(1 - u) a + u b for a scalar-valued u: the straight line from a to b."""
+    return add(mul(one_minus(u), a), mul(u, b))
 
 
 def embed_time(n: int, u: float) -> Affine:

@@ -31,6 +31,7 @@ from .maps import (
     recip_map,
     smash_map,
     smashdyn_map,
+    straight_line,
     tup,
 )
 
@@ -99,6 +100,17 @@ def ramped(start: float, end: float, ramp: SmoothMap) -> SmoothMap:
     return compose(affine_row(1, {1: end - start}, start), ramp)
 
 
+def squeezed_retraction(n: int, eps: float, sigma, tau, ramp: SmoothMap, last: SmoothMap) -> SmoothMap:
+    """The width-eps approximate retraction after (the smashed side coordinates, last).
+
+    Each side coordinate is smashed with widths ``ramped`` from sigma[0] to sigma[1]
+    and from tau[0] to tau[1]; the map runs on the inputs of ``last``."""
+    d = last.in_dim
+    sigma_u, tau_u = ramped(*sigma, ramp), ramped(*tau, ramp)
+    sides = [smashdyn_map(coord(k, d), sigma_u, tau_u) for k in range(1, n)]
+    return compose(approx_retraction(RetractionParams.from_eps(n, eps)), tup(*sides, last))
+
+
 def deformation_schedule(n: int, eps: float) -> dict:
     """Band-width endpoints used by the deformation homotopy.
 
@@ -146,11 +158,7 @@ def deformation_retraction_homotopy(n: int, eps: float) -> Homotopy:
     if n == 1:
         h = add(mul(one_minus(u), coord(1, dim)), u)
         return Homotopy(h)
-    R = approx_retraction(RetractionParams.from_eps(n, sched["retraction_eps"]))
     ramp = lambda_map(affine_row(dim, {n: 1.0 / sched["ramp_scale"]}, 0.0))
-    sigma_t = ramped(sched["sigma_wide"], sched["sigma_narrow"], ramp)
-    tau_t = ramped(sched["tau_wide"], sched["tau_narrow"], ramp)
-    squeezed = [smashdyn_map(coord(k, dim), sigma_t, tau_t) for k in range(1, n)]
-    retracted = compose(R, tup(*squeezed, coord(n, dim)))
-    h = add(mul(one_minus(u), drop_time(n)), mul(u, retracted))
-    return Homotopy(h)
+    sigma, tau = (sched["sigma_wide"], sched["sigma_narrow"]), (sched["tau_wide"], sched["tau_narrow"])
+    retracted = squeezed_retraction(n, sched["retraction_eps"], sigma, tau, ramp, coord(n, dim))
+    return Homotopy(straight_line(u, drop_time(n), retracted))

@@ -93,6 +93,10 @@ class SuiteConfig:
                 raise DomainError(f"{what} must not repeat, got {values}")
         if not isinstance(self.seed, Integral) or self.seed < 0:
             raise DomainError(f"seed must be an integer >= 0, got {self.seed!r}")
+        # store plain Python numbers: json cannot write numpy scalars into a report
+        object.__setattr__(self, "ns", tuple(int(n) for n in self.ns))
+        object.__setattr__(self, "eps_list", tuple(float(e) for e in self.eps_list))
+        object.__setattr__(self, "seed", int(self.seed))
 
 
 def _sample_ts(seed: int, count: int = 1000) -> np.ndarray:

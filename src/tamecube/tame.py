@@ -54,18 +54,15 @@ from .maps import (
     PiecewiseAxis,
     SmoothMap,
     affine_row,
-    add,
     compose,
     coord,
     lambda_map,
-    mul,
-    one_minus,
     piecewise,
     smash_map,
-    smashdyn_map,
+    straight_line,
     tup,
 )
-from .retract import RetractionParams, approx_retraction, ramped
+from .retract import squeezed_retraction
 
 __all__ = [
     "ToleranceConfig",
@@ -96,6 +93,9 @@ class ToleranceConfig:
             raise DomainError("tolerances must be positive and finite")
         if not isinstance(self.grid_res, Integral) or self.grid_res < 3:
             raise DomainError(f"grid_res must be an integer of at least 3, got {self.grid_res!r}")
+        # store plain Python numbers: json cannot write numpy scalars into a report
+        for name, kind in (("eq_tol", float), ("deriv_tol", float), ("grid_res", int)):
+            object.__setattr__(self, name, kind(getattr(self, name)))
 
     def capped(self, k: int) -> "ToleranceConfig":
         """This configuration with its grid at most ``k`` points per axis."""
@@ -162,10 +162,8 @@ def _collar_rows(R: BoxRegion, eps: float, cfg: ToleranceConfig, seed: int):
     comparison, its comparisons depth-major, and the samples stacked over
     the moved points in block order.
     """
-    pts = region_grid(R, cfg.grid_res)
     extra = region_random(R, cfg.grid_res, np.random.default_rng(seed))
-    if len(extra):
-        pts = np.concatenate([pts, extra], axis=0)
+    pts = np.concatenate([region_grid(R, cfg.grid_res), extra])
     rng = np.random.default_rng(seed)
     n = R.ambient_dim
     lo, hi = np.array([box.intervals for box in R.boxes]).reshape(len(R.boxes), n, 2).T  # [axis, box]
@@ -248,15 +246,10 @@ def _collar_scan(
 
 
 def _domain(f: SmoothMap, K) -> BoxRegion:
-    """The box region of K, a complex or a region, checked against f's input dimension.
-
-    An empty region has no box to carry an ambient dimension, so it is not
-    checked; an empty complex still is.
-    """
-    is_complex = isinstance(K, CubicalComplex)
-    if (is_complex or K.boxes) and f.in_dim != K.ambient_dim:
+    """The box region of K, a complex or a region, checked against f's input dimension."""
+    if f.in_dim != K.ambient_dim:
         raise DimensionError(f"map has in_dim {f.in_dim}, domain has ambient {K.ambient_dim}")
-    return K.region if is_complex else K
+    return K.region if isinstance(K, CubicalComplex) else K
 
 
 def check_tame(
@@ -337,15 +330,8 @@ def tame_replace(f: SmoothMap, sigma: float, eps: float) -> tuple[SmoothMap, Hom
     g = compose(f, _coordwise_smash(params, n))
     dim = n + 1
     u = coord(dim, dim)
-    moved = [
-        add(
-            mul(one_minus(u), coord(k, dim)),
-            mul(u, smash_map(params, coord(k, dim))),
-        )
-        for k in range(1, n + 1)
-    ]
-    H = compose(f, tup(*moved))
-    return g, Homotopy(H)
+    moved = [straight_line(u, coord(k, dim), smash_map(params, coord(k, dim))) for k in range(1, n + 1)]
+    return g, Homotopy(compose(f, tup(*moved)))
 
 
 def extend_tame(
@@ -390,18 +376,13 @@ def extend_tame(
     reps = _collar_scan(f, tuple(parts), cfg, seed)
     for rep, where in zip(reps, ("walls-plus-top complex", "bottom rim")):
         rep.require(f"{rep.eps_tested}-tame on the {where}")
-    R = approx_retraction(RetractionParams.from_eps(n, eps))
     # widths relax from (sigma', eps') at the bottom to (sigma, eps) once the
     # smashed time leaves its flat band; driving the ramp by the smashed time
     # (not the raw time) freezes the widths on both collars, which is what
     # makes the result exactly sigma-tame in the time direction
     squashed_time = smash_map(SmashParams(sigma, eps), coord(n, n))
     ramp = lambda_map(compose(affine_row(1, {1: -1.0 / sigma}, 1.0), squashed_time))
-    a_u = ramped(sigma, sigma_prime, ramp)
-    b_u = ramped(eps, eps_prime, ramp)
-    args = [smashdyn_map(coord(k, n), a_u, b_u) for k in range(1, n)]
-    args.append(squashed_time)
-    return compose(f, R, tup(*args))
+    return compose(f, squeezed_retraction(n, eps, (sigma, sigma_prime), (eps, eps_prime), ramp, squashed_time))
 
 
 def jdelta_collar(n: int, eps: float) -> tuple[float, float, float]:

@@ -312,6 +312,25 @@ def test_suite_config_validation():
     assert cfg.tolerances.capped(17) == cfg.tolerances
 
 
+@pytest.mark.parametrize(
+    "given, plain",
+    [
+        ({"seed": np.int64(1)}, {"seed": 1}),
+        ({"ns": (np.int64(2),)}, {"ns": (2,)}),
+        ({"tolerances": ToleranceConfig(grid_res=np.int64(9))}, {"tolerances": ToleranceConfig(grid_res=9)}),
+        ({"eps_list": (np.float32(0.25),)}, None),
+        ({"tolerances": ToleranceConfig(eq_tol=np.float32(1e-9))}, None),
+    ],
+)
+def test_numpy_scalars_in_the_config_give_a_writable_report(given, plain):
+    # the configuration keeps plain Python numbers, so json can write the report;
+    # a numpy integer gives the report of the same Python integer
+    report = suites.run_suite(SuiteConfig("kernels", **given))
+    assert json.loads(json.dumps(report)) == report
+    if plain is not None:
+        assert report == suites.run_suite(SuiteConfig("kernels", **plain))
+
+
 def test_verify_passes_the_config_defaults(monkeypatch, tmp_path):
     # every flag left out takes SuiteConfig's and ToleranceConfig's default;
     # each flag given sets its own field

@@ -23,7 +23,7 @@ from tamecube.cubes import (
     skeleton,
     unique_rows,
 )
-from tamecube.errors import DomainError
+from tamecube.errors import DimensionError, DomainError
 
 
 def test_boundary_complex_counts():
@@ -138,7 +138,9 @@ def test_region_validation():
     for bad in ((0.5, 0.2), (0.0, float("inf")), (-0.5, 0.5), (0.5, 1.5), (float("nan"), 0.5)):
         with pytest.raises(DomainError, match="bad interval"):
             Box(((0.0, 1.0), bad))
-    r = BoxRegion((Box(((0.0, 1.0),)),))
+    r = BoxRegion(1, (Box(((0.0, 1.0),)),))
+    with pytest.raises(DimensionError, match="box has ambient 1, region has 2"):
+        BoxRegion(2, r.boxes)
     d = dist_to_region(r, [(0.5,), (1.5,)])
     assert d[0] <= MEMBERSHIP_TOL < d[1]
 
@@ -148,7 +150,7 @@ def test_face_box_and_complex_region():
     assert f.box() == Box(((0.0, 0.0), (0.0, 1.0), (1.0, 1.0)))
     assert f.box(0.2, 0.8) == Box(((0.0, 0.0), (0.2, 0.8), (1.0, 1.0)))
     K = boundary_complex(2)
-    assert K.region == BoxRegion(tuple(g.box() for g in K.maximal_faces))
+    assert K.region == BoxRegion(2, tuple(g.box() for g in K.maximal_faces))
     assert CubicalComplex(2, ()).region.boxes == ()
 
 
@@ -200,14 +202,14 @@ def test_region_random_matches_a_draw_per_box():
     # one draw for all boxes gives the same points, bit for bit, and leaves
     # the generator where the per-box draws leave it
     rng = np.random.default_rng(7)
-    regions = [boundary_complex(3).region, full_cube(0).region, BoxRegion(())]
+    regions = [boundary_complex(3).region, full_cube(0).region, BoxRegion(3, ())]
     for n in (1, 2, 3, 4):
         for boxes in (1, 2, 5):
             ends = np.sort(rng.uniform(size=(boxes, n, 2)), axis=2)
             ends[rng.uniform(size=(boxes, n)) < 0.3] = 0.0  # pinned to the face 0
             flat = rng.uniform(size=(boxes, n)) < 0.3
             ends[flat, 1] = ends[flat, 0]  # degenerate inside
-            regions.append(BoxRegion(tuple(Box(tuple(map(tuple, box.tolist()))) for box in ends)))
+            regions.append(BoxRegion(n, tuple(Box(tuple(map(tuple, box.tolist()))) for box in ends)))
     for seed, R in enumerate(regions):
         for count in (0, 1, 7):
             new, old = np.random.default_rng(seed), np.random.default_rng(seed)

@@ -484,21 +484,24 @@ def test_equal_trees_built_in_threads_are_one_object():
 
 def test_eval_many_returns_fresh_writable_array():
     pts = np.array([[0.25, 0.5], [0.75, 1.0]])
-    before = pts.copy()
     trees = [
         coord(2, 2),
         const((3.0, 4.0), 2),
         parse_map("(coord 1)"),
         deformation_retraction_homotopy(1, 0.25).map,
     ]
-    for f in trees:
-        X = pts[:, : f.in_dim]
-        out = f.eval_many(X)
-        assert out.shape == (2, f.out_dim)
-        again = out.copy()
-        out[...] = 99.0  # raises on a read-only array
-        assert np.array_equal(pts, before)
-        assert np.array_equal(f.eval_many(X), again)
+    # zero rows and one row past a slice: both ends of the slicing
+    many = np.random.default_rng(5).uniform(size=(_EVAL_ROWS + 1, 2))
+    for rows in (pts, pts[:0], many):
+        before = rows.copy()
+        for f in trees:
+            X = rows[:, : f.in_dim]
+            out = f.eval_many(X)
+            assert out.shape == (len(rows), f.out_dim)
+            again = out.copy()
+            out[...] = 99.0  # raises on a read-only array
+            assert np.array_equal(rows, before)
+            assert np.array_equal(f.eval_many(X), again)
 
 
 def test_large_call_is_evaluated_in_slices():

@@ -125,14 +125,20 @@ def test_check_tame_validation():
 
 
 def test_empty_domain_passes_with_no_comparisons():
-    # an empty complex or region has nothing to compare; a complex still checks its ambient dimension
+    # an empty complex or region has nothing to compare, but keeps its
+    # ambient dimension: its samples have that many columns, and a map of
+    # another input dimension is refused
+    assert complex_grid(CubicalComplex(3, ()), 5).shape == (0, 3)
+    assert region_grid(BoxRegion(3, ()), 5).shape == (0, 3)
+    assert region_random(BoxRegion(3, ()), 5, np.random.default_rng(0)).shape == (0, 3)
     f = Coord(1, 2)
     for check in (check_tame, check_admissible):
-        for K in (CubicalComplex(2, ()), BoxRegion(())):
+        for K in (CubicalComplex(2, ()), BoxRegion(2, ())):
             rep = check(f, K, 0.2)
             assert (rep.passed, rep.worst_violation, rep.witness, rep.samples_checked) == (True, 0.0, None, 0)
-        with pytest.raises(DimensionError, match="map has in_dim 2, domain has ambient 3"):
-            check(f, CubicalComplex(3, ()), 0.2)
+        for K in (CubicalComplex(3, ()), BoxRegion(3, ())):
+            with pytest.raises(DimensionError, match="map has in_dim 2, domain has ambient 3"):
+                check(f, K, 0.2)
 
 
 def test_tame_replace_constant():
@@ -465,7 +471,7 @@ def test_collar_scan_without_comparisons():
     # with no comparison, and a part without comparisons, whose samples still
     # sit in the stacked rows, leaves the next part's report as it is alone
     f = random_smooth_map(np.random.default_rng(11), 2)
-    inner = BoxRegion((Box(((0.4, 0.6), (0.4, 0.6))),))
+    inner = BoxRegion(2, (Box(((0.4, 0.6), (0.4, 0.6))),))
     rep = check_tame(f, inner, 0.05)
     assert (rep.passed, rep.worst_violation, rep.witness, rep.samples_checked) == (True, 0.0, None, 0)
     alone = _collar_scan(f, ((full_cube(2).region, 0.2),), CFG, 0)
@@ -535,7 +541,7 @@ def _random_region(rng, n, boxes):
         flat = rng.uniform(size=n) < 0.2
         ends[flat, 1] = ends[flat, 0]  # and some degenerate inside
         out.append(Box(tuple((float(lo), float(hi)) for lo, hi in ends)))
-    return BoxRegion(tuple(out))
+    return BoxRegion(n, tuple(out))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -564,7 +570,7 @@ def test_collar_rows_match_distance_membership_at_the_tolerance():
                     Box(((face, face), (float(np.nextafter(0.5 - MEMBERSHIP_TOL, 1.0)), 0.75))),
                 ):
                     for other in (Box(((0.5, 1.0), (0.0, 0.5))), Box(((0.0, 0.5), (0.5, 0.5)))):
-                        R = BoxRegion((other, b))
+                        R = BoxRegion(2, (other, b))
                         moved.add(_assert_same_collar_rows(R, 0.375, cfg, seed=2))
     assert len(moved) > 2  # where the faces sit changes which moves stay in R
     # a face exactly MEMBERSHIP_TOL from the coordinate 0 of a move: along
@@ -574,7 +580,7 @@ def test_collar_rows_match_distance_membership_at_the_tolerance():
         counts = []
         for face in (MEMBERSHIP_TOL, float(np.nextafter(MEMBERSHIP_TOL, 1.0))):
             box = Box(tuple((face if lo is None else lo, hi) for lo, hi in (a, b)))
-            counts.append(_assert_same_collar_rows(BoxRegion((edge, box)), 0.5, cfg, seed=2))
+            counts.append(_assert_same_collar_rows(BoxRegion(2, (edge, box)), 0.5, cfg, seed=2))
         assert counts[0] > counts[1]
 
 
