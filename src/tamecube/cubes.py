@@ -98,6 +98,11 @@ class Face:
         return "&".join(f"t{a}={v}" for a, v in self.pinned)
 
 
+def _require_face_in(F: Face, ambient_dim: int, what: str) -> None:
+    if F.ambient_dim != ambient_dim:
+        raise DimensionError(f"face {F.describe()} has ambient {F.ambient_dim}, {what} has {ambient_dim}")
+
+
 def _normalize_faces(faces) -> tuple[Face, ...]:
     """Drop duplicates and faces dominated by another face; sort deterministically."""
     unique = sorted(set(faces), key=lambda f: f.pinned)
@@ -118,11 +123,7 @@ class CubicalComplex:
 
     def __post_init__(self):
         for f in self.maximal_faces:
-            if f.ambient_dim != self.ambient_dim:
-                raise DimensionError(
-                    f"face {f.describe()} has ambient {f.ambient_dim}, "
-                    f"complex has {self.ambient_dim}"
-                )
+            _require_face_in(f, self.ambient_dim, "complex")
         object.__setattr__(self, "maximal_faces", _normalize_faces(self.maximal_faces))
 
     @property
@@ -269,6 +270,7 @@ def positive_faces(n: int) -> tuple[Face, ...]:
 
 def intersect_complex_face(K: CubicalComplex, F: Face) -> CubicalComplex:
     """The subcomplex K intersected with the face F (possibly empty)."""
+    _require_face_in(F, K.ambient_dim, "complex")
     faces = []
     fpins = dict(F.pinned)
     for g in K.maximal_faces:
@@ -282,6 +284,7 @@ def intersect_complex_face(K: CubicalComplex, F: Face) -> CubicalComplex:
 
 
 def intersect_region_face(R: BoxRegion, F: Face) -> BoxRegion:
+    _require_face_in(F, R.ambient_dim, "region")
     boxes = []
     fpins = dict(F.pinned)
     for b in R.boxes:

@@ -25,6 +25,7 @@ from .retract import RetractionParams, approx_retraction, deformation_retraction
 from .tame import (
     DEFAULT_TOLERANCES,
     ToleranceConfig,
+    _is_number,
     check_tame,
     concat_homotopy,
     concat_maps,
@@ -36,7 +37,7 @@ from .tame import (
 
 __all__ = ["SuiteConfig", "PropertyResult", "SUITE_NAMES", "run_suite", "report_schema_version"]
 
-SCHEMA_VERSION = "1.0.0"
+SCHEMA_VERSION = "1.1.0"
 
 
 def report_schema_version() -> str:
@@ -82,16 +83,16 @@ class SuiteConfig:
     def __post_init__(self):
         if self.suite not in SUITE_NAMES and self.suite != "all":
             raise DomainError(f"unknown suite {self.suite!r}; known: {sorted(SUITE_NAMES)}")
-        if not self.ns or any(not (isinstance(n, Integral) and 1 <= n <= 4) for n in self.ns):
+        if not self.ns or any(not (_is_number(n, Integral) and 1 <= n <= 4) for n in self.ns):
             raise DomainError(f"dimensions must be a non-empty list of integers within 1..4, got {self.ns}")
-        if not self.eps_list or any(not (isinstance(e, Real) and 0.0 < e < 0.5) for e in self.eps_list):
+        if not self.eps_list or any(not (_is_number(e, Real) and 0.0 < e < 0.5) for e in self.eps_list):
             raise DomainError(f"widths must be a non-empty list of reals within (0, 1/2), got {self.eps_list}")
         if not isinstance(self.tolerances, ToleranceConfig):
             raise DomainError(f"tolerances must be a ToleranceConfig, got {self.tolerances!r}")
         for what, values in (("dimensions", self.ns), ("widths", self.eps_list)):
             if len(set(values)) < len(values):
                 raise DomainError(f"{what} must not repeat, got {values}")
-        if not isinstance(self.seed, Integral) or self.seed < 0:
+        if not _is_number(self.seed, Integral) or self.seed < 0:
             raise DomainError(f"seed must be an integer >= 0, got {self.seed!r}")
         # store plain Python numbers: json cannot write numpy scalars into a report
         object.__setattr__(self, "ns", tuple(int(n) for n in self.ns))
@@ -106,6 +107,8 @@ def _sample_ts(seed: int, count: int = 1000) -> np.ndarray:
 
 
 SMASH_PAIRS = ((0.1, 0.25), (0.05, 0.5), (0.0, 0.3), (0.2, 0.45), (0.15, 0.3))
+# where the kernel rows compare the quadrature table with Simpson: fractions of a band
+INTERIOR = (0.25, 0.5, 0.75)
 
 
 def _simpson_integral(fn, a: float, b: float, panels: int = 4096) -> float:
@@ -114,32 +117,6 @@ def _simpson_integral(fn, a: float, b: float, panels: int = 4096) -> float:
     ys = fn(xs)
     h = (b - a) / (2 * panels)
     return float(h / 3.0 * (ys[0] + ys[-1] + 4 * ys[1:-1:2].sum() + 2 * ys[2:-2:2].sum()))
-
-
-_ORACLE_SLICE = 2**15
-
-
-def _riemann_smash_F1(sigma: float, tau: float, panels: int = 10**6) -> float:
-    """Midpoint Riemann value of the smash integral form at t = 1.
-
-    The integrand is evaluated in slices of at most ``_ORACLE_SLICE``
-    panels, so ``lambda_many``'s temporaries take about 2 MB instead of
-    50 MB.  numpy sums a contiguous array pairwise: a block of more than
-    128 values is cut at ``n//2 - (n//2) % 8`` and the sums of its two
-    halves are added.  The slices are cut by that rule and their sums added
-    in that tree, so the value is the unsliced ``integrand.mean()`` bit for
-    bit; summing the slices in a row instead, or cutting at a fixed depth,
-    changes the last bits.
-    """
-
-    def block_sum(lo: int, n: int) -> float:
-        if n > _ORACLE_SLICE:
-            half = n // 2 - (n // 2) % 8
-            return block_sum(lo, half) + block_sum(lo + half, n - half)
-        x = (np.arange(lo, lo + n) + 0.5) / panels
-        return kr.lambda_many((tau * x - sigma) / (tau - sigma)).sum()
-
-    return float(block_sum(0, panels) / panels + (tau + sigma) / (2.0 * tau))
 
 
 def _at_times(H: mp.Homotopy, pts: np.ndarray, times: tuple[float, ...]) -> np.ndarray:
@@ -163,6 +140,8 @@ def _kernels_suite(cfg: SuiteConfig) -> list[PropertyResult]:
     integral = _simpson_integral(kr.lambda_many, 0.0, 1.0)
     gap = abs(integral - 0.5)
     out.append(PropertyResult("lambda-integral-half", {"panels": 4096}, gap, 1e-8))
+    gap = max(abs(float(kr.lambda_integral(s)) - _simpson_integral(kr.lambda_many, 0.0, s)) for s in INTERIOR)
+    out.append(PropertyResult("lambda-integral-interior", {"s": list(INTERIOR)}, gap, 1e-8))
     # one-sided slopes at 0 and 1 for steps 1e-2, 1e-3: the finer must not be larger
     steps = np.array([1e-2, 1e-3])
     slopes = np.abs(kr.lambda_many([steps, 1.0 - steps]) - kr.lambda_many([[0.0], [1.0]])) / steps
@@ -187,14 +166,17 @@ def _kernels_suite(cfg: SuiteConfig) -> list[PropertyResult]:
             expected = np.where(flat <= 0.5, 0.0, 1.0)
             worst_flat = float(np.max(np.abs(vals - expected)))
             out.append(PropertyResult("smash-flat-bands-exact", {"sigma": sigma, "tau": tau}, worst_flat, 0.0))
-        fv = tau * kr.smash_F(p, 0.5 / tau)
-        seam = abs(fv - (1.0 - fv))
-        out.append(PropertyResult("smash-seam-half", {"sigma": sigma, "tau": tau}, seam, 1e-9))
-    for sigma, tau in ((0.1, 0.25), (0.05, 0.5), (0.0, 0.3)):
-        oracle = _riemann_smash_F1(sigma, tau)
-        got = kr.smash_F(kr.SmashParams(sigma, tau), 1.0)
-        gap = abs(got - oracle)
-        out.append(PropertyResult("smash-F-riemann-oracle", {"sigma": sigma, "tau": tau}, gap, 1e-8))
+        # smash_F(p, t) = int_{sigma/tau}^t lambda(r(x)) dx + (tau + sigma) / (2 tau) lambda(r(t))
+        # with r(x) = (tau x - sigma) / (tau - sigma); t runs over interior points of the band
+        def lam_r(x):
+            return kr.lambda_many((tau * x - sigma) / (tau - sigma))
+
+        lo = sigma / tau
+        gap = 0.0
+        for t in (lo + (1.0 - lo) * f for f in INTERIOR):
+            oracle = _simpson_integral(lam_r, lo, t) + (tau + sigma) / (2.0 * tau) * float(lam_r(t))
+            gap = max(gap, abs(kr.smash_F(p, t) - oracle))
+        out.append(PropertyResult("smash-F-interior", {"sigma": sigma, "tau": tau}, gap, 1e-8))
     return out
 
 

@@ -80,6 +80,11 @@ __all__ = [
 ]
 
 
+def _is_number(x, kind) -> bool:
+    """``isinstance(x, kind)``, refusing a bool: it is an ``Integral``, but no count or size."""
+    return isinstance(x, kind) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class ToleranceConfig:
     """Comparison tolerances and per-axis grid resolution for the checkers."""
@@ -89,9 +94,9 @@ class ToleranceConfig:
     grid_res: int = 33
 
     def __post_init__(self):
-        if not all(isinstance(t, Real) and 0 < t < np.inf for t in (self.eq_tol, self.deriv_tol)):
+        if not all(_is_number(t, Real) and 0 < t < np.inf for t in (self.eq_tol, self.deriv_tol)):
             raise DomainError("tolerances must be positive and finite")
-        if not isinstance(self.grid_res, Integral) or self.grid_res < 3:
+        if not _is_number(self.grid_res, Integral) or self.grid_res < 3:
             raise DomainError(f"grid_res must be an integer of at least 3, got {self.grid_res!r}")
         # store plain Python numbers: json cannot write numpy scalars into a report
         for name, kind in (("eq_tol", float), ("deriv_tol", float), ("grid_res", int)):

@@ -19,7 +19,7 @@ from tamecube.tame import ToleranceConfig
 
 def test_schema_version(capsys):
     assert main(["schema"]) == 0
-    assert capsys.readouterr().out.strip() == report_schema_version() == "1.0.0"
+    assert capsys.readouterr().out.strip() == report_schema_version() == "1.1.0"
 
 
 def test_module_entry_point_runs():
@@ -27,7 +27,7 @@ def test_module_entry_point_runs():
     out = subprocess.run(
         [sys.executable, "-m", "tamecube.cli", "schema"], capture_output=True, text=True, env=env, check=True
     )
-    assert out.stdout.strip() == "1.0.0"
+    assert out.stdout.strip() == "1.1.0"
 
 
 def test_unknown_suite_is_usage_error(capsys):
@@ -79,12 +79,12 @@ def test_verify_kernels_report(tmp_path):
     rc = main(["verify", "--suite", "kernels", "--seed", "3", "--out", str(out)])
     assert rc == 0
     rep = json.loads(out.read_text())
-    assert rep["schema"] == "1.0.0"
+    assert rep["schema"] == "1.1.0"
     assert rep["passed"] is True
     assert rep["config"]["seed"] == 3
     assert "timestamp" in rep
     names = {r["name"] for r in rep["results"]}
-    assert "lambda-symmetry" in names and "smash-F-riemann-oracle" in names
+    assert "lambda-symmetry" in names and "smash-F-interior" in names
 
 
 def test_verify_all_rows_unique(tmp_path):

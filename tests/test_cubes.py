@@ -15,6 +15,7 @@ from tamecube.cubes import (
     dist_to_region,
     full_cube,
     intersect_complex_face,
+    intersect_region_face,
     j_complex,
     j_delta_region,
     positive_faces,
@@ -127,6 +128,17 @@ def test_intersect_complex_face():
         CubicalComplex(2, (Face(2, ((1, 0),)),)), Face(2, ((1, 1),))
     )
     assert empty.is_empty
+
+
+@pytest.mark.parametrize("n,m", [(2, 3), (3, 2)])
+@pytest.mark.parametrize(
+    "intersect,what,of_cube",
+    [(intersect_complex_face, "complex", full_cube), (intersect_region_face, "region", lambda n: full_cube(n).region)],
+    ids=["complex", "region"],
+)
+def test_intersect_refuses_a_face_of_another_cube(intersect, what, of_cube, n, m):
+    with pytest.raises(DimensionError, match=f"^face t{m}=1 has ambient {m}, {what} has {n}$"):
+        intersect(of_cube(n), Face(m, ((m, 1),)))
 
 
 def test_subcomplex_relation():

@@ -169,7 +169,7 @@ CASES = [
             None,
         )
         for field in ("eq_tol", "deriv_tol")
-        for value in (math.nan, math.inf, -math.inf, "1", None)
+        for value in (math.nan, math.inf, -math.inf, "1", None, True)
     ),
     *(
         (
@@ -201,6 +201,23 @@ CASES = [
         DomainError,
         "seed must be an integer >= 0, got 1.5",
         None,
+    ),
+    (
+        "suite-config-bool-dimension",
+        lambda: SuiteConfig("retract", ns=(True,)),
+        DomainError,
+        "dimensions must be a non-empty list of integers within 1..4, got (True,)",
+        None,
+    ),
+    *(
+        (
+            f"suite-config-bool-seed-{value}",
+            lambda value=value: SuiteConfig("tame", seed=value),
+            DomainError,
+            f"seed must be an integer >= 0, got {value}",
+            None,
+        )
+        for value in (True, False)
     ),
     (
         "suite-config-tolerances-not-a-config",
