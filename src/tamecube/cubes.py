@@ -33,7 +33,6 @@ __all__ = [
     "chamber_region",
     "j_delta_region",
     "positive_faces",
-    "intersect_complex_face",
     "intersect_region_face",
     "dist_to_complex",
     "dist_to_region",
@@ -103,15 +102,11 @@ def _require_face_in(F: Face, ambient_dim: int, what: str) -> None:
         raise DimensionError(f"face {F.describe()} has ambient {F.ambient_dim}, {what} has {ambient_dim}")
 
 
-def _normalize_faces(faces) -> tuple[Face, ...]:
-    """Drop duplicates and faces dominated by another face; sort deterministically."""
-    unique = sorted(set(faces), key=lambda f: f.pinned)
-    keep = []
-    for f in unique:
-        if any(f is not g and f.subface_of(g) for g in unique):
-            continue
-        keep.append(f)
-    return tuple(keep)
+def _maximal(items, holds, key) -> tuple:
+    """The distinct ``items`` that no other one ``holds``, sorted by ``key``."""
+    unique = dict.fromkeys(items)
+    keep = [b for b in unique if not any(c is not b and holds(c, b) for c in unique)]
+    return tuple(sorted(keep, key=key))
 
 
 @dataclass(frozen=True)
@@ -124,17 +119,14 @@ class CubicalComplex:
     def __post_init__(self):
         for f in self.maximal_faces:
             _require_face_in(f, self.ambient_dim, "complex")
-        object.__setattr__(self, "maximal_faces", _normalize_faces(self.maximal_faces))
+        maximal = _maximal(self.maximal_faces, lambda g, f: f.subface_of(g), key=lambda f: f.pinned)
+        object.__setattr__(self, "maximal_faces", maximal)
 
     @property
     def dim(self) -> int:
         if not self.maximal_faces:
             return -1
         return max(f.dim for f in self.maximal_faces)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.maximal_faces
 
     @property
     def region(self) -> "BoxRegion":
@@ -265,41 +257,31 @@ def j_delta_region(n: int, delta: float) -> BoxRegion:
 
 def positive_faces(n: int) -> tuple[Face, ...]:
     """All faces of I^n of positive dimension, I^n itself included."""
-    return tuple(f for f in full_cube(n).faces(min_dim=1))
-
-
-def intersect_complex_face(K: CubicalComplex, F: Face) -> CubicalComplex:
-    """The subcomplex K intersected with the face F (possibly empty)."""
-    _require_face_in(F, K.ambient_dim, "complex")
-    faces = []
-    fpins = dict(F.pinned)
-    for g in K.maximal_faces:
-        gpins = dict(g.pinned)
-        if any(a in gpins and gpins[a] != v for a, v in fpins.items()):
-            continue
-        merged = dict(gpins)
-        merged.update(fpins)
-        faces.append(Face(K.ambient_dim, tuple(sorted(merged.items()))))
-    return CubicalComplex(K.ambient_dim, tuple(faces))
+    return full_cube(n).faces(min_dim=1)
 
 
 def intersect_region_face(R: BoxRegion, F: Face) -> BoxRegion:
+    """R meet F: the boxes of R that reach F, pinned to it, each once and none
+    inside another, ordered by their degenerate axes ``((axis, value), ...)``
+    as a complex orders its maximal faces by ``pinned``; so ``K.region`` meets
+    F in the boxes of the complex K meet F, in their order."""
     _require_face_in(F, R.ambient_dim, "region")
-    boxes = []
-    fpins = dict(F.pinned)
+    met = []
     for b in R.boxes:
         ivals = list(b.intervals)
-        ok = True
-        for a, v in fpins.items():
+        for a, v in F.pinned:
             lo, hi = ivals[a - 1]
-            if lo - MEMBERSHIP_TOL <= v <= hi + MEMBERSHIP_TOL:
-                ivals[a - 1] = (float(v), float(v))
-            else:
-                ok = False
+            if not lo - MEMBERSHIP_TOL <= v <= hi + MEMBERSHIP_TOL:
                 break
-        if ok:
-            boxes.append(Box(tuple(ivals)))
-    return BoxRegion(R.ambient_dim, tuple(boxes))
+            ivals[a - 1] = (float(v), float(v))
+        else:
+            met.append(tuple(ivals))
+    keep = _maximal(
+        met,
+        lambda c, b: all(p <= lo and hi <= q for (lo, hi), (p, q) in zip(b, c)),
+        key=lambda b: [(a, lo) for a, (lo, hi) in enumerate(b, 1) if lo == hi],
+    )
+    return BoxRegion(R.ambient_dim, tuple(map(Box, keep)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the number test its gates use."""
+
+
+def _is_number(x, kind) -> bool:
+    """``isinstance(x, kind)``, refusing a bool: it is an ``Integral``, but no count or size."""
+    return isinstance(x, kind) and not isinstance(x, bool)
 
 
 class TameCubeError(Exception):

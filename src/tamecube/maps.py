@@ -49,12 +49,13 @@ import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from itertools import chain
+from numbers import Integral
 from operator import attrgetter
 from typing import ClassVar
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, ParseError
+from .errors import DimensionError, DomainError, ParseError, _is_number
 from .kernels import (
     SmashParams,
     gamma_many,
@@ -214,6 +215,15 @@ class SmoothMap(metaclass=_Interned):
         return self.eval_many(P)[0]
 
 
+def _plain_ints(obj, what: str, *names: str) -> None:
+    """Store fields ``names`` of ``obj`` as ``int``s, refusing a non-integer and a
+    bool: ``True`` would take the intern key of ``1``, and ``1.0`` writes as ``1.0``."""
+    for name in names:
+        if not _is_number(v := getattr(obj, name), Integral):
+            raise DimensionError(f"{what} {name} must be an integer, got {v!r}")
+        object.__setattr__(obj, name, int(v))
+
+
 def _require_finite(A: np.ndarray, X: np.ndarray, message: str) -> None:
     """Raise ``DomainError`` naming the first point of ``X`` whose row of ``A``
     holds NaN or ±inf."""
@@ -304,6 +314,7 @@ class Const(SmoothMap):
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        _plain_ints(self, "const", "dim")
         if not self.values:
             raise DimensionError("const needs at least one component")
         if self.dim < 1:
@@ -323,6 +334,7 @@ class Coord(SmoothMap):
     dim: int
 
     def __post_init__(self):
+        _plain_ints(self, "coord", "index", "dim")
         if not 1 <= self.index <= self.dim:
             raise DimensionError(f"coord {self.index} out of range 1..{self.dim}")
         self._set_dims(self.dim, 1)
@@ -513,6 +525,7 @@ class PiecewiseAxis(SmoothMap):
         object.__setattr__(
             self, "breakpoints", tuple(float(b) for b in self.breakpoints)
         )
+        _plain_ints(self, "piece", "axis")
         if len(self.pieces) != len(self.breakpoints) + 1:
             raise DimensionError(
                 f"piece: {len(self.breakpoints)} breakpoints need "

@@ -172,9 +172,8 @@ def admissible_replace(
     # cheap internal config for per-step verification; the caller's cfg is
     # used for the final admissibility report
     quick = cfg.capped(11)
-    if not L.is_empty:
-        check_admissible(f, L, eps, quick, seed).require(f"{eps}-admissible on L")
-    if K.is_empty or K.dim == 0 or K.is_subcomplex_of(L):
+    check_admissible(f, L, eps, quick, seed).require(f"{eps}-admissible on L")
+    if K.dim <= 0 or K.is_subcomplex_of(L):
         final = check_admissible(f, K, eps, cfg, seed)
         return f, constant_homotopy(f), ReplacementTrace(0.0, 0.0, (), final)
 
@@ -194,7 +193,6 @@ def admissible_replace(
             for F in K.faces(min_dim=j)
             if F.dim == j and not any(F.subface_of(M) for M in L.maximal_faces)
         ]
-        faces_j.sort(key=lambda F: F.pinned)
         eps_p = min(eps ** (j - 1), 0.5)
         sigma_p = eps**j
         sigma_j = 0.5 * min(eps ** (j + 1), cert)

@@ -18,6 +18,7 @@ from .errors import DomainError
 from .kernels import SmashParams
 from .maps import (
     Homotopy,
+    _plain_ints,
     SmoothMap,
     affine_row,
     add,
@@ -53,6 +54,7 @@ class RetractionParams:
     eps_prime: float
 
     def __post_init__(self):
+        _plain_ints(self, "retraction", "n")
         if self.n < 1:
             raise DomainError("retraction needs dimension >= 1")
         if not (0.0 < self.sigma < self.eps_prime < self.eps < 0.5):

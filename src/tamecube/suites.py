@@ -18,14 +18,14 @@ import numpy as np
 from . import cubes as cb
 from . import kernels as kr
 from . import maps as mp
-from .errors import DomainError, TameCubeError
+from .errors import DomainError, TameCubeError, _is_number
 from .genmaps import random_map_admissible_on, random_tame_map
 from .replace import admissible_replace
 from .retract import RetractionParams, approx_retraction, deformation_retraction_homotopy, deformation_schedule
 from .tame import (
     DEFAULT_TOLERANCES,
     ToleranceConfig,
-    _is_number,
+    _require_seed,
     check_tame,
     concat_homotopy,
     concat_maps,
@@ -92,8 +92,7 @@ class SuiteConfig:
         for what, values in (("dimensions", self.ns), ("widths", self.eps_list)):
             if len(set(values)) < len(values):
                 raise DomainError(f"{what} must not repeat, got {values}")
-        if not _is_number(self.seed, Integral) or self.seed < 0:
-            raise DomainError(f"seed must be an integer >= 0, got {self.seed!r}")
+        _require_seed(self.seed)
         # store plain Python numbers: json cannot write numpy scalars into a report
         object.__setattr__(self, "ns", tuple(int(n) for n in self.ns))
         object.__setattr__(self, "eps_list", tuple(float(e) for e in self.eps_list))

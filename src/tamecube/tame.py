@@ -38,7 +38,6 @@ from .cubes import (
     CubicalComplex,
     Face,
     box_grid,
-    intersect_complex_face,
     intersect_region_face,
     j_complex,
     positive_faces,
@@ -47,7 +46,7 @@ from .cubes import (
     unique_rows,
     MEMBERSHIP_TOL,
 )
-from .errors import DimensionError, DomainError, TamenessError
+from .errors import DimensionError, DomainError, TamenessError, _is_number
 from .kernels import SmashParams
 from .maps import (
     Homotopy,
@@ -80,11 +79,6 @@ __all__ = [
 ]
 
 
-def _is_number(x, kind) -> bool:
-    """``isinstance(x, kind)``, refusing a bool: it is an ``Integral``, but no count or size."""
-    return isinstance(x, kind) and not isinstance(x, bool)
-
-
 @dataclass(frozen=True)
 class ToleranceConfig:
     """Comparison tolerances and per-axis grid resolution for the checkers."""
@@ -108,6 +102,12 @@ class ToleranceConfig:
 
 
 DEFAULT_TOLERANCES = ToleranceConfig()
+
+
+def _require_seed(seed) -> None:
+    """Refuse a seed that is no integer >= 0; ``None`` would draw from OS entropy."""
+    if not _is_number(seed, Integral) or seed < 0:
+        raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -212,8 +212,12 @@ def _collar_scan(
     in, so the values are those of one call per comparison.  Each part's
     comparisons are then reduced in (axis, side, depth) order: its report
     counts those whose moved point differs from the sample and keeps the
-    first worst one as the witness.
+    first worst one as the witness.  The seed must be an integer >= 0: every
+    checker and construction scans, so this is where it is refused.
     """
+    _require_seed(seed)
+    if not parts:
+        return []
     plans = []  # per part: width, sample count, blocks, offset of its rows
     part_rows = []
     offset = 0
@@ -274,10 +278,7 @@ def check_tame(
     """
     if not 0.0 < eps <= 0.5:
         raise DomainError(f"tameness width must satisfy 0 < eps <= 1/2, got {eps!r}")
-    R = _domain(f, K)
-    if not R.boxes:
-        return TamenessReport(True, eps, 0.0, None, 0)
-    return _collar_scan(f, ((R, eps),), cfg, seed)[0]
+    return _collar_scan(f, ((_domain(f, K), eps),), cfg, seed)[0]
 
 
 def check_admissible(
@@ -290,18 +291,14 @@ def check_admissible(
     """Check graded tameness: width eps**dim(F) on K meet F, per positive face F."""
     if not 0.0 < eps <= 0.5:
         raise DomainError(f"admissibility width must satisfy 0 < eps <= 1/2, got {eps!r}")
-    _domain(f, K)
+    R = _domain(f, K)
     faces, parts = [], []
-    for F in positive_faces(K.ambient_dim):
-        if isinstance(K, CubicalComplex):
-            # the normalized intersection fixes the boxes, hence the random draws
-            KF = intersect_complex_face(K, F).region
-        else:
-            KF = intersect_region_face(K, F)
-        if KF.boxes:
+    for F in positive_faces(R.ambient_dim):
+        RF = intersect_region_face(R, F)
+        if RF.boxes:
             faces.append(F)
-            parts.append((KF, eps**F.dim))
-    reps = _collar_scan(f, tuple(parts), cfg, seed) if parts else []
+            parts.append((RF, eps**F.dim))
+    reps = _collar_scan(f, tuple(parts), cfg, seed)
     # the first face with the largest violation gives the verdict and witness
     top = max(reps, key=lambda r: r.worst_violation, default=TamenessReport(True, eps, 0.0, None, 0))
     breakdown = tuple(
@@ -390,21 +387,21 @@ def extend_tame(
     return compose(f, squeezed_retraction(n, eps, (sigma, sigma_prime), (eps, eps_prime), ramp, squashed_time))
 
 
-def jdelta_collar(n: int, eps: float) -> tuple[float, float, float]:
-    """(flat width, identity-band start, collar depth) for the boundary push-out.
+def jdelta_collar(n: int, eps: float) -> tuple[float, float]:
+    """(flat width, identity-band start) for the boundary push-out.
 
     The graded widths are (eps^(n-1), eps^(n-2)); when the identity band
     start would exceed 1/2 (only at n = 2) both exponents shift up by one.
-    The collar depth always equals the flat width so the collar collapses
-    onto the boundary exactly.
+    The collar is as deep as the flat width, so it collapses onto the
+    boundary exactly.
     """
     if n < 2:
         raise DomainError("collar widths need dimension >= 2")
     if not 0.0 < eps <= 0.5:
         raise DomainError(f"need 0 < eps <= 1/2, got {eps!r}")
     if n == 2:
-        return eps**2, eps, eps**2
-    return eps ** (n - 1), eps ** (n - 2), eps ** (n - 1)
+        return eps**2, eps
+    return eps ** (n - 1), eps ** (n - 2)
 
 
 def extend_to_jdelta(
@@ -423,12 +420,12 @@ def extend_to_jdelta(
     check_admissible(f, j_complex(n), eps, cfg, seed).require(f"{eps}-admissible on the walls-plus-top complex")
     if n == 1:
         return f
-    flat, band, delta = jdelta_collar(n, eps)
+    flat, band = jdelta_collar(n, eps)
     params = SmashParams(flat, band)
     bottom = compose(
         f, tup(*[smash_map(params, coord(k, n)) for k in range(1, n)], coord(n, n))
     )
-    return piecewise(n, (delta,), (bottom, f))
+    return piecewise(n, (flat,), (bottom, f))
 
 
 def _hyperplanes(n: int, axis: int, values: tuple[float, ...], cfg: ToleranceConfig) -> np.ndarray:

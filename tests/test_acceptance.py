@@ -75,18 +75,28 @@ def test_criterion_1_kernel_identities():
     )
 
 
+def _simpson(fn, a: float, b: float, panels: int = 2048) -> float:
+    """Composite Simpson rule on [a, b]."""
+    ys = fn(np.linspace(a, b, 2 * panels + 1))
+    return float((b - a) / (6 * panels) * (ys[0] + ys[-1] + 4 * ys[1:-1:2].sum() + 2 * ys[2:-2:2].sum()))
+
+
 def test_criterion_2_quadrature_oracle():
+    # smash_F(p, t) = int_{sigma/tau}^t lambda(r(x)) dx + (tau + sigma) / (2 tau) lambda(r(t)),
+    # r(x) = (tau x - sigma) / (tau - sigma), at a quarter, half and three
+    # quarters of the way from sigma/tau to 1, and at the end of the band
     t0 = time.time()
     worst = 0.0
     for sigma, tau in ((0.1, 0.25), (0.05, 0.5), (0.0, 0.3)):
-        x = (np.arange(10**6) + 0.5) / 10**6
-        oracle = float(
-            lambda_many((tau * x - sigma) / (tau - sigma)).mean() + (tau + sigma) / (2.0 * tau)
-        )
         p = SmashParams(sigma, tau)
-        worst = max(worst, abs(smash_F(p, 1.0) - oracle))
-        # also pin the table-based transition band just below t = 1
-        worst = max(worst, abs(smash_F(p, 1.0 - 1e-12) - oracle))
+        lo = sigma / tau
+
+        def lam_r(x):
+            return lambda_many((tau * x - sigma) / (tau - sigma))
+
+        for t in (*(lo + (1.0 - lo) * q for q in (0.25, 0.5, 0.75)), 1.0 - 1e-12, 1.0):
+            oracle = _simpson(lam_r, lo, t) + (tau + sigma) / (2.0 * tau) * float(lam_r(t))
+            worst = max(worst, abs(smash_F(p, t) - oracle))
     _report("criterion-2 quadrature-oracle", worst <= 1e-8, f"worst gap {worst:.1e}", time.time() - t0, 10.0)
 
 

@@ -14,7 +14,6 @@ from tamecube.cubes import (
     dist_to_complex,
     dist_to_region,
     full_cube,
-    intersect_complex_face,
     intersect_region_face,
     j_complex,
     j_delta_region,
@@ -121,24 +120,61 @@ def test_positive_faces_count():
 
 
 def test_intersect_complex_face():
-    K = boundary_complex(2)
-    got = intersect_complex_face(K, Face(2, ((2, 0),)))
-    assert got.maximal_faces == (Face(2, ((2, 0),)),)
-    empty = intersect_complex_face(
-        CubicalComplex(2, (Face(2, ((1, 0),)),)), Face(2, ((1, 1),))
-    )
-    assert empty.is_empty
+    # the two vertices on t2=0 lie in that edge and are dropped
+    got = intersect_region_face(boundary_complex(2).region, Face(2, ((2, 0),)))
+    assert got.boxes == (Face(2, ((2, 0),)).box(),)
+    empty = intersect_region_face(CubicalComplex(2, (Face(2, ((1, 0),)),)).region, Face(2, ((1, 1),)))
+    assert empty.boxes == ()
+    # a repeated box is kept once, and the boxes are ordered by their degenerate axes
+    top, bottom, left = (Face(2, (pin,)).box() for pin in ((2, 1), (2, 0), (1, 0)))
+    got = intersect_region_face(BoxRegion(2, (top, bottom, bottom, left)), full_cube(2).maximal_faces[0])
+    assert got.boxes == (left, bottom, top)
+
+
+def _complex_meet_face(K: CubicalComplex, F: Face) -> CubicalComplex:
+    """K meet F as a complex: each maximal face of K that agrees with F's pins,
+    with F's pins merged in, normalized by ``CubicalComplex``."""
+    fpins = dict(F.pinned)
+    faces = []
+    for g in K.maximal_faces:
+        gpins = dict(g.pinned)
+        if all(gpins.get(a, v) == v for a, v in fpins.items()):
+            faces.append(Face(K.ambient_dim, tuple({**gpins, **fpins}.items())))
+    return CubicalComplex(K.ambient_dim, tuple(faces))
+
+
+def _package_complexes(n: int) -> list[CubicalComplex]:
+    """The complexes the package builds on I^n, their skeleta, and the bottom rim."""
+    found = [full_cube(n), boundary_complex(n), j_complex(n)]
+    found += [skeleton(K, j) for K in found for j in range(K.dim)]
+    found += [CubicalComplex(n, (F,)) for F in boundary_complex(n).maximal_faces]
+    if n >= 2:
+        found.append(CubicalComplex(n, tuple(Face(n, ((j, v), (n, 0))) for j in range(1, n) for v in (0, 1))))
+    return found
+
+
+def _random_complexes(n: int, count: int, seed: int) -> list[CubicalComplex]:
+    """``count`` complexes on I^n, each spanned by 1 to 5 seeded faces of I^n."""
+    rng = np.random.default_rng(seed)
+    faces = full_cube(n).faces()
+    return [
+        CubicalComplex(n, tuple(faces[i] for i in rng.choice(len(faces), size=rng.integers(1, 6))))
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_region_meet_face_is_the_complex_meet_face(n):
+    for K in _package_complexes(n) + _random_complexes(n, 60, seed=n):
+        for F in positive_faces(n):
+            assert intersect_region_face(K.region, F) == _complex_meet_face(K, F).region, (K.describe(), F.describe())
 
 
 @pytest.mark.parametrize("n,m", [(2, 3), (3, 2)])
-@pytest.mark.parametrize(
-    "intersect,what,of_cube",
-    [(intersect_complex_face, "complex", full_cube), (intersect_region_face, "region", lambda n: full_cube(n).region)],
-    ids=["complex", "region"],
-)
-def test_intersect_refuses_a_face_of_another_cube(intersect, what, of_cube, n, m):
+@pytest.mark.parametrize("what", ["region"])
+def test_intersect_refuses_a_face_of_another_cube(what, n, m):
     with pytest.raises(DimensionError, match=f"^face t{m}=1 has ambient {m}, {what} has {n}$"):
-        intersect(of_cube(n), Face(m, ((m, 1),)))
+        intersect_region_face(full_cube(n).region, Face(m, ((m, 1),)))
 
 
 def test_subcomplex_relation():

@@ -2,8 +2,10 @@ import copy
 import dataclasses
 import gc
 import math
+import os
 import pickle
 import re
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -454,6 +456,30 @@ def test_intern_table_keeps_no_tree_alive():
     del g
     gc.collect()
     assert len(_NODES) == start
+
+
+# run in a fresh process: a wrongly accepted ``Coord(True, 1)`` would take the
+# intern key of ``Coord(1, 1)`` for every later test of this one
+_REFUSED_BOOL_LEAVES_NO_NODE = """
+import numpy as np
+from tamecube.errors import DimensionError
+from tamecube.maps import Coord, coord, serialize_map
+try:
+    Coord(True, 1)
+except DimensionError:
+    pass
+else:
+    raise SystemExit("Coord(True, 1) was accepted")
+assert serialize_map(coord(1, 1)) == "(coord 1)", serialize_map(coord(1, 1))
+node = Coord(np.int64(2), np.int64(3))
+assert node is coord(2, 3) and type(node.index) is int and type(node.dim) is int
+"""
+
+
+def test_refused_bool_coordinate_leaves_the_integer_node_alone():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    run = subprocess.run([sys.executable, "-c", _REFUSED_BOOL_LEAVES_NO_NODE], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
 
 
 def test_equal_trees_built_in_threads_are_one_object():

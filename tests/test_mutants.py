@@ -9,6 +9,7 @@ a comment, or a gap in the suites.  Mutants are applied with
 import numpy as np
 import pytest
 
+import test_acceptance
 from tamecube import kernels
 from tamecube.suites import SuiteConfig, run_suite
 
@@ -65,3 +66,10 @@ def test_equivalent_table_is_seen_within_tolerance(monkeypatch):
     _quadrature_table(monkeypatch, 16, 6)
     coarse = _interior_worst()
     assert shipped <= 1e-15 and 1e-13 <= coarse <= 1e-8
+
+
+@pytest.mark.parametrize("panels,nodes", [(8, 4), (4, 3)])
+def test_coarse_table_fails_acceptance_criterion_2(monkeypatch, panels, nodes):
+    _quadrature_table(monkeypatch, panels, nodes)
+    with pytest.raises(AssertionError, match="^criterion-2 quadrature-oracle: worst gap"):
+        test_acceptance.test_criterion_2_quadrature_oracle()

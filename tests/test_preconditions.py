@@ -16,7 +16,20 @@ from tamecube.cubes import CubicalComplex, Face, boundary_complex, full_cube, j_
 from tamecube.errors import DimensionError, DomainError, TamenessError
 from tamecube.genmaps import random_smooth_map
 from tamecube.kernels import lambda_integral
-from tamecube.maps import Coord, Product, Sum, TupleMap, add, affine_row, const, lambda_map, piecewise, tup
+from tamecube.maps import (
+    Const,
+    Coord,
+    PiecewiseAxis,
+    Product,
+    Sum,
+    TupleMap,
+    add,
+    affine_row,
+    const,
+    lambda_map,
+    piecewise,
+    tup,
+)
 from tamecube.replace import admissible_replace
 from tamecube.retract import RetractionParams
 from tamecube.suites import SuiteConfig
@@ -31,6 +44,7 @@ from tamecube.tame import (
 )
 
 QUICK = ToleranceConfig(grid_res=11)
+EMPTY = CubicalComplex(2, ())
 FACET = CubicalComplex(2, (Face(2, ((1, 0),)),))
 RIM = CubicalComplex(3, tuple(Face(3, ((j, v), (3, 0))) for j in (1, 2) for v in (0, 1)))
 # varies in t_1 only on [0.25, 0.35]: 0.25-tame on the walls and top, not
@@ -56,6 +70,18 @@ def _overflowing(call):
             return call()
 
     return run
+
+
+# every public checker and construction, with a seed; the empty complex
+# is a domain with nothing to scan
+SEEDED = {
+    "check_tame": lambda seed: check_tame(Coord(1, 2), full_cube(2), 0.2, QUICK, seed),
+    "check_tame-empty": lambda seed: check_tame(Coord(1, 2), EMPTY, 0.2, QUICK, seed),
+    "check_admissible-empty": lambda seed: check_admissible(Coord(1, 2), EMPTY, 0.2, QUICK, seed),
+    "extend_tame": lambda seed: extend_tame(Coord(1, 2), eps=0.25, sigma=0.1, cfg=QUICK, seed=seed),
+    "extend_to_jdelta": lambda seed: extend_to_jdelta(Coord(1, 1), 0.3, cfg=QUICK, seed=seed),
+    "admissible_replace-empty-L": lambda seed: admissible_replace(Coord(1, 2), FACET, EMPTY, 0.2, QUICK, seed),
+}
 
 
 def _params(field, value):
@@ -218,6 +244,30 @@ CASES = [
             None,
         )
         for value in (True, False)
+    ),
+    *(
+        (
+            f"{where}-seed-{value}",
+            lambda call=call, value=value: call(value),
+            DomainError,
+            f"seed must be an integer >= 0, got {value!r}",
+            None,
+        )
+        for where, call in SEEDED.items()
+        for value in (None, -1, 1.5, True)
+    ),
+    *(
+        (f"{what.replace(' ', '-')}-{value}", call, DimensionError, f"{what} must be an integer, got {value!r}", None)
+        for what, value, call in (
+            ("coord index", True, lambda: Coord(True, 1)),
+            ("coord index", 1.0, lambda: Coord(1.0, 2)),
+            ("coord dim", 2.0, lambda: Coord(1, 2.0)),
+            ("const dim", 2.0, lambda: Const((1.0,), 2.0)),
+            ("const dim", True, lambda: Const((1.0,), True)),
+            ("piece axis", 1.0, lambda: PiecewiseAxis(1.0, (0.5,), (Coord(1, 1), Coord(1, 1)))),
+            ("retraction n", True, lambda: RetractionParams(True, 0.4, 0.1, 0.2)),
+            ("retraction n", 2.0, lambda: RetractionParams(2.0, 0.4, 0.1, 0.2)),
+        )
     ),
     (
         "suite-config-tolerances-not-a-config",

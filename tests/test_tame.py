@@ -13,7 +13,7 @@ from tamecube.cubes import (
     complex_grid,
     dist_to_region,
     full_cube,
-    intersect_complex_face,
+    intersect_region_face,
     j_complex,
     j_delta_region,
     positive_faces,
@@ -239,9 +239,9 @@ def test_extend_tame_rejects_bad_params_and_untame_input():
 
 
 def test_jdelta_collar_widths():
-    assert jdelta_collar(3, 0.3) == (0.3**2, 0.3, 0.3**2)
-    assert jdelta_collar(4, 0.3) == (0.3**3, 0.3**2, 0.3**3)
-    assert jdelta_collar(2, 0.3) == (0.09, 0.3, 0.09)
+    assert jdelta_collar(3, 0.3) == (0.3**2, 0.3)
+    assert jdelta_collar(4, 0.3) == (0.3**3, 0.3**2)
+    assert jdelta_collar(2, 0.3) == (0.09, 0.3)
 
 
 def test_extend_to_jdelta_n2_collar_value():
@@ -264,7 +264,7 @@ def test_extend_to_jdelta_properties(n):
     fe = extend_to_jdelta(f, eps, cfg=QUICK)
     pts = complex_grid(j_complex(n), 17)
     assert np.max(np.abs(fe.eval_many(pts) - f.eval_many(pts))) <= 1e-9
-    delta = jdelta_collar(n, eps)[2]
+    delta = jdelta_collar(n, eps)[0]
     region = j_delta_region(n, delta)
     assert check_admissible(fe, region, eps, QUICK).passed
     # pieces agree on the bottom rim
@@ -591,7 +591,7 @@ def test_collar_rows_match_distance_membership_on_scanned_regions():
         if n >= 2:
             rim = CubicalComplex(n, tuple(_bottom_rim_face(n, j, v) for j in range(1, n) for v in (0, 1)))
             regions += [rim.region, j_delta_region(n, 0.2)]
-        regions += [intersect_complex_face(j_complex(n), F).region for F in positive_faces(n)]
+        regions += [intersect_region_face(j_complex(n).region, F) for F in positive_faces(n)]
         for R in regions:
             if R.boxes:
                 for eps in (0.25, 0.375, 0.2**2):
