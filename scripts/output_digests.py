@@ -15,10 +15,11 @@ The outputs, 42 in all:
 - ``sample-<seed>-<tree>``: the CSVs of the three ``sample_dense`` benchmark
   trees at seeds 1-3;
 - ``replace-<seed>-<inputs>-n<n>``: the ``serialize_map`` text of the
-  replaced map, the worst violations of the benchmark's ``replace`` case
-  and the comparison counts (``samples_checked``) of its grid-33 and
-  grid-65 checks and of the replacement's final check, at seeds 1-3, input
-  sets 0-4, n = 2 and 3.
+  replaced map, the worst violations of the benchmark's ``replace`` case,
+  the comparison counts (``samples_checked``) of its grid-33 and grid-65
+  checks and of the replacement's final check, and the replacement's trace
+  (``ReplacementTrace.to_json()``: per face its widths and the worst gap
+  of its face check), at seeds 1-3, input sets 0-4, n = 2 and 3.
 
 The checkout's ``src`` and ``perfbench`` go first on the import path.  The
 inputs come from the benchmark's ``work.py``, which is only read; the files
@@ -26,6 +27,7 @@ the outputs are written to live in a temporary directory.
 """
 
 import argparse
+import json
 import sys
 import tempfile
 from functools import partial
@@ -66,7 +68,8 @@ def outputs(workdir: Path) -> dict:
         res = work.replace_case(work.replace_setup(seed, inputs, f"n{n}", workdir, tr), tr)
         counts = {grid: r.samples_checked for grid, r in res["reports"].items()}
         counts["final"] = res["trace"].final_report.samples_checked
-        return serialize_map(res["g"]) + "\n" + repr(work.case_worsts(res)) + "\n" + repr(counts)
+        trace = json.dumps(res["trace"].to_json())
+        return "\n".join((serialize_map(res["g"]), repr(work.case_worsts(res)), repr(counts), trace))
 
     made = {f"verify-{s}": partial(verify, s) for s in VERIFY_SEEDS}
     made |= {f"sample-{s}-{t}": partial(sample, s, t) for s in SEEDS for t, _ in work.SAMPLE_TREES}

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
-from .errors import DomainError, DimensionError
+from .errors import DomainError, DimensionError, _is_number
 
 __all__ = [
     "Face",
@@ -45,6 +46,21 @@ __all__ = [
 MEMBERSHIP_TOL = 1e-12
 
 
+def _plain_int(v, what: str) -> int:
+    """``v`` as an ``int``, refusing a non-integer and a bool: ``True`` would
+    describe as ``t1=True`` and ``2.0`` pass as a dimension."""
+    if not _is_number(v, Integral):
+        raise DomainError(f"{what} must be an integer, got {v!r}")
+    return int(v)
+
+
+def _ambient(n) -> int:
+    n = _plain_int(n, "ambient dimension")
+    if n < 0:
+        raise DomainError(f"ambient dimension must be non-negative, got {n}")
+    return n
+
+
 @dataclass(frozen=True)
 class Face:
     """A face of I^n: coordinates in ``pinned`` are fixed to 0 or 1."""
@@ -53,17 +69,18 @@ class Face:
     pinned: tuple[tuple[int, int], ...]  # sorted ((axis, value), ...), axes 1-based
 
     def __post_init__(self):
-        if self.ambient_dim < 0:
-            raise DomainError("ambient dimension must be non-negative")
-        axes = [a for a, _ in self.pinned]
+        n = _ambient(self.ambient_dim)
+        pinned = tuple((_plain_int(a, "pinned axis"), _plain_int(v, "pinned value")) for a, v in self.pinned)
+        axes = [a for a, _ in pinned]
         if len(set(axes)) != len(axes):
             raise DomainError(f"duplicate pinned axes in {self.pinned!r}")
-        for a, v in self.pinned:
-            if not 1 <= a <= self.ambient_dim:
-                raise DomainError(f"pinned axis {a} out of range 1..{self.ambient_dim}")
+        for a, v in pinned:
+            if not 1 <= a <= n:
+                raise DomainError(f"pinned axis {a} out of range 1..{n}")
             if v not in (0, 1):
                 raise DomainError(f"pinned value must be 0 or 1, got {v!r}")
-        object.__setattr__(self, "pinned", tuple(sorted(self.pinned)))
+        object.__setattr__(self, "ambient_dim", n)
+        object.__setattr__(self, "pinned", tuple(sorted(pinned)))
 
     @property
     def dim(self) -> int:
@@ -117,6 +134,7 @@ class CubicalComplex:
     maximal_faces: tuple[Face, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "ambient_dim", _ambient(self.ambient_dim))
         for f in self.maximal_faces:
             _require_face_in(f, self.ambient_dim, "complex")
         maximal = _maximal(self.maximal_faces, lambda g, f: f.subface_of(g), key=lambda f: f.pinned)
@@ -148,6 +166,8 @@ class CubicalComplex:
         return tuple(sorted(seen, key=lambda f: (f.dim, f.pinned)))
 
     def is_subcomplex_of(self, other: "CubicalComplex") -> bool:
+        if self.ambient_dim != other.ambient_dim:
+            raise DimensionError("subcomplex test of complexes with different ambient dimensions")
         return all(
             any(f.subface_of(g) for g in other.maximal_faces) for f in self.maximal_faces
         )
@@ -200,7 +220,7 @@ def full_cube(n: int) -> CubicalComplex:
 
 def boundary_complex(n: int) -> CubicalComplex:
     """The 2n codimension-1 faces of I^n."""
-    if n < 1:
+    if _ambient(n) < 1:
         raise DomainError("boundary needs dimension >= 1")
     faces = [Face(n, ((j, v),)) for j in range(1, n + 1) for v in (0, 1)]
     return CubicalComplex(n, tuple(faces))
@@ -221,8 +241,8 @@ def j_complex(n: int) -> CubicalComplex:
 
 def skeleton(K: CubicalComplex, j: int) -> CubicalComplex:
     """All faces of K with dimension <= j."""
-    if j < 0:
-        raise DomainError("skeleton dimension must be >= 0")
+    if not _is_number(j, Integral) or j < 0:
+        raise DomainError(f"skeleton dimension must be an integer >= 0, got {j!r}")
     faces = [f for f in K.faces() if f.dim <= j]
     return CubicalComplex(K.ambient_dim, tuple(faces))
 

@@ -7,8 +7,12 @@ flattens the map with a coordinatewise smash, then walks the skeleta of
 K: every face not inside L gets its partial homotopy extended over
 face x time through the walls-plus-top extension, with the flat width
 graded as a power of eps in the face dimension.  Each face is extended
-once, and its time-0 face is checked to be tame at its graded width; a
-failed extension or check raises ``ReplacementError`` naming the face.
+once, and its time-0 face is checked to be tame at its graded width.  The
+faces of one dimension are checked in one scan per kind: one collar scan
+checks the extension inputs of all of them, and one more the time-0 faces
+of those whose input passed.  The faces are then walked in order, and the
+first whose extension input or face check failed raises
+``ReplacementError`` naming the face.
 
 The union of the per-face extensions is represented as a nested
 piecewise tree that routes a point to a face containing it, with
@@ -35,10 +39,13 @@ from .tame import (
     DEFAULT_TOLERANCES,
     TamenessReport,
     ToleranceConfig,
+    _collar_scan,
+    _extension_parts,
+    _extension_tree,
+    _extension_widths,
+    _require_extension_input,
     check_admissible,
-    check_tame,
     concat_homotopy,
-    extend_tame,
     tame_replace,
 )
 
@@ -146,6 +153,56 @@ def _route_union(
     return build(0, ())
 
 
+def _extend_stage(
+    union: SmoothMap, faces: list[Face], cert: float, eps: float, cfg: ToleranceConfig, seed: int
+) -> tuple[float, dict[Face, SmoothMap], list[ExtensionStep]]:
+    """Extend ``union`` over face x time for the faces of one skeleton dimension j.
+
+    Each face's chart input must be cert-tame on the walls-plus-top complex
+    and eps^(j-1)-tame (capped at 1/2) on the bottom rim; one collar scan
+    checks all inputs.  The faces that pass get their extension at flat
+    width sigma_j, and one second scan checks each one's time-0 face for
+    eps^j-tameness.  The faces are then walked in order, and the first that
+    failed either check raises ``ReplacementError``.  Returns sigma_j, each
+    face's formula in ambient coordinates and the faces' trace steps.
+    """
+    n, j = faces[0].ambient_dim, faces[0].dim
+    eps_p = min(eps ** (j - 1), 0.5)
+    sigma_p = eps**j
+    sigma_j = 0.5 * min(eps ** (j + 1), cert)
+    _extension_widths(cert, sigma_j, eps_p, sigma_p)
+    charts = [face_chart(F, n) for F in faces]
+    inputs = tuple(compose(union, chart.forward) for chart in charts)
+    inputs_reps = _collar_scan(inputs, _extension_parts(j + 1, cert, eps_p), cfg, seed)
+    exts = [
+        _extension_tree(g, cert, sigma_j, eps_p, sigma_p) if all(rep.passed for rep in reps) else None
+        for g, reps in zip(inputs, inputs_reps)
+    ]
+    slices = tuple(Homotopy(ext).slice(0.0) for ext in exts if ext is not None)
+    # in face order: every face before the first failed input has a report here
+    face_reps = iter(_collar_scan(slices, ((full_cube(j).region, sigma_p),), cfg, seed))
+    formulas, steps = {}, []
+    for F, chart, reps, ext in zip(faces, charts, inputs_reps, exts):
+        try:
+            _require_extension_input(reps)
+        except TamenessError as exc:
+            raise ReplacementError(f"extension over face {F.describe()} (dim {j}) failed: {exc}") from exc
+        (rep,) = next(face_reps)
+        if not rep.passed:
+            raise ReplacementError(
+                f"extension over face {F.describe()} (dim {j}) is not {sigma_p}-tame "
+                f"on the face (worst {rep.worst_violation:.3e})"
+            )
+        formulas[F] = compose(ext, chart.inverse)
+        steps.append(
+            ExtensionStep(
+                face=F.describe(), dim=j, sigma=sigma_j, input_eps=cert, eps_prime=eps_p,
+                sigma_prime=sigma_p, retries=0, face_check_worst=rep.worst_violation,
+            )
+        )
+    return sigma_j, formulas, steps
+
+
 def admissible_replace(
     f: SmoothMap,
     K: CubicalComplex,
@@ -193,37 +250,10 @@ def admissible_replace(
             for F in K.faces(min_dim=j)
             if F.dim == j and not any(F.subface_of(M) for M in L.maximal_faces)
         ]
-        eps_p = min(eps ** (j - 1), 0.5)
-        sigma_p = eps**j
-        sigma_j = 0.5 * min(eps ** (j + 1), cert)
-        for F in faces_j:
-            chart = face_chart(F, n)
-            try:
-                ext = extend_tame(
-                    compose(union, chart.forward),
-                    eps=cert,
-                    sigma=sigma_j,
-                    eps_prime=eps_p,
-                    sigma_prime=sigma_p,
-                    cfg=quick,
-                    seed=seed,
-                )
-            except TamenessError as exc:
-                raise ReplacementError(f"extension over face {F.describe()} (dim {j}) failed: {exc}") from exc
-            rep = check_tame(Homotopy(ext).slice(0.0), full_cube(j), sigma_p, quick, seed)
-            if not rep.passed:
-                raise ReplacementError(
-                    f"extension over face {F.describe()} (dim {j}) is not {sigma_p}-tame "
-                    f"on the face (worst {rep.worst_violation:.3e})"
-                )
-            formulas[F] = compose(ext, chart.inverse)
-            steps.append(
-                ExtensionStep(
-                    face=F.describe(), dim=j, sigma=sigma_j, input_eps=cert, eps_prime=eps_p,
-                    sigma_prime=sigma_p, retries=0, face_check_worst=rep.worst_violation,
-                )
-            )
         if faces_j:
+            sigma_j, stage_formulas, stage_steps = _extend_stage(union, faces_j, cert, eps, quick, seed)
+            formulas |= stage_formulas
+            steps += stage_steps
             cert = min(cert, sigma_j)
         union = _route_union(L.union(skeleton(K, j)), formulas, cert, fallback)
 

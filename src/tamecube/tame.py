@@ -13,13 +13,17 @@ move stays in the region when some box holds both the sample's other
 coordinates and the new coordinate; per axis and side this is one
 (box, sample) test per other coordinate and one (depth, box) test, so
 its cost in array operations does not grow with the boxes or depths.  A
-scan evaluates the map once, in fixed-size slices of the distinct rows
-among all its parts' samples and moved points.
+scan checks one or more maps of one input dimension on the same parts: it
+evaluates their tuple once, in fixed-size slices of the distinct rows
+among all its parts' samples and moved points, so a subtree that the maps
+share is evaluated once per row, and reduces each map's columns on its own.
 
 The operators: ``tame_replace`` composes with a coordinatewise smash to
 produce a tame map together with the straight-line homotopy; ``extend_tame``
 extends a tame map from the walls-plus-top complex over the whole cube via
-an approximate retraction with time-modulated band widths;
+an approximate retraction with time-modulated band widths (its width check,
+precondition parts and tree builder are also called one by one, so that the
+replacement checks the inputs of many faces in one scan);
 ``extend_to_jdelta`` pushes a map outward onto the collared boundary
 region; the concatenation operators splice homotopies (along time) and
 maps (along the first axis) through one splice, flat at the seam 1/2.
@@ -199,25 +203,28 @@ def _collar_rows(R: BoxRegion, eps: float, cfg: ToleranceConfig, seed: int):
 
 
 def _collar_scan(
-    f: SmoothMap,
+    fs: tuple[SmoothMap, ...],
     parts: tuple[tuple[BoxRegion, float], ...],
     cfg: ToleranceConfig,
     seed: int,
-) -> list[TamenessReport]:
-    """Check f for w-tameness on each (region, width w) part, in one evaluation.
+) -> list[list[TamenessReport]]:
+    """Check each map of fs for w-tameness on each (region, width w) part, in one evaluation.
 
-    The parts' samples and moved points (``_collar_rows``) are stacked,
-    reduced to their distinct rows, and f is evaluated on those in one
-    ``eval_many`` call.  Evaluation does not depend on the batch a row sits
-    in, so the values are those of one call per comparison.  Each part's
-    comparisons are then reduced in (axis, side, depth) order: its report
-    counts those whose moved point differs from the sample and keeps the
-    first worst one as the witness.  The seed must be an integer >= 0: every
+    The maps share one input dimension.  The parts' samples and moved points
+    (``_collar_rows``) are stacked, reduced to their distinct rows, and
+    ``tup(*fs)`` is evaluated on those in one ``eval_many`` call, which
+    evaluates a node that several maps share once per row.  Evaluation does
+    not depend on the batch a row sits in, so each map's columns are its
+    values of one call per comparison.  Each part's comparisons are then
+    reduced in (axis, side, depth) order, per map on its own columns: a
+    report counts the comparisons whose moved point differs from the sample
+    and keeps the first worst one as the witness.  Returns one report list,
+    in part order, per map.  The seed must be an integer >= 0: every
     checker and construction scans, so this is where it is refused.
     """
     _require_seed(seed)
-    if not parts:
-        return []
+    if not fs or not parts:
+        return [[] for _ in fs]
     plans = []  # per part: width, sample count, blocks, offset of its rows
     part_rows = []
     offset = 0
@@ -230,27 +237,27 @@ def _collar_scan(
     del part_rows
     rows, inverse = unique_rows(stacked)
     del stacked
-    values = f.eval_many(rows)
-    reports = []
+    values = tup(*fs).eval_many(rows)
+    first_cols = np.cumsum([0] + [f.out_dim for f in fs[:-1]])  # of each map in ``values``
+    reports = [[] for _ in fs]
     for eps, start, blocks, offset in plans:
         index = inverse[offset:]
-        worst = 0.0
-        witness = None
+        worst = [0.0] * len(fs)
+        witness = [None] * len(fs)
         comparisons = 0
         for j, alpha, depths, di, idx in blocks:
             stop = start + len(idx)
             here, moved = index[idx], index[start:stop]
             start = stop
             comparisons += int(np.count_nonzero(here != moved))
-            gap = np.max(np.abs(values[here] - values[moved]), axis=1)
-            k = int(np.argmax(gap))
-            if gap[k] > worst:
-                worst = float(gap[k])
-                witness = Witness(tuple(float(x) for x in rows[here[k]]), j, alpha, float(depths[di[k]]))
-        passed = worst <= cfg.eq_tol
-        reports.append(
-            TamenessReport(passed, eps, worst, witness if not passed else None, comparisons)
-        )
+            gaps = np.maximum.reduceat(np.abs(values[here] - values[moved]), first_cols, axis=1)
+            for m, k in enumerate(np.argmax(gaps, axis=0)):
+                if gaps[k, m] > worst[m]:
+                    worst[m] = float(gaps[k, m])
+                    witness[m] = Witness(tuple(float(x) for x in rows[here[k]]), j, alpha, float(depths[di[k]]))
+        for report_list, w, wit in zip(reports, worst, witness):
+            passed = w <= cfg.eq_tol
+            report_list.append(TamenessReport(passed, eps, w, wit if not passed else None, comparisons))
     return reports
 
 
@@ -278,7 +285,7 @@ def check_tame(
     """
     if not 0.0 < eps <= 0.5:
         raise DomainError(f"tameness width must satisfy 0 < eps <= 1/2, got {eps!r}")
-    return _collar_scan(f, ((_domain(f, K), eps),), cfg, seed)[0]
+    return _collar_scan((f,), ((_domain(f, K), eps),), cfg, seed)[0][0]
 
 
 def check_admissible(
@@ -298,7 +305,7 @@ def check_admissible(
         if RF.boxes:
             faces.append(F)
             parts.append((RF, eps**F.dim))
-    reps = _collar_scan(f, tuple(parts), cfg, seed)
+    (reps,) = _collar_scan((f,), tuple(parts), cfg, seed)
     # the first face with the largest violation gives the verdict and witness
     top = max(reps, key=lambda r: r.worst_violation, default=TamenessReport(True, eps, 0.0, None, 0))
     breakdown = tuple(
@@ -336,23 +343,11 @@ def tame_replace(f: SmoothMap, sigma: float, eps: float) -> tuple[SmoothMap, Hom
     return g, Homotopy(compose(f, tup(*moved)))
 
 
-def extend_tame(
-    f: SmoothMap,
-    eps: float,
-    sigma: float,
-    eps_prime: float | None = None,
-    sigma_prime: float | None = None,
-    *,
-    cfg: ToleranceConfig = DEFAULT_TOLERANCES,
-    seed: int = 0,
-) -> SmoothMap:
-    """Extend an eps-tame map on the walls-plus-top complex over the whole cube.
-
-    The result is sigma-tame everywhere and sigma_prime-tame on the bottom
-    face.  Default auxiliary widths: eps_prime = (eps + 1/2)/2 and
-    sigma_prime = (sigma + eps)/2.
-    """
-    n = f.in_dim
+def _extension_widths(
+    eps: float, sigma: float, eps_prime: float | None, sigma_prime: float | None
+) -> tuple[float, float]:
+    """``extend_tame``'s (eps_prime, sigma_prime), their defaults filled in, once
+    the widths are checked."""
     if eps_prime is None:
         eps_prime = 0.5 * (eps + 0.5)
     if sigma_prime is None:
@@ -367,6 +362,12 @@ def extend_tame(
             f"need sigma < sigma_prime < eps_prime, got "
             f"sigma={sigma!r}, sigma_prime={sigma_prime!r}, eps_prime={eps_prime!r}"
         )
+    return eps_prime, sigma_prime
+
+
+def _extension_parts(n: int, eps: float, eps_prime: float) -> tuple[tuple[BoxRegion, float], ...]:
+    """The scan parts of ``extend_tame``'s precondition on I^n: the walls-plus-top
+    complex at eps and, from n = 2, the bottom rim at eps_prime."""
     parts = [(j_complex(n).region, eps)]
     if n >= 2:
         # the wider bottom-boundary tameness is what lets the relaxed
@@ -375,9 +376,18 @@ def extend_tame(
             n, tuple(_bottom_rim_face(n, j, v) for j in range(1, n) for v in (0, 1))
         )
         parts.append((rim.region, eps_prime))
-    reps = _collar_scan(f, tuple(parts), cfg, seed)
+    return tuple(parts)
+
+
+def _require_extension_input(reps: list[TamenessReport]) -> None:
+    """Raise ``TamenessError`` for the first failed report of an ``_extension_parts`` scan."""
     for rep, where in zip(reps, ("walls-plus-top complex", "bottom rim")):
         rep.require(f"{rep.eps_tested}-tame on the {where}")
+
+
+def _extension_tree(f: SmoothMap, eps: float, sigma: float, eps_prime: float, sigma_prime: float) -> SmoothMap:
+    """The tree of ``extend_tame``, unchecked."""
+    n = f.in_dim
     # widths relax from (sigma', eps') at the bottom to (sigma, eps) once the
     # smashed time leaves its flat band; driving the ramp by the smashed time
     # (not the raw time) freezes the widths on both collars, which is what
@@ -385,6 +395,30 @@ def extend_tame(
     squashed_time = smash_map(SmashParams(sigma, eps), coord(n, n))
     ramp = lambda_map(compose(affine_row(1, {1: -1.0 / sigma}, 1.0), squashed_time))
     return compose(f, squeezed_retraction(n, eps, (sigma, sigma_prime), (eps, eps_prime), ramp, squashed_time))
+
+
+def extend_tame(
+    f: SmoothMap,
+    eps: float,
+    sigma: float,
+    eps_prime: float | None = None,
+    sigma_prime: float | None = None,
+    *,
+    cfg: ToleranceConfig = DEFAULT_TOLERANCES,
+    seed: int = 0,
+) -> SmoothMap:
+    """Extend an eps-tame map on the walls-plus-top complex over the whole cube.
+
+    The result is sigma-tame everywhere and sigma_prime-tame on the bottom
+    face.  Default auxiliary widths: eps_prime = (eps + 1/2)/2 and
+    sigma_prime = (sigma + eps)/2.  The input must be eps-tame on the
+    walls-plus-top complex and eps_prime-tame on the bottom rim, both
+    checked in one scan.
+    """
+    eps_prime, sigma_prime = _extension_widths(eps, sigma, eps_prime, sigma_prime)
+    (reps,) = _collar_scan((f,), _extension_parts(f.in_dim, eps, eps_prime), cfg, seed)
+    _require_extension_input(reps)
+    return _extension_tree(f, eps, sigma, eps_prime, sigma_prime)
 
 
 def jdelta_collar(n: int, eps: float) -> tuple[float, float]:

@@ -182,6 +182,24 @@ def test_subcomplex_relation():
     assert not boundary_complex(2).is_subcomplex_of(j_complex(2))
 
 
+@pytest.mark.parametrize("n,m", [(3, 2), (2, 3)])
+def test_subcomplex_relation_refuses_another_dimension(n, m):
+    # an empty complex too, which has no face to test against the other's
+    for K in (CubicalComplex(n, ()), boundary_complex(n)):
+        with pytest.raises(DimensionError, match="^subcomplex test of complexes with different ambient dimensions$"):
+            K.is_subcomplex_of(boundary_complex(m))
+
+
+def test_face_fields_are_plain_ints():
+    # a numpy integer is an integer: it is stored as an int, so the face
+    # describes, compares and hashes as the one built from ints
+    F = Face(np.int64(3), ((np.int64(2), np.int64(1)),))
+    K = CubicalComplex(np.int32(3), (F,))
+    assert F == Face(3, ((2, 1),)) and hash(F) == hash(Face(3, ((2, 1),)))
+    assert F.describe() == "t2=1" and K == CubicalComplex(3, (Face(3, ((2, 1),)),))
+    assert {type(v) for v in (F.ambient_dim, K.ambient_dim, *F.pinned[0])} == {int}
+
+
 def test_region_validation():
     for bad in ((0.5, 0.2), (0.0, float("inf")), (-0.5, 0.5), (0.5, 1.5), (float("nan"), 0.5)):
         with pytest.raises(DomainError, match="bad interval"):

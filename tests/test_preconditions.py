@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from tamecube.cubes import CubicalComplex, Face, boundary_complex, full_cube, j_complex
+from tamecube.cubes import CubicalComplex, Face, boundary_complex, full_cube, j_complex, skeleton
 from tamecube.errors import DimensionError, DomainError, TamenessError
 from tamecube.genmaps import random_smooth_map
 from tamecube.kernels import lambda_integral
@@ -268,6 +268,41 @@ CASES = [
             ("retraction n", True, lambda: RetractionParams(True, 0.4, 0.1, 0.2)),
             ("retraction n", 2.0, lambda: RetractionParams(2.0, 0.4, 0.1, 0.2)),
         )
+    ),
+    *(
+        (f"{where}-{what.replace(' ', '-')}-{value}", call, DomainError, f"{what} must be an integer, got {value!r}", None)
+        for where, what, value, call in (
+            ("face", "pinned value", True, lambda: Face(2, ((1, True),))),
+            ("face", "pinned value", 1.0, lambda: Face(2, ((1, 1.0),))),
+            ("face", "pinned axis", True, lambda: Face(2, ((True, 0),))),
+            ("face", "pinned axis", 1.0, lambda: Face(2, ((1.0, 0),))),
+            ("face", "ambient dimension", True, lambda: Face(True, ())),
+            ("face", "ambient dimension", 2.0, lambda: Face(2.0, ())),
+            ("complex", "ambient dimension", 2.0, lambda: CubicalComplex(2.0, ())),
+            ("complex", "ambient dimension", False, lambda: CubicalComplex(False, ())),
+            ("full_cube", "ambient dimension", 2.0, lambda: full_cube(2.0)),
+            ("boundary_complex", "ambient dimension", 2.0, lambda: boundary_complex(2.0)),
+        )
+    ),
+    *(
+        (
+            f"skeleton-dimension-{value}",
+            lambda value=value: skeleton(full_cube(2), value),
+            DomainError,
+            f"skeleton dimension must be an integer >= 0, got {value!r}",
+            None,
+        )
+        for value in (1.5, True, -1)
+    ),
+    *(
+        (
+            f"admissible_replace-L-in-{where}",
+            lambda L=L: admissible_replace(Coord(1, 2), boundary_complex(2), L, 0.2, QUICK),
+            DimensionError,
+            "subcomplex test of complexes with different ambient dimensions",
+            None,
+        )
+        for where, L in (("I3", CubicalComplex(3, (Face(3, ((1, 0),)),))), ("I3-empty", CubicalComplex(3, ())))
     ),
     (
         "suite-config-tolerances-not-a-config",

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -94,18 +96,22 @@ def test_replace_empty_complex():
     assert trace.final_report.passed and trace.final_report.samples_checked == 0
 
 
-def _untame_face_extension(f, **kwargs):
+def _untame_face_extension(f, *widths):
     # the first chart coordinate: the identity along the face, so its time-0 face is not tame
     return Coord(1, f.in_dim)
 
 
-def _failing_extension(f, **kwargs):
+def _failing_extension(reps):
     raise TamenessError("synthetic extension failure")
 
 
 @pytest.mark.parametrize("fake", [_failing_extension, _untame_face_extension])
 def test_failed_extension_step_raises(monkeypatch, fake):
-    monkeypatch.setattr(replace_mod, "extend_tame", fake)
+    # a stage checks every face's input, builds the extensions and checks
+    # their time-0 faces: one fake fails the first face's input check, the
+    # other builds an extension whose face check fails
+    seam = "_require_extension_input" if fake is _failing_extension else "_extension_tree"
+    monkeypatch.setattr(replace_mod, seam, fake)
     f = random_smooth_map(np.random.default_rng(7), 2)
     with pytest.raises(ReplacementError, match=r"^extension over face t1=0 \(dim 1\)") as info:
         admissible_replace(f, boundary_complex(2), CubicalComplex(2, ()), 0.2, QUICK)
@@ -115,6 +121,58 @@ def test_failed_extension_step_raises(monkeypatch, fake):
     else:
         # the identity moves by at most the width 0.2 within the collar
         assert str(info.value).endswith("is not 0.2-tame on the face (worst 2.000e-01)")
+
+
+def test_earlier_failed_face_check_is_raised_before_a_later_failed_input(monkeypatch):
+    # the faces are walked in order after both scans of a stage: the second
+    # face's failed input is raised only while the first face's check passes
+    scan = replace_mod._collar_scan
+
+    def second_input_fails(fs, parts, cfg, seed):
+        reports = scan(fs, parts, cfg, seed)
+        if len(parts) == 2:  # the inputs' scan: walls-plus-top complex and bottom rim
+            reports[1][0] = dataclasses.replace(reports[1][0], passed=False, worst_violation=1.0)
+        return reports
+
+    monkeypatch.setattr(replace_mod, "_collar_scan", second_input_fails)
+    f = random_smooth_map(np.random.default_rng(7), 2)
+    args = (f, boundary_complex(2), CubicalComplex(2, ()), 0.2, QUICK)
+    with pytest.raises(ReplacementError) as info:
+        admissible_replace(*args)
+    assert str(info.value).startswith("extension over face t1=1 (dim 1) failed: input map is not ")
+    monkeypatch.setattr(replace_mod, "_extension_tree", _untame_face_extension)
+    with pytest.raises(ReplacementError) as info:
+        admissible_replace(*args)
+    assert str(info.value) == "extension over face t1=0 (dim 1) is not 0.2-tame on the face (worst 2.000e-01)"
+
+
+def test_stage_scans_its_faces_together(monkeypatch):
+    # one scan of all the faces' inputs and one of their time-0 faces per
+    # skeleton dimension, between the check on L and the final check
+    from tamecube import tame
+
+    scans = []
+    for module in (tame, replace_mod):
+        def recording(fs, parts, cfg, seed, scan=module._collar_scan, name=module.__name__):
+            scans.append((name.rsplit(".", 1)[1], len(fs), len(parts)))
+            return scan(fs, parts, cfg, seed)
+
+        monkeypatch.setattr(module, "_collar_scan", recording)
+    n = 3
+    L = CubicalComplex(n, (Face(n, ((1, 0),)),))
+    f = random_map_admissible_on(np.random.default_rng(4), n, L, 0.2)
+    g, H, trace = admissible_replace(f, boundary_complex(n), L, 0.2, QUICK)
+    # 12 edges less the 4 of L, then 6 facets less L; of the 19 positive
+    # faces of I^3, 14 meet L (all but t1=1 and its 4 edges) and 19 the boundary
+    assert scans == [
+        ("tame", 1, 14),
+        ("replace", 8, 2),
+        ("replace", 8, 1),
+        ("replace", 5, 2),
+        ("replace", 5, 1),
+        ("tame", 1, 19),
+    ]
+    assert [s.dim for s in trace.steps] == [1] * 8 + [2] * 5
 
 
 def test_replace_interval_identity():

@@ -474,9 +474,39 @@ def test_collar_scan_without_comparisons():
     inner = BoxRegion(2, (Box(((0.4, 0.6), (0.4, 0.6))),))
     rep = check_tame(f, inner, 0.05)
     assert (rep.passed, rep.worst_violation, rep.witness, rep.samples_checked) == (True, 0.0, None, 0)
-    alone = _collar_scan(f, ((full_cube(2).region, 0.2),), CFG, 0)
-    both = _collar_scan(f, ((inner, 0.05), (full_cube(2).region, 0.2)), CFG, 0)
+    (alone,) = _collar_scan((f,), ((full_cube(2).region, 0.2),), CFG, 0)
+    (both,) = _collar_scan((f,), ((inner, 0.05), (full_cube(2).region, 0.2)), CFG, 0)
     assert both == [rep] + alone and alone[0].witness is not None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_collar_scan_of_several_maps_is_one_scan_per_map(n):
+    # maps that share nodes, repeat and differ in output dimension, scanned
+    # together: each map's reports, worst, witness, comparison count and
+    # width, are those of its own scan; the chamber part has no comparisons
+    rng = np.random.default_rng(60 + n)
+    base = random_smooth_map(rng, n, out_dim=2)
+    fs = (
+        base,
+        random_tame_map(rng, n, 0.3),
+        tup(coord(1, n), base),
+        random_smooth_map(rng, n, out_dim=3),
+        base,
+    )
+    cfg = ToleranceConfig(grid_res=7)
+    inner = BoxRegion(n, (Box(((0.4, 0.6),) * n),))
+    for seed in range(3):
+        parts = (
+            (_random_region(rng, n, 3), 0.2),
+            (inner, 0.05),
+            (full_cube(n).region, 0.3),
+            (_random_region(rng, n, 2), 0.1),
+        )
+        together = _collar_scan(fs, parts, cfg, seed)
+        assert together == [_collar_scan((f,), parts, cfg, seed)[0] for f in fs]
+        assert [reps[1].samples_checked for reps in together] == [0] * len(fs)
+        assert all(r.passed for r in together[1]) and not together[0][2].passed
+        assert together[2][2].witness is not None
 
 
 # --- collar membership per box ----------------------------------------------
