@@ -105,7 +105,6 @@ def _cmd_sample(args) -> int:
         print(f"tamecube sample: {exc}", file=sys.stderr)
         return 2
     n, m = f.in_dim, f.out_dim
-    values = np.linspace(0.0, 1.0, args.grid)
     header = ",".join([f"t{i}" for i in range(1, n + 1)] + [f"y{i}" for i in range(1, m + 1)])
     out = Path(args.out)
     try:
@@ -116,8 +115,8 @@ def _cmd_sample(args) -> int:
             warnings.simplefilter("default")
             fh.write(header + "\n")
             for i in range(0, total, _EVAL_ROWS):
-                rows = _grid_rows(values, n, i, min(i + _EVAL_ROWS, total))
-                fh.write(_csv_lines(np.hstack([rows, f.eval_many(rows)])))
+                pts, cells = _grid_slice(args.grid, n, i, min(i + _EVAL_ROWS, total))
+                fh.write(_csv_lines(cells, f.eval_many(pts)))
     except TameCubeError as exc:
         # no partial CSV; a device or a link such as /dev/stdout stays
         if out.is_file() and not out.is_symlink():
@@ -132,24 +131,49 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _grid_rows(values: np.ndarray, n: int, start: int, stop: int) -> np.ndarray:
-    """Rows start to stop - 1 of the row-major grid ``values``^n, the last axis fastest."""
-    return values[np.stack(np.unravel_index(np.arange(start, stop), (len(values),) * n), axis=1)]
+def _grid_slice(grid: int, n: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows start to stop - 1 of the row-major ``grid``^n grid on [0, 1]^n, the last axis fastest.
 
-
-def _csv_lines(block: np.ndarray) -> str:
-    """The CSV lines of ``block``, every value written as ``%.17g``.
-
-    Each distinct value of a column is formatted once; values are told
-    apart by their bits, so ``-0.0`` and ``0.0`` stay apart.
+    Returns the points and their text cells, each coordinate written as
+    ``%.17g`` and followed by a comma.  Coordinate k of an axis is
+    ``k * (1 / (grid - 1))`` and exactly 1.0 at ``k = grid - 1``, as
+    ``np.linspace(0.0, 1.0, grid)`` computes it.  Per axis, only the
+    coordinates these rows use are computed and formatted, once each, so
+    work and memory are bounded by the rows whatever ``grid`` is.
     """
-    cols = []
-    for col in block.T:
+    idx = np.arange(start, stop)
+    pts = np.empty((stop - start, n))
+    cells = np.empty((stop - start, n), dtype=object)
+    step = 1.0 / (grid - 1)
+    for a in range(n):
+        stride = grid ** (n - 1 - a)
+        # the rows' runs of this axis are first .. last; run q has coordinate q % grid
+        first, last = start // stride, (stop - 1) // stride
+        keys = (first + np.arange(min(grid, last - first + 1))) % grid
+        values = np.where(keys == grid - 1, 1.0, keys * step)
+        pos = (idx // stride - first) % grid
+        pts[:, a] = values[pos]
+        cells[:, a] = np.array(["%.17g," % v for v in values.tolist()], dtype=object)[pos]
+    return pts, cells
+
+
+def _csv_lines(cells: np.ndarray, block: np.ndarray) -> str:
+    """The CSV lines of rows that begin with the text ``cells`` and end with the values of ``block``.
+
+    Each of ``cells`` already ends in a comma.  Each distinct value of a
+    column of ``block`` is formatted once as ``%.17g``; values are told
+    apart by their bits, so ``-0.0`` and ``0.0`` stay apart.  The lines
+    are one join over the row-major cells.
+    """
+    n = cells.shape[1]
+    width = n + block.shape[1]
+    table = np.empty((len(block), width), dtype=object)
+    table[:, :n] = cells
+    for j, col in enumerate(block.T, n):
         bits, inverse = np.unique(col.view(np.uint64), return_inverse=True)
-        text = np.array(["%.17g" % v for v in bits.view(np.float64).tolist()], dtype=object)
-        cols.append(text[inverse])
-    text = "\n".join(map(",".join, zip(*cols)))
-    return text + "\n" if text else ""
+        end = "\n" if j == width - 1 else ","
+        table[:, j] = np.array(["%.17g%s" % (v, end) for v in bits.view(np.float64).tolist()], dtype=object)[inverse]
+    return "".join(table.ravel().tolist())
 
 
 def main(argv=None) -> int:

@@ -3,12 +3,13 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tamecube.cli import _csv_lines, _grid_rows, main
+from tamecube.cli import _csv_lines, _grid_slice, main
 from tamecube.cubes import Box, box_grid
 from tamecube import suites
 from tamecube.errors import DomainError, ReplacementError
@@ -243,9 +244,12 @@ def _reference_csv(pts, vals):
 def test_csv_lines_matches_per_value_formatting():
     col = [0.0, -0.0, 5e-324, 1e-300, 0.1 + 0.2, np.inf, -np.inf, np.nan, -np.nan, 0.0, -0.0, 0.1 + 0.2, 5e-324]
     block = np.array([col, col[::-1], [7.0] * len(col)]).T
-    text = _csv_lines(block)
+    text = _csv_lines(np.empty((len(col), 0), dtype=object), block)
     assert text == _reference_csv(block[:, :2], block[:, 2:])
     assert text.splitlines()[:2] == ["0,4.9406564584124654e-324,7", "-0,0.30000000000000004,7"]
+    # leading text cells come first, as given
+    cells = np.array([[f"{k}," for k in range(len(col))]], dtype=object).T
+    assert _csv_lines(cells, block[:, 2:]) == "".join(f"{k},7\n" for k in range(len(col)))
 
 
 def test_sample_across_a_slice_boundary_matches_reference(tmp_path):
@@ -258,10 +262,64 @@ def test_sample_across_a_slice_boundary_matches_reference(tmp_path):
     assert out.read_bytes() == expected.encode("utf-8")
 
 
+@pytest.mark.parametrize(
+    "expr, grid",
+    [
+        ("(tuple (coord 2) (lambda (coord 3)))", 41),  # 16,384 rows cut runs of t1 (1,681 rows) and t2 (41)
+        ("(tuple (coord 4) (lambda (coord 1)) (sum (coord 2) (coord 3)))", 17),  # and of t1, t2, t3 (4,913, 289, 17)
+    ],
+)
+def test_sample_where_slices_cut_runs_matches_reference(tmp_path, expr, grid):
+    f = parse_map(expr)
+    out = tmp_path / "s.csv"
+    assert main(["sample", "--map", expr, "--grid", str(grid), "--out", str(out)]) == 0
+    pts = box_grid(Box(((0.0, 1.0),) * f.in_dim), grid)
+    assert len(pts) > 4 * _EVAL_ROWS
+    header = ",".join([f"t{i}" for i in range(1, f.in_dim + 1)] + [f"y{i}" for i in range(1, f.out_dim + 1)])
+    assert out.read_bytes() == (header + "\n" + _reference_csv(pts, f.eval_many(pts))).encode("utf-8")
+
+
+def _assert_grid_slice(grid, n, start, stop):
+    """``_grid_slice`` gives the rows of the ``np.linspace`` grid and their ``%.17g`` text."""
+    axis = np.linspace(0.0, 1.0, grid)
+    want = axis[np.stack(np.unravel_index(np.arange(start, stop), (grid,) * n), axis=1)]
+    pts, cells = _grid_slice(grid, n, start, stop)
+    assert pts.shape == cells.shape == (stop - start, n)
+    assert pts.tobytes() == want.tobytes()
+    assert cells.tolist() == [[f"{v:.17g}," for v in row] for row in want.tolist()]
+
+
 def test_grid_rows_match_box_grid():
     pts = box_grid(Box(((0.0, 1.0),) * 3), 7)
     for start, stop in ((0, 343), (5, 100), (340, 343), (7, 7)):
-        assert _grid_rows(np.linspace(0.0, 1.0, 7), 3, start, stop).tobytes() == pts[start:stop].tobytes()
+        assert _grid_slice(7, 3, start, stop)[0].tobytes() == pts[start:stop].tobytes()
+
+
+def test_grid_slice_matches_linspace():
+    for grid in range(2, 301):  # a whole axis, and a window of it
+        _assert_grid_slice(grid, 1, 0, grid)
+        _assert_grid_slice(grid, 1, grid // 3, grid - grid // 4)
+    for n, grid in ((2, 2), (2, 300), (3, 3), (3, 41), (4, 2), (4, 17), (4, 21)):
+        total = grid**n
+        for start, stop in ((0, total), (1, total - 1), (total // 3, total // 2), (total - 1, total)):
+            _assert_grid_slice(grid, n, start, min(stop, start + 2 * _EVAL_ROWS))
+    # a 2-D grid wider than a slice: slices within one run of t1, and slices that wrap t2
+    for start in (0, 20000 - 100, 3 * 20000 - 5, 20000**2 - _EVAL_ROWS):
+        _assert_grid_slice(20000, 2, start, start + _EVAL_ROWS)
+
+
+def test_grid_slice_of_a_huge_axis_is_bounded_by_its_rows():
+    # np.linspace(0, 1, 10**9) alone takes 8 GB; the slice computes its five values
+    tracemalloc.start()
+    try:
+        pts, cells = _grid_slice(10**9, 1, 10**9 - 5, 10**9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want = [k * (1.0 / (10**9 - 1)) for k in range(10**9 - 5, 10**9 - 1)] + [1.0]
+    assert pts[:, 0].tolist() == want and pts[-1, 0] == 1.0 > pts[-2, 0]
+    assert cells[:, 0].tolist() == [f"{v:.17g}," for v in want]
+    assert peak < 2**20
 
 
 def test_sample_grid_too_large_to_index_is_usage_error(tmp_path, capsys):
