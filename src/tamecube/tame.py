@@ -15,8 +15,11 @@ coordinates and the new coordinate; per axis and side this is one
 its cost in array operations does not grow with the boxes or depths.  A
 scan checks one or more maps of one input dimension on the same parts: it
 evaluates their tuple once, in fixed-size slices of the distinct rows
-among all its parts' samples and moved points, so a subtree that the maps
-share is evaluated once per row, and reduces each map's columns on its own.
+that its parts' real comparisons read, so a subtree that the maps share
+is evaluated once per row, and reduces each map's columns on its own.  A
+comparison is real when its moved point differs from its sample; a move
+to the sample's own coordinate is dropped, and a sample that no kept move
+reads is not evaluated, so a value that is not finite there raises nothing.
 
 The operators: ``tame_replace`` composes with a coordinatewise smash to
 produce a tame map together with the straight-line homotopy; ``extend_tame``
@@ -165,11 +168,12 @@ def _collar_rows(R: BoxRegion, eps: float, cfg: ToleranceConfig, seed: int):
     coordinate j lies within eps of alpha is moved to depth d from that
     face (coordinate j set to d or 1 - d) for d in (0, eps/3, 2eps/3, eps)
     and one seeded uniform draw in [0, eps]; moves that leave R, that is
-    lie farther than ``MEMBERSHIP_TOL`` from every box, are skipped.
-    Returns the sample count, one (axis, side, depths, depth index per
-    comparison, sample indices) block per axis and side with any
-    comparison, its comparisons depth-major, and the samples stacked over
-    the moved points in block order.
+    lie farther than ``MEMBERSHIP_TOL`` from every box, are skipped, and so
+    is a move to the sample's own coordinate, which compares nothing.
+    Returns the count of samples that a kept move reads, one (axis, side,
+    depths, depth index per comparison, sample indices) block per axis and
+    side with any comparison, its comparisons depth-major, and those
+    samples, in sample order, stacked over the moved points in block order.
     """
     extra = region_random(R, cfg.grid_res, np.random.default_rng(seed))
     pts = np.concatenate([region_grid(R, cfg.grid_res), extra])
@@ -177,7 +181,7 @@ def _collar_rows(R: BoxRegion, eps: float, cfg: ToleranceConfig, seed: int):
     n = R.ambient_dim
     lo, hi = np.array([box.intervals for box in R.boxes]).reshape(len(R.boxes), n, 2).T  # [axis, box]
     blocks = []
-    chunks = [pts]
+    chunks = []
     for j in range(1, n + 1):
         for alpha in (0, 1):
             near = np.flatnonzero(np.abs(pts[:, j - 1] - alpha) <= eps)
@@ -194,12 +198,19 @@ def _collar_rows(R: BoxRegion, eps: float, cfg: ToleranceConfig, seed: int):
             x = depths[:, None] if alpha == 0 else 1.0 - depths[:, None]
             hit = np.maximum(lo[j - 1] - x, x - hi[j - 1]) <= MEMBERSHIP_TOL  # [depth, box]
             di, k = np.nonzero(hit @ fits)  # depth-major
+            real = x[di, 0] != P[k, j - 1]
+            di, k = di[real], k[real]
             if len(k):
                 Q = P[k]
                 Q[:, j - 1] = x[di, 0]
                 blocks.append((j, alpha, depths, di.astype(np.int8), near[k]))
                 chunks.append(Q)
-    return len(pts), blocks, np.concatenate(chunks, axis=0)
+    used = np.zeros(len(pts), dtype=bool)
+    for *_, idx in blocks:
+        used[idx] = True
+    renumber = np.cumsum(used) - 1  # of a used sample among the used ones
+    blocks = [(j, alpha, depths, di, renumber[idx]) for j, alpha, depths, di, idx in blocks]
+    return int(np.count_nonzero(used)), blocks, np.concatenate([pts[used]] + chunks, axis=0)
 
 
 def _collar_scan(
@@ -217,10 +228,11 @@ def _collar_scan(
     not depend on the batch a row sits in, so each map's columns are its
     values of one call per comparison.  Each part's comparisons are then
     reduced in (axis, side, depth) order, per map on its own columns: a
-    report counts the comparisons whose moved point differs from the sample
-    and keeps the first worst one as the witness.  Returns one report list,
-    in part order, per map.  The seed must be an integer >= 0: every
-    checker and construction scans, so this is where it is refused.
+    report counts the comparisons, each real as its moved point differs
+    from its sample, and keeps the first worst one as the witness.  Returns
+    one report list, in part order, per map.  The seed must be an integer
+    >= 0: every checker and construction scans, so this is where it is
+    refused.
     """
     _require_seed(seed)
     if not fs or not parts:
@@ -249,7 +261,7 @@ def _collar_scan(
             stop = start + len(idx)
             here, moved = index[idx], index[start:stop]
             start = stop
-            comparisons += int(np.count_nonzero(here != moved))
+            comparisons += len(idx)
             gaps = np.maximum.reduceat(np.abs(values[here] - values[moved]), first_cols, axis=1)
             for m, k in enumerate(np.argmax(gaps, axis=0)):
                 if gaps[k, m] > worst[m]:

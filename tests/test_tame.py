@@ -35,6 +35,7 @@ from tamecube.maps import (
     lambda_map,
     mul,
     piecewise,
+    recip_map,
     smash_map,
     tup,
 )
@@ -412,9 +413,11 @@ def test_collar_only_defect_fails(n, w):
 
 def test_collar_scan_evaluates_once(monkeypatch):
     # a check stacks the samples and moved points of all its parts, drops
-    # duplicate rows once and evaluates once
-    calls, sorts = [], []
+    # duplicate rows once and evaluates once, only the distinct rows that
+    # its real comparisons read
+    calls, sorts, parts = [], [], []
     eval_many = SmoothMap.eval_many
+    collar_rows = tame_module._collar_rows
 
     def counted(self, pts):
         calls.append(len(pts))
@@ -424,25 +427,31 @@ def test_collar_scan_evaluates_once(monkeypatch):
         sorts.append(len(pts))
         return unique_rows(pts)
 
+    def recorded(*part):
+        parts.append(part)
+        return collar_rows(*part)
+
+    def check(scan):
+        calls.clear()
+        sorts.clear()
+        parts.clear()
+        result = scan()
+        assert len(calls) == 1 and len(sorts) == 1 and calls == [_rows_read(parts)] and calls[0] > 0
+        return result
+
     monkeypatch.setattr(SmoothMap, "eval_many", counted)
     monkeypatch.setattr(tame_module, "unique_rows", counted_unique)
+    monkeypatch.setattr(tame_module, "_collar_rows", recorded)
     f = random_smooth_map(np.random.default_rng(11), 3)
     for K in (full_cube(3), boundary_complex(3), j_delta_region(3, 0.2)):
-        calls.clear()
-        sorts.clear()
-        check_tame(f, K, 0.2, QUICK, seed=4)
-        assert len(calls) == 1 and len(sorts) == 1
+        check(lambda: check_tame(f, K, 0.2, QUICK, seed=4))
     for K in (boundary_complex(3), j_complex(3)):
-        calls.clear()
-        sorts.clear()
-        rep = check_admissible(f, K, 0.2, QUICK, seed=4)
-        assert len(calls) == 1 and len(sorts) == 1 and len(rep.per_face) > 1
+        rep = check(lambda: check_admissible(f, K, 0.2, QUICK, seed=4))
+        assert len(rep.per_face) > 1
     # extend_tame checks the walls-plus-top and the bottom rim in one scan
     g = _tame_on_j(3, 3, 0.25, 0.375)
-    calls.clear()
-    sorts.clear()
-    extend_tame(g, eps=0.25, sigma=0.1, cfg=QUICK, seed=4)
-    assert len(calls) == 1 and len(sorts) == 1
+    check(lambda: extend_tame(g, eps=0.25, sigma=0.1, cfg=QUICK, seed=4))
+    assert len(parts) == 2
 
 
 def test_collar_scan_pinned_values():
@@ -468,8 +477,8 @@ def test_collar_scan_pinned_values():
 
 def test_collar_scan_without_comparisons():
     # no sample of a box inside the chamber is near a face: the check passes
-    # with no comparison, and a part without comparisons, whose samples still
-    # sit in the stacked rows, leaves the next part's report as it is alone
+    # with no comparison and evaluates no row, and a part without
+    # comparisons leaves the next part's report as it is alone
     f = random_smooth_map(np.random.default_rng(11), 2)
     inner = BoxRegion(2, (Box(((0.4, 0.6), (0.4, 0.6))),))
     rep = check_tame(f, inner, 0.05)
@@ -537,6 +546,27 @@ def _collar_rows_by_distance(R, eps, cfg, seed):
     return len(pts), blocks, np.concatenate(chunks, axis=0)
 
 
+def _real_moves(count, blocks, stacked):
+    """The reference's output under ``_collar_rows``'s rule: each move equal to
+    its sample is dropped, then each sample that no kept move reads, and the
+    kept samples are renumbered in order."""
+    pts, moved = stacked[:count], stacked[count:]
+    kept, chunks, start = [], [], 0
+    for j, a, d, idx in blocks:
+        Q = moved[start : start + len(idx)]
+        start += len(idx)
+        real = np.any(Q != pts[idx], axis=1)
+        if np.any(real):
+            kept.append((j, a, d, idx[real]))
+            chunks.append(Q[real])
+    used = np.zeros(count, dtype=bool)
+    for *_, idx in kept:
+        used[idx] = True
+    renumber = np.cumsum(used) - 1
+    kept = [(j, a, d, renumber[idx]) for j, a, d, idx in kept]
+    return int(used.sum()), kept, np.concatenate([pts[used]] + chunks, axis=0)
+
+
 def _per_depth(blocks):
     """``_collar_rows`` blocks split into one (axis, side, depth, sample
     indices) group per depth, in block order."""
@@ -549,8 +579,11 @@ def _per_depth(blocks):
 
 
 def _assert_same_collar_rows(R, eps, cfg, seed):
+    """Assert that ``_collar_rows`` gives the reference's real moves; return how
+    many moves, self-moves included, the reference keeps in R."""
     count, blocks, stacked = _collar_rows(R, eps, cfg, seed)
-    ref_count, ref_blocks, ref_stacked = _collar_rows_by_distance(R, eps, cfg, seed)
+    reference = _collar_rows_by_distance(R, eps, cfg, seed)
+    ref_count, ref_blocks, ref_stacked = _real_moves(*reference)
     sides = [(j, a) for j, a, *_ in blocks]
     assert len(sides) == len(set(sides)) <= 2 * R.ambient_dim  # one block per axis and side
     blocks = _per_depth(blocks)
@@ -559,7 +592,7 @@ def _assert_same_collar_rows(R, eps, cfg, seed):
     for (*_, idx), (*_, ref_idx) in zip(blocks, ref_blocks):
         assert np.array_equal(idx, ref_idx)
     assert stacked.shape == ref_stacked.shape and stacked.tobytes() == ref_stacked.tobytes()
-    return sum(len(idx) for *_, idx in blocks)
+    return len(reference[2]) - reference[0]
 
 
 def _random_region(rng, n, boxes):
@@ -614,15 +647,93 @@ def test_collar_rows_match_distance_membership_at_the_tolerance():
         assert counts[0] > counts[1]
 
 
+def _scanned_regions(n):
+    """The non-empty regions that the checks and constructions scan on I^n."""
+    regions = [j_complex(n).region, boundary_complex(n).region, full_cube(n).region]
+    if n >= 2:
+        rim = CubicalComplex(n, tuple(_bottom_rim_face(n, j, v) for j in range(1, n) for v in (0, 1)))
+        regions += [rim.region, j_delta_region(n, 0.2)]
+    regions += [intersect_region_face(j_complex(n).region, F) for F in positive_faces(n)]
+    return [R for R in regions if R.boxes]
+
+
 def test_collar_rows_match_distance_membership_on_scanned_regions():
     cfg = ToleranceConfig(grid_res=9)
     for n in (1, 2, 3):
-        regions = [j_complex(n).region, boundary_complex(n).region, full_cube(n).region]
-        if n >= 2:
-            rim = CubicalComplex(n, tuple(_bottom_rim_face(n, j, v) for j in range(1, n) for v in (0, 1)))
-            regions += [rim.region, j_delta_region(n, 0.2)]
-        regions += [intersect_region_face(j_complex(n).region, F) for F in positive_faces(n)]
-        for R in regions:
-            if R.boxes:
-                for eps in (0.25, 0.375, 0.2**2):
-                    assert _assert_same_collar_rows(R, eps, cfg, seed=5) > 0
+        for R in _scanned_regions(n):
+            for eps in (0.25, 0.375, 0.2**2):
+                assert _assert_same_collar_rows(R, eps, cfg, seed=5) > 0
+
+
+# --- the scan against a naive reference ------------------------------------
+
+
+def _naive_scan(f, parts, cfg, seed):
+    """``_collar_scan`` of one map as a loop over ``_collar_rows_by_distance``:
+    every sample and every move evaluated, none deduplicated or dropped, each
+    (axis, side, depth) block reduced in order and every comparison whose
+    moved point differs from its sample counted."""
+    reports = []
+    for R, eps in parts:
+        count, blocks, stacked = _collar_rows_by_distance(R, eps, cfg, seed)
+        pts, moved = stacked[:count], stacked[count:]
+        at_pts, at_moved = f.eval_many(pts), f.eval_many(moved)
+        worst, witness, comparisons, start = 0.0, None, 0, 0
+        for j, a, d, idx in blocks:
+            stop = start + len(idx)
+            comparisons += int(np.count_nonzero(np.any(pts[idx] != moved[start:stop], axis=1)))
+            gaps = np.max(np.abs(at_pts[idx] - at_moved[start:stop]), axis=1)
+            for k, gap in zip(idx, gaps):
+                if gap > worst:
+                    worst, witness = float(gap), Witness(tuple(float(x) for x in pts[k]), j, a, float(d))
+            start = stop
+        passed = worst <= cfg.eq_tol
+        reports.append(TamenessReport(passed, eps, worst, None if passed else witness, comparisons))
+    return reports
+
+
+def _rows_read(parts):
+    """How many distinct rows the real comparisons of ``_collar_rows_by_distance``
+    read, over the (region, width, config, seed) parts of one scan."""
+    read = [_real_moves(*_collar_rows_by_distance(*part))[2] for part in parts]
+    return len(unique_rows(np.concatenate(read))[0])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_collar_scan_matches_naive_scan_on_random_regions(n):
+    rng = np.random.default_rng(80 + n)
+    cfg = ToleranceConfig(grid_res=7)
+    fs = (random_smooth_map(rng, n, out_dim=2), random_tame_map(rng, n, 0.3), random_smooth_map(rng, n))
+    for seed in range(4):
+        parts = tuple((_random_region(rng, n, int(rng.integers(1, 5))), eps) for eps in (0.05, 0.2, 0.5))
+        assert _collar_scan(fs, parts, cfg, seed) == [_naive_scan(f, parts, cfg, seed) for f in fs]
+
+
+def test_collar_scan_matches_naive_scan_on_scanned_regions():
+    cfg = ToleranceConfig(grid_res=9)
+    for n in (1, 2, 3):
+        rng = np.random.default_rng(90 + n)
+        fs = (random_smooth_map(rng, n), random_tame_map(rng, n, 0.25), tup(coord(1, n), random_smooth_map(rng, n)))
+        parts = tuple((R, eps) for R in _scanned_regions(n) for eps in (0.25, 0.375, 0.2**2))
+        reports = _collar_scan(fs, parts, cfg, 5)
+        assert reports == [_naive_scan(f, parts, cfg, 5) for f in fs]
+        assert any(not r.passed for r in reports[0]) and any(r.samples_checked for r in reports[0])
+
+
+def _pole_at(c: float) -> SmoothMap:
+    """1 / (t_1 - c)^2 on I^1: finite everywhere but at t_1 = c."""
+    shifted = affine_row(1, {1: 1.0}, -c)
+    return recip_map(mul(shifted, shifted))
+
+
+def test_collar_scan_evaluates_no_point_that_no_comparison_reads():
+    # the grid point 1/2 is no sample of a comparison at width 0.2, so a pole
+    # there is never evaluated; a pole at the compared sample 1/8 raises
+    cfg = ToleranceConfig(grid_res=9)
+    rep = check_tame(_pole_at(0.5), full_cube(1), 0.2, cfg)
+    assert not rep.passed and rep.samples_checked > 0
+    with pytest.raises(DomainError, match="recip requires strictly positive input"):
+        check_tame(_pole_at(0.125), full_cube(1), 0.2, cfg)
+    # at width 1/2 every sample is near a face and 1/2 is read again
+    with pytest.raises(DomainError, match="recip requires strictly positive input"):
+        check_tame(_pole_at(0.5), full_cube(1), 0.5, cfg)
