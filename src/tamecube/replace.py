@@ -40,10 +40,7 @@ from .tame import (
     TamenessReport,
     ToleranceConfig,
     _collar_scan,
-    _extension_parts,
-    _extension_tree,
-    _extension_widths,
-    _require_extension_input,
+    _extensions,
     check_admissible,
     concat_homotopy,
     tame_replace,
@@ -170,23 +167,16 @@ def _extend_stage(
     eps_p = min(eps ** (j - 1), 0.5)
     sigma_p = eps**j
     sigma_j = 0.5 * min(eps ** (j + 1), cert)
-    _extension_widths(cert, sigma_j, eps_p, sigma_p)
     charts = [face_chart(F, n) for F in faces]
     inputs = tuple(compose(union, chart.forward) for chart in charts)
-    inputs_reps = _collar_scan(inputs, _extension_parts(j + 1, cert, eps_p), cfg, seed)
-    exts = [
-        _extension_tree(g, cert, sigma_j, eps_p, sigma_p) if all(rep.passed for rep in reps) else None
-        for g, reps in zip(inputs, inputs_reps)
-    ]
-    slices = tuple(Homotopy(ext).slice(0.0) for ext in exts if ext is not None)
+    exts = _extensions(inputs, cert, sigma_j, eps_p, sigma_p, cfg, seed)
+    slices = tuple(Homotopy(ext).slice(0.0) for ext in exts if not isinstance(ext, TamenessError))
     # in face order: every face before the first failed input has a report here
     face_reps = iter(_collar_scan(slices, ((full_cube(j).region, sigma_p),), cfg, seed))
     formulas, steps = {}, []
-    for F, chart, reps, ext in zip(faces, charts, inputs_reps, exts):
-        try:
-            _require_extension_input(reps)
-        except TamenessError as exc:
-            raise ReplacementError(f"extension over face {F.describe()} (dim {j}) failed: {exc}") from exc
+    for F, chart, ext in zip(faces, charts, exts):
+        if isinstance(ext, TamenessError):
+            raise ReplacementError(f"extension over face {F.describe()} (dim {j}) failed: {ext}") from ext
         (rep,) = next(face_reps)
         if not rep.passed:
             raise ReplacementError(
@@ -254,7 +244,7 @@ def admissible_replace(
             sigma_j, stage_formulas, stage_steps = _extend_stage(union, faces_j, cert, eps, quick, seed)
             formulas |= stage_formulas
             steps += stage_steps
-            cert = min(cert, sigma_j)
+            cert = sigma_j  # below cert: sigma_j = min(eps^(j+1), cert) / 2
         union = _route_union(L.union(skeleton(K, j)), formulas, cert, fallback)
 
     h_ind = Homotopy(union)

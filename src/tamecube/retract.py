@@ -117,27 +117,21 @@ def deformation_schedule(n: int, eps: float) -> dict:
     """Band-width endpoints used by the deformation homotopy.
 
     The wide endpoint of the identity-band width is clamped to 1/2 when
-    the graded power exceeds it (only possible for n <= 2); the clamp is
-    reported so callers can surface it.
+    the graded power exceeds it (only possible for n <= 2).
     """
     if n < 1:
         raise DomainError("deformation needs dimension >= 1")
     if not 0.0 < eps <= 0.5:
         raise DomainError(f"need 0 < eps <= 1/2, got {eps!r}")
     if n == 1:
-        return {"n": 1, "eps": eps, "retraction_eps": 1.0, "clamped": False}
-    tau_wide_raw = eps ** (n - 2)
-    tau_wide = min(tau_wide_raw, 0.5)
+        return {"retraction_eps": 1.0}
     sched = {
-        "n": n,
-        "eps": eps,
         "retraction_eps": eps ** (n - 1),
         "sigma_wide": eps ** (n - 1),
         "sigma_narrow": eps**n,
-        "tau_wide": tau_wide,
+        "tau_wide": min(eps ** (n - 2), 0.5),
         "tau_narrow": eps ** (n - 1),
         "ramp_scale": eps**n,
-        "clamped": tau_wide_raw > 0.5,
     }
     if not sched["sigma_wide"] < sched["tau_wide"]:
         raise DomainError(

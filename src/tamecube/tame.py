@@ -24,9 +24,9 @@ reads is not evaluated, so a value that is not finite there raises nothing.
 The operators: ``tame_replace`` composes with a coordinatewise smash to
 produce a tame map together with the straight-line homotopy; ``extend_tame``
 extends a tame map from the walls-plus-top complex over the whole cube via
-an approximate retraction with time-modulated band widths (its width check,
-precondition parts and tree builder are also called one by one, so that the
-replacement checks the inputs of many faces in one scan);
+an approximate retraction with time-modulated band widths (one function
+checks and builds the extensions of many maps in one scan, so that the
+replacement extends all faces of a dimension at once);
 ``extend_to_jdelta`` pushes a map outward onto the collared boundary
 region; the concatenation operators splice homotopies (along time) and
 maps (along the first axis) through one splice, flat at the seam 1/2.
@@ -331,10 +331,6 @@ def _coordwise_smash(params: SmashParams, n: int) -> SmoothMap:
     return tup(*[smash_map(params, coord(k, n)) for k in range(1, n + 1)])
 
 
-def _bottom_rim_face(n: int, j: int, v: int) -> Face:
-    return Face(n, ((j, v), (n, 0)))
-
-
 def tame_replace(f: SmoothMap, sigma: float, eps: float) -> tuple[SmoothMap, Homotopy]:
     """Flatten f along all collars of width sigma, keeping it fixed on the chamber.
 
@@ -355,11 +351,22 @@ def tame_replace(f: SmoothMap, sigma: float, eps: float) -> tuple[SmoothMap, Hom
     return g, Homotopy(compose(f, tup(*moved)))
 
 
-def _extension_widths(
-    eps: float, sigma: float, eps_prime: float | None, sigma_prime: float | None
-) -> tuple[float, float]:
-    """``extend_tame``'s (eps_prime, sigma_prime), their defaults filled in, once
-    the widths are checked."""
+def _extensions(
+    fs: tuple[SmoothMap, ...],
+    eps: float,
+    sigma: float,
+    eps_prime: float | None,
+    sigma_prime: float | None,
+    cfg: ToleranceConfig,
+    seed: int,
+) -> list[SmoothMap | TamenessError]:
+    """``extend_tame`` of each map of fs, all of one input dimension: per map its
+    extension, or the ``TamenessError`` that ``extend_tame`` raises for it.
+
+    The widths are checked, and their defaults filled in, once; both
+    preconditions of every map are checked in one collar scan, and the
+    squeezed retraction is built once.
+    """
     if eps_prime is None:
         eps_prime = 0.5 * (eps + 0.5)
     if sigma_prime is None:
@@ -374,39 +381,31 @@ def _extension_widths(
             f"need sigma < sigma_prime < eps_prime, got "
             f"sigma={sigma!r}, sigma_prime={sigma_prime!r}, eps_prime={eps_prime!r}"
         )
-    return eps_prime, sigma_prime
-
-
-def _extension_parts(n: int, eps: float, eps_prime: float) -> tuple[tuple[BoxRegion, float], ...]:
-    """The scan parts of ``extend_tame``'s precondition on I^n: the walls-plus-top
-    complex at eps and, from n = 2, the bottom rim at eps_prime."""
+    n = fs[0].in_dim
     parts = [(j_complex(n).region, eps)]
     if n >= 2:
         # the wider bottom-boundary tameness is what lets the relaxed
         # widths near the bottom reproduce f on the walls there
-        rim = CubicalComplex(
-            n, tuple(_bottom_rim_face(n, j, v) for j in range(1, n) for v in (0, 1))
-        )
+        rim = CubicalComplex(n, tuple(Face(n, ((j, v), (n, 0))) for j in range(1, n) for v in (0, 1)))
         parts.append((rim.region, eps_prime))
-    return tuple(parts)
-
-
-def _require_extension_input(reps: list[TamenessReport]) -> None:
-    """Raise ``TamenessError`` for the first failed report of an ``_extension_parts`` scan."""
-    for rep, where in zip(reps, ("walls-plus-top complex", "bottom rim")):
-        rep.require(f"{rep.eps_tested}-tame on the {where}")
-
-
-def _extension_tree(f: SmoothMap, eps: float, sigma: float, eps_prime: float, sigma_prime: float) -> SmoothMap:
-    """The tree of ``extend_tame``, unchecked."""
-    n = f.in_dim
+    scans = _collar_scan(fs, tuple(parts), cfg, seed)
     # widths relax from (sigma', eps') at the bottom to (sigma, eps) once the
     # smashed time leaves its flat band; driving the ramp by the smashed time
     # (not the raw time) freezes the widths on both collars, which is what
     # makes the result exactly sigma-tame in the time direction
     squashed_time = smash_map(SmashParams(sigma, eps), coord(n, n))
     ramp = lambda_map(compose(affine_row(1, {1: -1.0 / sigma}, 1.0), squashed_time))
-    return compose(f, squeezed_retraction(n, eps, (sigma, sigma_prime), (eps, eps_prime), ramp, squashed_time))
+    retraction = squeezed_retraction(n, eps, (sigma, sigma_prime), (eps, eps_prime), ramp, squashed_time)
+    extensions = []
+    for f, reps in zip(fs, scans):
+        try:
+            for rep, where in zip(reps, ("walls-plus-top complex", "bottom rim")):
+                rep.require(f"{rep.eps_tested}-tame on the {where}")
+        except TamenessError as exc:
+            extensions.append(exc)
+        else:
+            extensions.append(compose(f, retraction))
+    return extensions
 
 
 def extend_tame(
@@ -427,10 +426,10 @@ def extend_tame(
     walls-plus-top complex and eps_prime-tame on the bottom rim, both
     checked in one scan.
     """
-    eps_prime, sigma_prime = _extension_widths(eps, sigma, eps_prime, sigma_prime)
-    (reps,) = _collar_scan((f,), _extension_parts(f.in_dim, eps, eps_prime), cfg, seed)
-    _require_extension_input(reps)
-    return _extension_tree(f, eps, sigma, eps_prime, sigma_prime)
+    (extension,) = _extensions((f,), eps, sigma, eps_prime, sigma_prime, cfg, seed)
+    if isinstance(extension, TamenessError):
+        raise extension
+    return extension
 
 
 def jdelta_collar(n: int, eps: float) -> tuple[float, float]:

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from tamecube.cubes import Box, CubicalComplex, Face, boundary_complex, box_grid, complex_grid
 from tamecube.errors import DimensionError, DomainError, ParseError
 from tamecube.genmaps import random_map_admissible_on, random_smooth_map, random_tame_map
-from tamecube.kernels import SmashParams
+from tamecube.kernels import SmashParams, gamma_many
 from tamecube.maps import (
     _ATOMS,
     _EVAL_ROWS,
@@ -565,6 +565,20 @@ def test_piecewise_selection_and_validation():
         piecewise(1, (0.5,), (const(1.0, 1),))
     with pytest.raises(DomainError):
         piecewise(1, (1.5,), (const(1.0, 1), const(2.0, 1)))
+
+
+def test_zero_row_call_through_a_piecewise_node():
+    # a piece that gets no rows asks its children for none, and the
+    # evaluation resumes it with no child call
+    pw = piecewise(1, (0.5,), (tup(coord(1, 2), coord(2, 2)), tup(coord(2, 2), const(1.0, 2))))
+    out = pw.eval_many(np.zeros((0, 2)))
+    assert out.shape == (0, 2) and out.dtype == np.float64
+
+
+def test_gamma_node():
+    x = np.linspace(0.0, 1.0, 33).reshape(-1, 1)
+    assert np.array_equal(Gamma().eval_many(x)[:, 0], gamma_many(x[:, 0]))
+    assert parse_map("(gamma (coord 1))") is Compose(Gamma(), Coord(1, 1))
 
 
 def test_homotopy_slice():

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 import test_acceptance
+import test_replace
 import test_tame
-from tamecube import kernels, tame
+from tamecube import kernels, replace, tame
 from tamecube.suites import SuiteConfig, run_suite
 
 SEEDS = (0, 3, 7)
@@ -79,50 +80,81 @@ def test_coarse_table_fails_acceptance_criterion_2(monkeypatch, panels, nodes):
         test_acceptance.test_criterion_2_quadrature_oracle()
 
 
-def _mutate_collar_rows(monkeypatch, old: str, new: str) -> None:
-    """Swap ``tame._collar_rows`` for a copy built from its source with the one
-    occurrence of ``old`` replaced by ``new``."""
-    source = textwrap.dedent(inspect.getsource(tame._collar_rows))
+def _mutate(monkeypatch, module, name: str, old: str, new: str, lookup=None) -> None:
+    """Swap function ``name`` of ``module`` for a copy built from its source with
+    the one occurrence of ``old`` replaced by ``new``.  The copy is patched into
+    ``lookup``, the module where the caller under test looks the name up
+    (``module`` itself by default)."""
+    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
     assert source.count(old) == 1
-    scope = dict(vars(tame))
-    exec(compile(source.replace(old, new), tame.__file__, "exec"), scope)
-    monkeypatch.setattr(tame, "_collar_rows", scope["_collar_rows"])
+    scope = dict(vars(module))
+    exec(compile(source.replace(old, new), module.__file__, "exec"), scope)
+    monkeypatch.setattr(module if lookup is None else lookup, name, scope[name])
 
 
-# (id, a line of ``tame._collar_rows``, its mutation, the tests that must fail)
-COLLAR_ROWS_MUTANTS = [
+_COLLAR_ROWS_TESTS = (test_tame.test_collar_scan_pinned_values, test_tame.test_collar_scan_matches_naive_scan_on_scanned_regions)
+
+# (id, module, function, the module its caller looks it up in or None, a line
+# of the function, its mutation, the tests that must fail)
+SOURCE_MUTANTS = [
     # drops every move to depth 0 with the moves onto their own sample: the
     # pinned boundary check makes 2080 comparisons instead of 2168
     (
         "drop-depth-0-moves",
+        tame, "_collar_rows", None,
         "real = x[di, 0] != P[k, j - 1]",
         "real = (x[di, 0] != P[k, j - 1]) & (di != 0)",
-        (test_tame.test_collar_scan_pinned_values, test_tame.test_collar_scan_matches_naive_scan_on_scanned_regions),
+        _COLLAR_ROWS_TESTS,
     ),
     # stacks only the samples of the first axis and side, so a later block
     # reads another sample's value: the pinned boundary check's worst gap
     # becomes 1.717 instead of 0.604
     (
         "used-samples-of-first-block",
+        tame, "_collar_rows", None,
         "for *_, idx in blocks:",
         "for *_, idx in blocks[:1]:",
-        (test_tame.test_collar_scan_pinned_values, test_tame.test_collar_scan_matches_naive_scan_on_scanned_regions),
+        _COLLAR_ROWS_TESTS,
+    ),
+    # the extension's widths still ramp where the smashed time lies in
+    # [sigma, 2 sigma), so they are not yet the top widths there
+    (
+        "half-slope-ramp",
+        tame, "_extensions", None,
+        "{1: -1.0 / sigma}",
+        "{1: -0.5 / sigma}",
+        (test_tame.test_extend_tame_has_its_top_widths_once_the_smashed_time_leaves_the_bottom,),
+    ),
+    # a still valid construction with other outputs: an L of dimension 1
+    # is tamed at eps^2 rather than eps
+    (
+        "taming-width-from-dim-2",
+        replace, "admissible_replace", test_replace,
+        "dim_l = max(L.dim, 1)",
+        "dim_l = max(L.dim, 2)",
+        (test_replace.test_taming_widths_follow_the_dimension_of_L,),
     ),
 ]
 
 
-@pytest.mark.parametrize("old,new,must_fail", [m[1:] for m in COLLAR_ROWS_MUTANTS], ids=[m[0] for m in COLLAR_ROWS_MUTANTS])
-def test_collar_rows_mutant_fails_its_tests(monkeypatch, old, new, must_fail):
-    _mutate_collar_rows(monkeypatch, old, new)
+@pytest.mark.parametrize(
+    "module,name,lookup,old,new,must_fail", [m[1:] for m in SOURCE_MUTANTS], ids=[m[0] for m in SOURCE_MUTANTS]
+)
+def test_source_mutant_fails_its_tests(monkeypatch, module, name, lookup, old, new, must_fail):
+    _mutate(monkeypatch, module, name, old, new, lookup)
     for test in must_fail:
         with pytest.raises(AssertionError):
             test()
 
 
-def test_unmutated_copy_of_collar_rows_passes_the_tests(monkeypatch):
-    # the copy built from the source is the function itself: what fails
+def test_unmutated_copies_pass_the_tests(monkeypatch):
+    # a copy built from the source is the function itself: what fails
     # under a mutant is the mutation
-    _mutate_collar_rows(monkeypatch, "used = ", "used = ")
-    assert tame._collar_rows is not test_tame._collar_rows
-    for test in dict.fromkeys(t for *_, tests in COLLAR_ROWS_MUTANTS for t in tests):
-        test()
+    for _, module, name, lookup, old, _, must_fail in SOURCE_MUTANTS:
+        where = module if lookup is None else lookup
+        shipped = getattr(where, name)
+        with monkeypatch.context() as patch:
+            _mutate(patch, module, name, old, old, lookup)
+            assert getattr(where, name) is not shipped
+            for test in must_fail:
+                test()

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from tamecube.cubes import CubicalComplex, Face, boundary_complex, full_cube, j_complex, skeleton
+from tamecube.cubes import CubicalComplex, Face, boundary_complex, full_cube, j_complex, j_delta_region, skeleton
 from tamecube.errors import DimensionError, DomainError, TamenessError
 from tamecube.genmaps import random_smooth_map
 from tamecube.kernels import lambda_integral
@@ -31,7 +31,7 @@ from tamecube.maps import (
     tup,
 )
 from tamecube.replace import admissible_replace
-from tamecube.retract import RetractionParams
+from tamecube.retract import RetractionParams, deformation_retraction_homotopy
 from tamecube.suites import SuiteConfig
 from tamecube.tame import (
     ToleranceConfig,
@@ -41,6 +41,7 @@ from tamecube.tame import (
     extend_tame,
     extend_to_jdelta,
     seam_report,
+    tame_replace,
 )
 
 QUICK = ToleranceConfig(grid_res=11)
@@ -324,3 +325,31 @@ def test_gate_refuses_with_its_message_and_report(call, error, message, check):
         report = check()
         assert not report.passed
         assert info.value.report == report
+
+
+def _past(x):
+    """The next float above x."""
+    return float(np.nextafter(x, 1.0))
+
+
+# (id, a call that must be accepted, one that must be refused): one of
+# them is at the bound and the other one float past it
+EDGES = [
+    ("grid_res", lambda: ToleranceConfig(grid_res=3), lambda: ToleranceConfig(grid_res=2)),
+    ("tame_replace-eps", lambda: tame_replace(Coord(1, 2), 0.1, 0.5), lambda: tame_replace(Coord(1, 2), 0.1, _past(0.5))),
+    ("tame_replace-sigma", lambda: tame_replace(Coord(1, 2), 5e-324, 0.25), lambda: tame_replace(Coord(1, 2), 0.0, 0.25)),
+    (
+        "extend_tame-sigma_prime",
+        lambda: extend_tame(const(1.0, 2), eps=0.25, sigma=0.1, sigma_prime=_past(0.1), cfg=QUICK),
+        lambda: extend_tame(const(1.0, 2), eps=0.25, sigma=0.1, sigma_prime=0.1, cfg=QUICK),
+    ),
+    ("j_delta_region-n", lambda: j_delta_region(1, 0.2), lambda: j_delta_region(0, 0.2)),
+    ("deformation-eps", lambda: deformation_retraction_homotopy(3, 0.5), lambda: deformation_retraction_homotopy(3, _past(0.5))),
+]
+
+
+@pytest.mark.parametrize("accepted,refused", [e[1:] for e in EDGES], ids=[e[0] for e in EDGES])
+def test_bound_accepts_one_side_of_its_edge_and_refuses_the_other(accepted, refused):
+    accepted()
+    with pytest.raises(DomainError):
+        refused()

@@ -16,8 +16,9 @@ from tamecube.errors import DomainError, ReplacementError, TamenessError
 from tamecube.genmaps import random_map_admissible_on, random_smooth_map, random_tame_map
 from tamecube.maps import Coord, compose
 import tamecube.replace as replace_mod
+from tamecube import tame
 from tamecube.replace import admissible_replace, face_chart
-from tamecube.tame import ToleranceConfig, check_admissible
+from tamecube.tame import ToleranceConfig, _extensions, check_admissible
 
 QUICK = ToleranceConfig(grid_res=11)
 MID = ToleranceConfig(grid_res=17)
@@ -96,13 +97,17 @@ def test_replace_empty_complex():
     assert trace.final_report.passed and trace.final_report.samples_checked == 0
 
 
-def _untame_face_extension(f, *widths):
-    # the first chart coordinate: the identity along the face, so its time-0 face is not tame
-    return Coord(1, f.in_dim)
+def _untame_face_extension(fs, *widths):
+    # the first chart coordinate for each map whose input passed: the
+    # identity along the face, so its time-0 face is not tame
+    return [
+        ext if isinstance(ext, TamenessError) else Coord(1, f.in_dim)
+        for f, ext in zip(fs, _extensions(fs, *widths))
+    ]
 
 
-def _failing_extension(reps):
-    raise TamenessError("synthetic extension failure")
+def _failing_extension(fs, *widths):
+    return [TamenessError("synthetic extension failure") for _ in fs]
 
 
 @pytest.mark.parametrize("fake", [_failing_extension, _untame_face_extension])
@@ -110,8 +115,7 @@ def test_failed_extension_step_raises(monkeypatch, fake):
     # a stage checks every face's input, builds the extensions and checks
     # their time-0 faces: one fake fails the first face's input check, the
     # other builds an extension whose face check fails
-    seam = "_require_extension_input" if fake is _failing_extension else "_extension_tree"
-    monkeypatch.setattr(replace_mod, seam, fake)
+    monkeypatch.setattr(replace_mod, "_extensions", fake)
     f = random_smooth_map(np.random.default_rng(7), 2)
     with pytest.raises(ReplacementError, match=r"^extension over face t1=0 \(dim 1\)") as info:
         admissible_replace(f, boundary_complex(2), CubicalComplex(2, ()), 0.2, QUICK)
@@ -126,7 +130,7 @@ def test_failed_extension_step_raises(monkeypatch, fake):
 def test_earlier_failed_face_check_is_raised_before_a_later_failed_input(monkeypatch):
     # the faces are walked in order after both scans of a stage: the second
     # face's failed input is raised only while the first face's check passes
-    scan = replace_mod._collar_scan
+    scan = tame._collar_scan
 
     def second_input_fails(fs, parts, cfg, seed):
         reports = scan(fs, parts, cfg, seed)
@@ -134,13 +138,13 @@ def test_earlier_failed_face_check_is_raised_before_a_later_failed_input(monkeyp
             reports[1][0] = dataclasses.replace(reports[1][0], passed=False, worst_violation=1.0)
         return reports
 
-    monkeypatch.setattr(replace_mod, "_collar_scan", second_input_fails)
+    monkeypatch.setattr(tame, "_collar_scan", second_input_fails)
     f = random_smooth_map(np.random.default_rng(7), 2)
     args = (f, boundary_complex(2), CubicalComplex(2, ()), 0.2, QUICK)
     with pytest.raises(ReplacementError) as info:
         admissible_replace(*args)
     assert str(info.value).startswith("extension over face t1=1 (dim 1) failed: input map is not ")
-    monkeypatch.setattr(replace_mod, "_extension_tree", _untame_face_extension)
+    monkeypatch.setattr(replace_mod, "_extensions", _untame_face_extension)
     with pytest.raises(ReplacementError) as info:
         admissible_replace(*args)
     assert str(info.value) == "extension over face t1=0 (dim 1) is not 0.2-tame on the face (worst 2.000e-01)"
@@ -149,8 +153,6 @@ def test_earlier_failed_face_check_is_raised_before_a_later_failed_input(monkeyp
 def test_stage_scans_its_faces_together(monkeypatch):
     # one scan of all the faces' inputs and one of their time-0 faces per
     # skeleton dimension, between the check on L and the final check
-    from tamecube import tame
-
     scans = []
     for module in (tame, replace_mod):
         def recording(fs, parts, cfg, seed, scan=module._collar_scan, name=module.__name__):
@@ -166,13 +168,25 @@ def test_stage_scans_its_faces_together(monkeypatch):
     # faces of I^3, 14 meet L (all but t1=1 and its 4 edges) and 19 the boundary
     assert scans == [
         ("tame", 1, 14),
-        ("replace", 8, 2),
+        ("tame", 8, 2),
         ("replace", 8, 1),
-        ("replace", 5, 2),
+        ("tame", 5, 2),
         ("replace", 5, 1),
         ("tame", 1, 19),
     ]
     assert [s.dim for s in trace.steps] == [1] * 8 + [2] * 5
+
+
+def test_taming_widths_follow_the_dimension_of_L():
+    # the replacement first tames at eps^max(dim L, 1), with half of that as
+    # the flat width: L empty, a vertex or a facet of I^2, then a facet of I^3
+    eps = 0.2
+    for n, l_pins, power in ((2, None, 1), (2, ((1, 0), (2, 0)), 1), (2, ((1, 0),), 1), (3, ((1, 0),), 2)):
+        L = CubicalComplex(n, () if l_pins is None else (Face(n, l_pins),))
+        f = random_map_admissible_on(np.random.default_rng(n), n, L, eps)
+        g, H, trace = admissible_replace(f, boundary_complex(n), L, eps, QUICK)
+        assert trace.taming_eps == eps ** max(L.dim, 1) == eps**power
+        assert trace.taming_sigma == trace.taming_eps / 2
 
 
 def test_replace_interval_identity():

@@ -23,7 +23,7 @@ from tamecube.cubes import (
 )
 from tamecube.errors import DimensionError, DomainError, TamenessError
 from tamecube.genmaps import random_smooth_map, random_tame_map
-from tamecube.kernels import SmashParams
+from tamecube.kernels import SmashParams, smash
 from tamecube.maps import (
     Coord,
     SmoothMap,
@@ -39,8 +39,8 @@ from tamecube.maps import (
     smash_map,
     tup,
 )
+from tamecube.retract import squeezed_retraction
 from tamecube.tame import (
-    _bottom_rim_face,
     _collar_rows,
     _collar_scan,
     TamenessReport,
@@ -219,6 +219,22 @@ def test_extend_tame_point_value_n1():
     g = extend_tame(f, eps=0.25, sigma=0.1, cfg=QUICK)
     assert g.eval([1.0])[0] == pytest.approx(f.eval([1.0])[0], abs=1e-12)
     assert check_tame(g, full_cube(1), 0.1, QUICK).passed
+
+
+def test_extend_tame_has_its_top_widths_once_the_smashed_time_leaves_the_bottom():
+    # the side widths ramp from (sigma', eps') at the bottom to (sigma, eps);
+    # wherever the smashed time lies in [sigma, 1 - sigma] the ramp is over,
+    # so the extension is the squeezed retraction at the constant widths
+    eps, sigma = 0.25, 0.1
+    for n in (2, 3):
+        f = _tame_on_j(n, n, eps, 0.5 * (eps + 0.5))
+        squashed_time = smash_map(SmashParams(sigma, eps), coord(n, n))
+        top = squeezed_retraction(n, eps, (sigma, sigma), (eps, eps), const(0.0, n), squashed_time)
+        pts = np.random.default_rng(n).uniform(size=(20_000, n))
+        s = smash(pts[:, -1], sigma, eps)
+        pts = pts[(sigma <= s) & (s <= 1.0 - sigma)]
+        assert len(pts) > 10_000
+        assert np.array_equal(extend_tame(f, eps, sigma, cfg=QUICK).eval_many(pts), compose(f, top).eval_many(pts))
 
 
 def test_extend_tame_rejects_bad_params_and_untame_input():
@@ -651,7 +667,7 @@ def _scanned_regions(n):
     """The non-empty regions that the checks and constructions scan on I^n."""
     regions = [j_complex(n).region, boundary_complex(n).region, full_cube(n).region]
     if n >= 2:
-        rim = CubicalComplex(n, tuple(_bottom_rim_face(n, j, v) for j in range(1, n) for v in (0, 1)))
+        rim = CubicalComplex(n, tuple(Face(n, ((j, v), (n, 0))) for j in range(1, n) for v in (0, 1)))
         regions += [rim.region, j_delta_region(n, 0.2)]
     regions += [intersect_region_face(j_complex(n).region, F) for F in positive_faces(n)]
     return [R for R in regions if R.boxes]
