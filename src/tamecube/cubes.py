@@ -354,7 +354,16 @@ def unique_rows(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``rows[inverse]`` equals ``pts``.  Rows are compared by value and come
     out in the order ``np.unique(pts, axis=0)`` gives, which sorts far
     slower: one stable lexsort, then neighbours compared column by column.
+    Rows already strictly increasing, such as one box's grid, are returned
+    as they are, found so by a few passes per column and no sort.
     """
+    rising = np.zeros(max(len(pts) - 1, 0), dtype=bool)
+    tied = ~rising
+    for col in pts.T:
+        rising |= tied & (col[1:] > col[:-1])
+        tied &= col[1:] == col[:-1]
+    if np.all(rising):
+        return pts, np.arange(len(pts))
     order = np.lexsort(pts.T[::-1]) if pts.shape[1] else np.arange(len(pts))
     new = np.zeros(len(pts), dtype=bool)
     new[:1] = True
@@ -371,8 +380,13 @@ def region_random(R: BoxRegion, count: int, rng: np.random.Generator) -> np.ndar
     if not R.boxes or count <= 0:
         return np.zeros((0, R.ambient_dim))
     # one draw for every box gives the numbers, in order, of one draw per box
+    return _region_points(R, rng.uniform(size=(len(R.boxes), count, R.ambient_dim)))
+
+
+def _region_points(R: BoxRegion, u: np.ndarray) -> np.ndarray:
+    """The points lo + u (hi - lo) of R's boxes, for numbers u in [0, 1) of shape
+    (boxes, count, n), stacked box by box."""
     n = R.ambient_dim
     ends = np.array([b.intervals for b in R.boxes]).reshape(len(R.boxes), 1, n, 2)
     lo, hi = ends[..., 0], ends[..., 1]
-    pts = rng.uniform(size=(len(R.boxes), count, n))
-    return (lo + pts * (hi - lo)).reshape(len(R.boxes) * count, n)
+    return (lo + u * (hi - lo)).reshape(u.shape[0] * u.shape[1], n)

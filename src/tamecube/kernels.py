@@ -19,7 +19,9 @@ evaluates Lambda from a table of panel sums built once at import
 the partial panel.  Outside the transition band ``smash`` short-circuits
 to exact values, so the flat zones are exact in floating point.  Within
 one call the band quadrature runs once per distinct r: sampled grids and
-collar scans send the same r many times.
+collar scans send the same r many times.  Lambda(r) and lambda(r) of those
+r come from one pass of the lambda formula, over the 12 nodes of each r's
+partial panel and r itself.
 
 Everything here is a pure function of its arguments.  Kernels take scalars
 (0-d in, 0-d out) or arrays and raise ``DomainError`` on a non-finite t.
@@ -119,6 +121,18 @@ _EDGES = np.arange(_PANELS + 1) / _PANELS
 _CUMULATIVE = np.concatenate([[0.0], np.cumsum(_gauss(_EDGES[:-1], _EDGES[1:]))])
 
 
+def _lambda_pair(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lambda(s) and lambda(s) for s in [0, 1], elementwise: the table's
+    panels below s plus the 12-node rule over the partial panel, with
+    lambda at those nodes and at s itself in one pass."""
+    k = np.minimum((s * _PANELS).astype(int), _PANELS - 1)
+    half = 0.5 * (s - _EDGES[k])
+    # the nodes, then s, as one array: no second copy of them while lambda runs
+    x = np.append((0.5 * (_EDGES[k] + s))[..., None] + half[..., None] * _NODES, s[..., None], axis=-1)
+    lam = lambda_many(x)
+    return _CUMULATIVE[k] + half * (lam[..., :-1] * _WEIGHTS).sum(axis=-1), lam[..., -1]
+
+
 def lambda_integral(s) -> np.ndarray:
     """Lambda(s) = int_0^s lambda, vectorized.
 
@@ -126,9 +140,7 @@ def lambda_integral(s) -> np.ndarray:
     Lambda(1) = 1/2 to rounding.  Satisfies Lambda(1 - s) = 1/2 - s + Lambda(s).
     """
     s = _finite_reals(s)
-    inside = np.clip(s, 0.0, 1.0)
-    k = np.minimum((inside * _PANELS).astype(int), _PANELS - 1)
-    return _CUMULATIVE[k] + _gauss(_EDGES[k], inside) + np.maximum(s - 1.0, 0.0)
+    return _lambda_pair(np.clip(s, 0.0, 1.0))[0] + np.maximum(s - 1.0, 0.0)
 
 
 def smash(ts, sigma, tau) -> np.ndarray:
@@ -169,8 +181,8 @@ def smash(ts, sigma, tau) -> np.ndarray:
         # a grid or a collar scan repeats r; both kernels are elementwise,
         # so evaluating them once per distinct bit pattern changes no value
         bits, inverse = np.unique(r.view(np.uint64), return_inverse=True)
-        r = bits.view(np.float64)
-        val = (w - s) * lambda_integral(r)[inverse] + 0.5 * (w + s) * lambda_many(r)[inverse]
+        big, lam = _lambda_pair(bits.view(np.float64))  # r lies in (0, 1]
+        val = (w - s) * big[inverse] + 0.5 * (w + s) * lam[inverse]
         out[band] = np.clip(np.where(low, val, 1.0 - val), 0.0, 1.0)
     return out
 

@@ -9,10 +9,12 @@ over (box region, width) parts, a complex read as one box per maximal
 face: a grid per box plus seeded random points, each compared with its
 moves to the depths (0, w/3, 2w/3, w) and one seeded draw, with exact max
 reduction so the worst violation and its witness are deterministic.  A
-move stays in the region when some box holds both the sample's other
-coordinates and the new coordinate; per axis and side this is one
-(box, sample) test per other coordinate and one (depth, box) test, so
-its cost in array operations does not grow with the boxes or depths.  A
+scan draws its seeded numbers once and hands them to every part; each
+part reads the numbers that two ``default_rng(seed)`` streams of its own
+would give it.  A move stays in the region when some box holds both the
+sample's other coordinates and the new coordinate; per axis and side this
+is one (box, sample) test per other coordinate and one (depth, box) test,
+so its cost in array operations does not grow with the boxes or depths.  A
 scan checks one or more maps of one input dimension on the same parts: it
 evaluates their tuple once, in fixed-size slices of the distinct rows
 that its parts' real comparisons read, so a subtree that the maps share
@@ -20,6 +22,8 @@ is evaluated once per row, and reduces each map's columns on its own.  A
 comparison is real when its moved point differs from its sample; a move
 to the sample's own coordinate is dropped, and a sample that no kept move
 reads is not evaluated, so a value that is not finite there raises nothing.
+A side whose boxes all pin its axis at one value, with no other depth in
+the region, has no real comparison and is skipped before any sample test.
 
 The operators: ``tame_replace`` composes with a coordinatewise smash to
 produce a tame map together with the straight-line homotopy; ``extend_tame``
@@ -49,9 +53,9 @@ from .cubes import (
     j_complex,
     positive_faces,
     region_grid,
-    region_random,
     unique_rows,
     MEMBERSHIP_TOL,
+    _region_points,
 )
 from .errors import DimensionError, DomainError, TamenessError, _is_number
 from .kernels import SmashParams
@@ -160,26 +164,40 @@ class TamenessReport:
             raise TamenessError(f"input map is not {what} (worst violation {self.worst_violation:.3e})", self)
 
 
-def _collar_rows(R: BoxRegion, eps: float, cfg: ToleranceConfig, seed: int):
+def _collar_draws(parts: tuple[tuple[BoxRegion, float], ...], cfg: ToleranceConfig, seed: int):
+    """The seed's two streams, drawn once for all parts of a scan: the uniform
+    numbers of the part with the most boxes, and one fraction per axis and side."""
+    n = max(R.ambient_dim for R, _ in parts)
+    boxes = max(len(R.boxes) for R, _ in parts)
+    uniform = np.random.default_rng(seed).random(boxes * cfg.grid_res * n)
+    return uniform, np.random.default_rng(seed).random(2 * n)
+
+
+def _collar_rows(R: BoxRegion, eps: float, cfg: ToleranceConfig, uniform: np.ndarray, fractions: np.ndarray):
     """Samples of R and their moves into the eps-collars, stacked.
 
-    R is sampled on a per-box grid plus ``cfg.grid_res`` seeded uniform
-    points per box.  For every axis j and side alpha, each sample whose
-    coordinate j lies within eps of alpha is moved to depth d from that
-    face (coordinate j set to d or 1 - d) for d in (0, eps/3, 2eps/3, eps)
-    and one seeded uniform draw in [0, eps]; moves that leave R, that is
-    lie farther than ``MEMBERSHIP_TOL`` from every box, are skipped, and so
-    is a move to the sample's own coordinate, which compares nothing.
+    R is sampled on a per-box grid plus ``cfg.grid_res`` uniform points per
+    box, made from the first numbers of ``uniform``.  For every axis j and
+    side alpha, each sample whose coordinate j lies within eps of alpha is
+    moved to depth d from that face (coordinate j set to d or 1 - d) for d
+    in (0, eps/3, 2eps/3, eps) and eps times the next of ``fractions``;
+    moves that leave R, that is lie farther than ``MEMBERSHIP_TOL`` from
+    every box, are skipped, and so is a move to the sample's own
+    coordinate, which compares nothing.  A side whose boxes all pin
+    coordinate j at one value u, with no depth other than u in R, has only
+    such moves and is skipped whole.  ``_collar_draws`` gives the numbers,
+    which are those of two ``default_rng(seed)`` streams drawn per part.
     Returns the count of samples that a kept move reads, one (axis, side,
     depths, depth index per comparison, sample indices) block per axis and
     side with any comparison, its comparisons depth-major, and those
     samples, in sample order, stacked over the moved points in block order.
     """
-    extra = region_random(R, cfg.grid_res, np.random.default_rng(seed))
-    pts = np.concatenate([region_grid(R, cfg.grid_res), extra])
-    rng = np.random.default_rng(seed)
     n = R.ambient_dim
+    shape = (len(R.boxes), cfg.grid_res, n)
+    extra = _region_points(R, uniform[: np.prod(shape)].reshape(shape))
+    pts = np.concatenate([region_grid(R, cfg.grid_res), extra])
     lo, hi = np.array([box.intervals for box in R.boxes]).reshape(len(R.boxes), n, 2).T  # [axis, box]
+    draws = iter(fractions)
     blocks = []
     chunks = []
     for j in range(1, n + 1):
@@ -187,6 +205,12 @@ def _collar_rows(R: BoxRegion, eps: float, cfg: ToleranceConfig, seed: int):
             near = np.flatnonzero(np.abs(pts[:, j - 1] - alpha) <= eps)
             if len(near) == 0:
                 continue
+            depths = np.array([0.0, eps / 3.0, 2.0 * eps / 3.0, eps, eps * next(draws)])
+            x = depths[:, None] if alpha == 0 else 1.0 - depths[:, None]
+            hit = np.maximum(lo[j - 1] - x, x - hi[j - 1]) <= MEMBERSHIP_TOL  # [depth, box]
+            u = hi[j - 1, 0]
+            if np.all(lo[j - 1] == u) and np.all(hi[j - 1] == u) and np.all(x[hit.any(axis=1), 0] == u):
+                continue  # every move is onto its own sample
             # fits[b, s]: the coordinates of near sample s other than j lie
             # in box b; a move changes only coordinate j
             P = pts[near]
@@ -194,9 +218,6 @@ def _collar_rows(R: BoxRegion, eps: float, cfg: ToleranceConfig, seed: int):
             for i in range(n):
                 if i != j - 1:
                     fits &= np.maximum(lo[i, :, None] - P[:, i], P[:, i] - hi[i, :, None]) <= MEMBERSHIP_TOL
-            depths = np.array([0.0, eps / 3.0, 2.0 * eps / 3.0, eps, rng.uniform(0, eps)])
-            x = depths[:, None] if alpha == 0 else 1.0 - depths[:, None]
-            hit = np.maximum(lo[j - 1] - x, x - hi[j - 1]) <= MEMBERSHIP_TOL  # [depth, box]
             di, k = np.nonzero(hit @ fits)  # depth-major
             real = x[di, 0] != P[k, j - 1]
             di, k = di[real], k[real]
@@ -237,11 +258,12 @@ def _collar_scan(
     _require_seed(seed)
     if not fs or not parts:
         return [[] for _ in fs]
+    draws = _collar_draws(parts, cfg, seed)
     plans = []  # per part: width, sample count, blocks, offset of its rows
     part_rows = []
     offset = 0
     for R, eps in parts:
-        count, blocks, rows = _collar_rows(R, eps, cfg, seed)
+        count, blocks, rows = _collar_rows(R, eps, cfg, *draws)
         plans.append((eps, count, blocks, offset))
         part_rows.append(rows)
         offset += len(rows)

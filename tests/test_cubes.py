@@ -252,6 +252,47 @@ def test_unique_rows_matches_np_unique():
         assert rows[inverse].tobytes() == pts.tobytes()
 
 
+def _unique_rows_by_lexsort(pts):
+    """``unique_rows`` as it was written first: one lexsort, whatever the order."""
+    order = np.lexsort(pts.T[::-1])
+    ordered = pts[order]
+    new = np.ones(len(pts), dtype=bool)
+    new[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    inverse = np.empty(len(pts), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return ordered[new], inverse
+
+
+def test_unique_rows_returns_rows_already_in_order_unsorted():
+    # only rows in strictly increasing order skip the sort: equal
+    # neighbours, -0.0 next to 0.0 and the repeated values of a box a few
+    # ulps wide go through the lexsort, and every case gives its output
+    grid = box_grid(Box(((0.0, 1.0), (0.25, 0.5))), 9)
+    x = 0.3
+    cases = {
+        "sorted grid": grid,
+        "equal neighbours": np.repeat(grid, 2, axis=0),
+        "signed zeros": np.array([[-0.0, 0.5], [0.0, 0.5], [0.0, 0.75]]),
+        "ulps-wide box": box_grid(Box(((x, x + 3 * np.spacing(x)), (0.0, 1.0))), 33),
+    }
+    for name, pts in cases.items():
+        rows, inverse = unique_rows(pts)
+        ref_rows, ref_inverse = _unique_rows_by_lexsort(pts)
+        assert rows.shape == ref_rows.shape and rows.tobytes() == ref_rows.tobytes(), name
+        assert np.array_equal(inverse, ref_inverse), name
+    assert unique_rows(grid)[0] is grid
+    assert len(unique_rows(cases["ulps-wide box"])[0]) < 33 * 33
+
+
+def test_subface_of_a_face_of_another_cube_is_false():
+    assert Face(3, ((1, 0), (2, 1))).subface_of(Face(3, ((1, 0),)))
+    assert not Face(3, ((1, 0), (2, 1))).subface_of(Face(2, ((1, 0),)))
+
+
+def test_empty_complex_describes_itself():
+    assert CubicalComplex(3, ()).describe() == "(empty)"
+
+
 def _region_random_per_box(R, count, rng):
     """``region_random`` as it was written first: one draw per box."""
     if not R.boxes or count <= 0:

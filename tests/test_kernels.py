@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tamecube.kernels as kernels_module
 from tamecube.errors import DomainError
 from tamecube.kernels import (
     SmashParams,
@@ -235,6 +236,34 @@ def test_smash_repeated_band_arguments_match_one_by_one():
     same_r = np.array([0.1 + 0.5 * 0.15, 0.2 + 0.5 * 0.1, 1.0 - (0.1 + 0.5 * 0.15)])
     args = (same_r, [0.1, 0.2, 0.1], [0.25, 0.3, 0.25])
     assert smash(*args).tobytes() == _smash_one_by_one(*args).tobytes()
+
+
+def _band_two_pass(ts, sigma, tau):
+    """``smash`` on transition-band points as two kernel calls on r,
+    ``lambda_integral(r)`` and then ``lambda_many(r)``."""
+    ts, s, w = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (ts, sigma, tau)))
+    low = ts <= 0.5
+    r = (np.where(low, ts, 1.0 - ts) - s) / (w - s)
+    val = (w - s) * lambda_integral(r) + 0.5 * (w + s) * lambda_many(r)
+    return np.clip(np.where(low, val, 1.0 - val), 0.0, 1.0)
+
+
+def test_smash_band_is_one_pass_of_both_kernels():
+    # lambda at the 12 Gauss nodes of r's partial panel and at r itself, in
+    # one pass, gives Lambda(r) and lambda(r) bit for bit as the kernels do
+    rng = np.random.default_rng(14)
+    r = np.concatenate([[1.0, 5e-324], np.arange(65) / 64, rng.uniform(size=10_000)])
+    big, lam = kernels_module._lambda_pair(r)
+    assert big.tobytes() == lambda_integral(r).tobytes() and lam.tobytes() == lambda_many(r).tobytes()
+    # smash at band points with those r, for one (sigma, tau) and per element
+    sigma = rng.uniform(0.0, 0.2, len(r))
+    tau = sigma + rng.uniform(0.01, 0.5 - sigma)
+    for s, w in ((P.sigma, P.tau), (0.0, 0.5), (sigma, tau)):
+        t = s + r * (w - s)
+        band = (t > s) & (t < w)
+        for ts in (t, 1.0 - t):
+            args = [a[band] if np.ndim(a) else a for a in (ts, s, w)]
+            assert smash(*args).tobytes() == _band_two_pass(*args).tobytes()
 
 
 def test_smash_permutes_and_duplicates_with_its_input():

@@ -427,6 +427,18 @@ def test_identity_is_input_dimension_and_text():
     assert repr(pairs[2][0]) == "Sum(in_dim=2, '(sum (coord 1))')"
 
 
+def test_serialize_map_refuses_a_node_without_text():
+    class Scale(SmoothMap):
+        factor: float
+        in_dim = out_dim = 1
+
+        def _apply(self, X):
+            return X * self.factor
+
+    with pytest.raises(TypeError, match="^cannot serialize Scale$"):
+        serialize_map(add(Scale(2.0), coord(1, 1)))
+
+
 def test_node_class_needs_no_decorator(monkeypatch):
     # the metaclass makes a plain subclass a frozen, interned node that
     # compares by identity and shows its text as its repr

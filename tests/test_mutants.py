@@ -13,9 +13,11 @@ import numpy as np
 import pytest
 
 import test_acceptance
+import test_cubes
+import test_kernels
 import test_replace
 import test_tame
-from tamecube import kernels, replace, tame
+from tamecube import cubes, kernels, replace, tame
 from tamecube.suites import SuiteConfig, run_suite
 
 SEEDS = (0, 3, 7)
@@ -115,6 +117,32 @@ SOURCE_MUTANTS = [
         "for *_, idx in blocks:",
         "for *_, idx in blocks[:1]:",
         _COLLAR_ROWS_TESTS,
+    ),
+    # skips a side whose boxes are all pinned along it, at one value or
+    # not: boxes pinned MEMBERSHIP_TOL apart lose their moves onto each other
+    (
+        "skip-sides-pinned-at-any-values",
+        tame, "_collar_rows", test_tame,
+        "np.all(lo[j - 1] == u) and np.all(hi[j - 1] == u)",
+        "np.all(lo[j - 1] == hi[j - 1])",
+        (test_tame.test_collar_rows_skip_only_sides_pinned_at_one_value,),
+    ),
+    # takes equal neighbours for rows in order: duplicates and -0.0 next to
+    # 0.0 come back as distinct rows
+    (
+        "order-test-admits-ties",
+        cubes, "unique_rows", test_cubes,
+        "rising |= tied & (col[1:] > col[:-1])",
+        "rising |= tied & (col[1:] >= col[:-1])",
+        (test_cubes.test_unique_rows_returns_rows_already_in_order_unsorted,),
+    ),
+    # the band's lambda(r) read from the last Gauss node, not from r
+    (
+        "lambda-of-the-last-node",
+        kernels, "_lambda_pair", None,
+        "lam[..., -1]",
+        "lam[..., -2]",
+        (test_kernels.test_smash_band_is_one_pass_of_both_kernels,),
     ),
     # the extension's widths still ramp where the smashed time lies in
     # [sigma, 2 sigma), so they are not yet the top widths there

@@ -12,13 +12,23 @@ import math
 import numpy as np
 import pytest
 
-from tamecube.cubes import CubicalComplex, Face, boundary_complex, full_cube, j_complex, j_delta_region, skeleton
+from tamecube.cubes import (
+    CubicalComplex,
+    Face,
+    boundary_complex,
+    chamber_region,
+    full_cube,
+    j_complex,
+    j_delta_region,
+    skeleton,
+)
 from tamecube.errors import DimensionError, DomainError, TamenessError
 from tamecube.genmaps import random_smooth_map
-from tamecube.kernels import lambda_integral
+from tamecube.kernels import SmashParams, lambda_integral
 from tamecube.maps import (
     Const,
     Coord,
+    Homotopy,
     PiecewiseAxis,
     Product,
     Sum,
@@ -40,6 +50,7 @@ from tamecube.tame import (
     concat_maps,
     extend_tame,
     extend_to_jdelta,
+    jdelta_collar,
     seam_report,
     tame_replace,
 )
@@ -332,6 +343,11 @@ def _past(x):
     return float(np.nextafter(x, 1.0))
 
 
+def _before(x):
+    """The next float below x."""
+    return float(np.nextafter(x, -np.inf))
+
+
 # (id, a call that must be accepted, one that must be refused): one of
 # them is at the bound and the other one float past it
 EDGES = [
@@ -345,6 +361,25 @@ EDGES = [
     ),
     ("j_delta_region-n", lambda: j_delta_region(1, 0.2), lambda: j_delta_region(0, 0.2)),
     ("deformation-eps", lambda: deformation_retraction_homotopy(3, 0.5), lambda: deformation_retraction_homotopy(3, _past(0.5))),
+    ("SmashParams-sigma-low", lambda: SmashParams(0.0, 0.25), lambda: SmashParams(_before(0.0), 0.25)),
+    ("SmashParams-sigma-tau", lambda: SmashParams(_before(0.25), 0.25), lambda: SmashParams(0.25, 0.25)),
+    ("SmashParams-tau", lambda: SmashParams(0.1, 0.5), lambda: SmashParams(0.1, _past(0.5))),
+    ("slice-low", lambda: Homotopy(Coord(1, 2)).slice(0.0), lambda: Homotopy(Coord(1, 2)).slice(_before(0.0))),
+    ("slice-high", lambda: Homotopy(Coord(1, 2)).slice(1.0), lambda: Homotopy(Coord(1, 2)).slice(float(np.nextafter(1.0, 2.0)))),
+    ("check_tame-eps", lambda: check_tame(Coord(1, 2), full_cube(2), 0.5, QUICK), lambda: check_tame(Coord(1, 2), full_cube(2), _past(0.5), QUICK)),
+    (
+        "check_admissible-eps",
+        lambda: check_admissible(Coord(1, 2), full_cube(2), 0.5, QUICK),
+        lambda: check_admissible(Coord(1, 2), full_cube(2), _past(0.5), QUICK),
+    ),
+    (
+        "extend_tame-eps_prime",
+        lambda: extend_tame(const(1.0, 2), eps=0.25, sigma=0.1, eps_prime=0.5, cfg=QUICK),
+        lambda: extend_tame(const(1.0, 2), eps=0.25, sigma=0.1, eps_prime=_past(0.5), cfg=QUICK),
+    ),
+    ("chamber_region-eps", lambda: chamber_region(full_cube(2), 0.5), lambda: chamber_region(full_cube(2), _past(0.5))),
+    ("j_delta_region-delta", lambda: j_delta_region(2, _before(0.5)), lambda: j_delta_region(2, 0.5)),
+    ("jdelta_collar-n", lambda: jdelta_collar(2, 0.2), lambda: jdelta_collar(1, 0.2)),
 ]
 
 

@@ -443,9 +443,9 @@ def test_collar_scan_evaluates_once(monkeypatch):
         sorts.append(len(pts))
         return unique_rows(pts)
 
-    def recorded(*part):
-        parts.append(part)
-        return collar_rows(*part)
+    def recorded(R, eps, cfg, *draws):
+        parts.append((R, eps, cfg, 4))  # every scan below has seed 4
+        return collar_rows(R, eps, cfg, *draws)
 
     def check(scan):
         calls.clear()
@@ -597,7 +597,7 @@ def _per_depth(blocks):
 def _assert_same_collar_rows(R, eps, cfg, seed):
     """Assert that ``_collar_rows`` gives the reference's real moves; return how
     many moves, self-moves included, the reference keeps in R."""
-    count, blocks, stacked = _collar_rows(R, eps, cfg, seed)
+    count, blocks, stacked = _collar_rows(R, eps, cfg, *tame_module._collar_draws(((R, eps),), cfg, seed))
     reference = _collar_rows_by_distance(R, eps, cfg, seed)
     ref_count, ref_blocks, ref_stacked = _real_moves(*reference)
     sides = [(j, a) for j, a, *_ in blocks]
@@ -661,6 +661,20 @@ def test_collar_rows_match_distance_membership_at_the_tolerance():
             box = Box(tuple((face if lo is None else lo, hi) for lo, hi in (a, b)))
             counts.append(_assert_same_collar_rows(BoxRegion(2, (edge, box)), 0.5, cfg, seed=2))
         assert counts[0] > counts[1]
+
+
+def test_collar_rows_skip_only_sides_pinned_at_one_value():
+    # two boxes that pin t2 at two values in the collar: at 0 and eps/3 the
+    # moves from one box onto the other are real, and so they are at two
+    # values MEMBERSHIP_TOL apart, where a depth lands in both boxes
+    cfg = ToleranceConfig(grid_res=5)
+    eps = 0.3
+    for a, b in ((0.0, eps / 3.0), (0.0, MEMBERSHIP_TOL), (eps / 3.0, eps / 3.0 + MEMBERSHIP_TOL)):
+        for first, second in ((a, b), (b, a)):
+            R = BoxRegion(2, (Box(((0.0, 1.0), (first, first))), Box(((0.0, 1.0), (second, second)))))
+            _assert_same_collar_rows(R, eps, cfg, seed=1)
+            _, blocks, _ = _collar_rows(R, eps, cfg, *tame_module._collar_draws(((R, eps),), cfg, 1))
+            assert 2 in {j for j, *_ in blocks}
 
 
 def _scanned_regions(n):
