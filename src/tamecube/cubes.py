@@ -5,9 +5,9 @@ A ``Face`` pins a subset of coordinates of ``I^n`` to 0 or 1; a
 maximal faces.  ``BoxRegion`` is a finite union of axis-aligned closed
 boxes and carries the shrunken chambers and boundary collars, which are
 not unions of faces.  A face is a box whose pinned axes are degenerate,
-so grids, random draws and distances are defined on box regions only and
-a complex is read as its ``region``.  All values are immutable after
-construction and safe to share between threads.
+so grids and distances are defined on box regions only and a complex is
+read as its ``region``.  All values are immutable after construction
+and safe to share between threads.
 
 Coordinate axes are 1-based throughout the public surface.
 """
@@ -39,7 +39,6 @@ __all__ = [
     "dist_to_region",
     "complex_grid",
     "region_grid",
-    "region_random",
     "unique_rows",
 ]
 
@@ -305,7 +304,7 @@ def intersect_region_face(R: BoxRegion, F: Face) -> BoxRegion:
 
 
 # ---------------------------------------------------------------------------
-# vectorized distances and sampling
+# vectorized distances and grids
 
 
 def dist_to_complex(K: CubicalComplex, pts) -> np.ndarray:
@@ -374,19 +373,3 @@ def unique_rows(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     inverse[order] = np.cumsum(new)
     inverse -= 1
     return pts[order[new]], inverse
-
-
-def region_random(R: BoxRegion, count: int, rng: np.random.Generator) -> np.ndarray:
-    if not R.boxes or count <= 0:
-        return np.zeros((0, R.ambient_dim))
-    # one draw for every box gives the numbers, in order, of one draw per box
-    return _region_points(R, rng.uniform(size=(len(R.boxes), count, R.ambient_dim)))
-
-
-def _region_points(R: BoxRegion, u: np.ndarray) -> np.ndarray:
-    """The points lo + u (hi - lo) of R's boxes, for numbers u in [0, 1) of shape
-    (boxes, count, n), stacked box by box."""
-    n = R.ambient_dim
-    ends = np.array([b.intervals for b in R.boxes]).reshape(len(R.boxes), 1, n, 2)
-    lo, hi = ends[..., 0], ends[..., 1]
-    return (lo + u * (hi - lo)).reshape(u.shape[0] * u.shape[1], n)

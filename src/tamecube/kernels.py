@@ -107,30 +107,29 @@ _PANELS = 64
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 
-def _gauss(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """12-node Gauss-Legendre value of int_a^b lambda, elementwise."""
+def _gauss(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """12-node Gauss-Legendre value of int_a^b lambda, and lambda(b),
+    elementwise, from one pass of lambda over the nodes and b."""
     half = 0.5 * (b - a)
-    x = (0.5 * (a + b))[..., None] + half[..., None] * _NODES
+    # the nodes, then b, as one array: no second copy of them while lambda runs
+    x = np.append((0.5 * (a + b))[..., None] + half[..., None] * _NODES, b[..., None], axis=-1)
+    lam = lambda_many(x)
     # a reduction per row, not a BLAS product, so that a value does not
     # depend on the batch it is computed in
-    return half * (lambda_many(x) * _WEIGHTS).sum(axis=-1)
+    return half * (lam[..., :-1] * _WEIGHTS).sum(axis=-1), lam[..., -1]
 
 
 _EDGES = np.arange(_PANELS + 1) / _PANELS
 # _CUMULATIVE[k] = Lambda(k / _PANELS)
-_CUMULATIVE = np.concatenate([[0.0], np.cumsum(_gauss(_EDGES[:-1], _EDGES[1:]))])
+_CUMULATIVE = np.concatenate([[0.0], np.cumsum(_gauss(_EDGES[:-1], _EDGES[1:])[0])])
 
 
 def _lambda_pair(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lambda(s) and lambda(s) for s in [0, 1], elementwise: the table's
-    panels below s plus the 12-node rule over the partial panel, with
-    lambda at those nodes and at s itself in one pass."""
+    panels below s plus the 12-node rule over the partial panel."""
     k = np.minimum((s * _PANELS).astype(int), _PANELS - 1)
-    half = 0.5 * (s - _EDGES[k])
-    # the nodes, then s, as one array: no second copy of them while lambda runs
-    x = np.append((0.5 * (_EDGES[k] + s))[..., None] + half[..., None] * _NODES, s[..., None], axis=-1)
-    lam = lambda_many(x)
-    return _CUMULATIVE[k] + half * (lam[..., :-1] * _WEIGHTS).sum(axis=-1), lam[..., -1]
+    partial, lam = _gauss(_EDGES[k], s)
+    return _CUMULATIVE[k] + partial, lam
 
 
 def lambda_integral(s) -> np.ndarray:

@@ -11,7 +11,10 @@ moves to the depths (0, w/3, 2w/3, w) and one seeded draw, with exact max
 reduction so the worst violation and its witness are deterministic.  A
 scan draws its seeded numbers once and hands them to every part; each
 part reads the numbers that two ``default_rng(seed)`` streams of its own
-would give it.  A move stays in the region when some box holds both the
+would give it, scaled into its boxes by the bounds its membership tests
+read.  A part's comparisons are one table of sample and (axis, side,
+depth) key indices, reduced per map in one pass.  A move stays in the
+region when some box holds both the
 sample's other coordinates and the new coordinate; per axis and side this
 is one (box, sample) test per other coordinate and one (depth, box) test,
 so its cost in array operations does not grow with the boxes or depths.  A
@@ -55,7 +58,6 @@ from .cubes import (
     region_grid,
     unique_rows,
     MEMBERSHIP_TOL,
-    _region_points,
 )
 from .errors import DimensionError, DomainError, TamenessError, _is_number
 from .kernels import SmashParams
@@ -174,7 +176,7 @@ def _collar_draws(parts: tuple[tuple[BoxRegion, float], ...], cfg: ToleranceConf
 
 
 def _collar_rows(R: BoxRegion, eps: float, cfg: ToleranceConfig, uniform: np.ndarray, fractions: np.ndarray):
-    """Samples of R and their moves into the eps-collars, stacked.
+    """Samples of R and their moves into the eps-collars, as one table.
 
     R is sampled on a per-box grid plus ``cfg.grid_res`` uniform points per
     box, made from the first numbers of ``uniform``.  For every axis j and
@@ -187,19 +189,22 @@ def _collar_rows(R: BoxRegion, eps: float, cfg: ToleranceConfig, uniform: np.nda
     coordinate j at one value u, with no depth other than u in R, has only
     such moves and is skipped whole.  ``_collar_draws`` gives the numbers,
     which are those of two ``default_rng(seed)`` streams drawn per part.
-    Returns the count of samples that a kept move reads, one (axis, side,
-    depths, depth index per comparison, sample indices) block per axis and
-    side with any comparison, its comparisons depth-major, and those
-    samples, in sample order, stacked over the moved points in block order.
+    Returns the count of samples that a kept move reads; the (axis, side,
+    depth) keys, five per side with any comparison; per comparison its
+    sample index and key index, the comparisons in key order; and those
+    samples, in sample order, stacked over the moved points in the same
+    order.
     """
     n = R.ambient_dim
-    shape = (len(R.boxes), cfg.grid_res, n)
-    extra = _region_points(R, uniform[: np.prod(shape)].reshape(shape))
-    pts = np.concatenate([region_grid(R, cfg.grid_res), extra])
     lo, hi = np.array([box.intervals for box in R.boxes]).reshape(len(R.boxes), n, 2).T  # [axis, box]
+    unit = uniform[: len(R.boxes) * cfg.grid_res * n].reshape(len(R.boxes), cfg.grid_res, n)
+    extra = (lo.T[:, None] + unit * (hi - lo).T[:, None]).reshape(-1, n)  # box by box
+    pts = np.concatenate([region_grid(R, cfg.grid_res), extra])
+    key_type = np.min_scalar_type(10 * n)  # holds every key index of the part
     draws = iter(fractions)
-    blocks = []
-    chunks = []
+    keys = []
+    # a part with no comparison gives empty tables
+    samples, key_chunks, chunks = [np.zeros(0, np.intp)], [np.zeros(0, key_type)], []
     for j in range(1, n + 1):
         for alpha in (0, 1):
             near = np.flatnonzero(np.abs(pts[:, j - 1] - alpha) <= eps)
@@ -224,14 +229,15 @@ def _collar_rows(R: BoxRegion, eps: float, cfg: ToleranceConfig, uniform: np.nda
             if len(k):
                 Q = P[k]
                 Q[:, j - 1] = x[di, 0]
-                blocks.append((j, alpha, depths, di.astype(np.int8), near[k]))
+                key_chunks.append((di + len(keys)).astype(key_type))
+                keys += [(j, alpha, float(d)) for d in depths]
+                samples.append(near[k])
                 chunks.append(Q)
+    sample, key = np.concatenate(samples), np.concatenate(key_chunks)
     used = np.zeros(len(pts), dtype=bool)
-    for *_, idx in blocks:
-        used[idx] = True
+    used[sample] = True
     renumber = np.cumsum(used) - 1  # of a used sample among the used ones
-    blocks = [(j, alpha, depths, di, renumber[idx]) for j, alpha, depths, di, idx in blocks]
-    return int(np.count_nonzero(used)), blocks, np.concatenate([pts[used]] + chunks, axis=0)
+    return int(np.count_nonzero(used)), keys, renumber[sample], key, np.concatenate([pts[used]] + chunks, axis=0)
 
 
 def _collar_scan(
@@ -247,24 +253,24 @@ def _collar_scan(
     ``tup(*fs)`` is evaluated on those in one ``eval_many`` call, which
     evaluates a node that several maps share once per row.  Evaluation does
     not depend on the batch a row sits in, so each map's columns are its
-    values of one call per comparison.  Each part's comparisons are then
-    reduced in (axis, side, depth) order, per map on its own columns: a
-    report counts the comparisons, each real as its moved point differs
-    from its sample, and keeps the first worst one as the witness.  Returns
-    one report list, in part order, per map.  The seed must be an integer
-    >= 0: every checker and construction scans, so this is where it is
-    refused.
+    values of one call per comparison.  Each part's comparisons, in
+    (axis, side, depth) order, are then reduced in one pass, per map on its
+    own columns: a report counts the comparisons, each real as its moved
+    point differs from its sample, and keeps the first worst one as the
+    witness.  Returns one report list, in part order, per map.  The seed
+    must be an integer >= 0: every checker and construction scans, so this
+    is where it is refused.
     """
     _require_seed(seed)
     if not fs or not parts:
         return [[] for _ in fs]
     draws = _collar_draws(parts, cfg, seed)
-    plans = []  # per part: width, sample count, blocks, offset of its rows
+    tables = []  # per part: width, sample count, keys, sample and key per comparison, offset of its rows
     part_rows = []
     offset = 0
     for R, eps in parts:
-        count, blocks, rows = _collar_rows(R, eps, cfg, *draws)
-        plans.append((eps, count, blocks, offset))
+        count, keys, sample, key, rows = _collar_rows(R, eps, cfg, *draws)
+        tables.append((eps, count, keys, sample, key, offset))
         part_rows.append(rows)
         offset += len(rows)
     stacked = np.concatenate(part_rows, axis=0)
@@ -274,24 +280,19 @@ def _collar_scan(
     values = tup(*fs).eval_many(rows)
     first_cols = np.cumsum([0] + [f.out_dim for f in fs[:-1]])  # of each map in ``values``
     reports = [[] for _ in fs]
-    for eps, start, blocks, offset in plans:
+    for eps, count, keys, sample, key, offset in tables:
+        if len(sample) == 0:
+            for report_list in reports:
+                report_list.append(TamenessReport(True, eps, 0.0, None, 0))
+            continue
         index = inverse[offset:]
-        worst = [0.0] * len(fs)
-        witness = [None] * len(fs)
-        comparisons = 0
-        for j, alpha, depths, di, idx in blocks:
-            stop = start + len(idx)
-            here, moved = index[idx], index[start:stop]
-            start = stop
-            comparisons += len(idx)
-            gaps = np.maximum.reduceat(np.abs(values[here] - values[moved]), first_cols, axis=1)
-            for m, k in enumerate(np.argmax(gaps, axis=0)):
-                if gaps[k, m] > worst[m]:
-                    worst[m] = float(gaps[k, m])
-                    witness[m] = Witness(tuple(float(x) for x in rows[here[k]]), j, alpha, float(depths[di[k]]))
-        for report_list, w, wit in zip(reports, worst, witness):
-            passed = w <= cfg.eq_tol
-            report_list.append(TamenessReport(passed, eps, w, wit if not passed else None, comparisons))
+        here, moved = index[sample], index[count : count + len(sample)]
+        gaps = np.maximum.reduceat(np.abs(values[here] - values[moved]), first_cols, axis=1)  # [comparison, map]
+        for m, k in enumerate(np.argmax(gaps, axis=0)):  # the first worst comparison
+            worst = float(gaps[k, m])
+            passed = worst <= cfg.eq_tol
+            witness = None if passed else Witness(tuple(float(x) for x in rows[here[k]]), *keys[key[k]])
+            reports[m].append(TamenessReport(passed, eps, worst, witness, len(sample)))
     return reports
 
 

@@ -19,7 +19,6 @@ from tamecube.cubes import (
     j_delta_region,
     positive_faces,
     region_grid,
-    region_random,
     skeleton,
     unique_rows,
 )
@@ -291,36 +290,3 @@ def test_subface_of_a_face_of_another_cube_is_false():
 
 def test_empty_complex_describes_itself():
     assert CubicalComplex(3, ()).describe() == "(empty)"
-
-
-def _region_random_per_box(R, count, rng):
-    """``region_random`` as it was written first: one draw per box."""
-    if not R.boxes or count <= 0:
-        return np.zeros((0, R.ambient_dim))
-    chunks = []
-    for b in R.boxes:
-        lo = np.array([iv[0] for iv in b.intervals])
-        hi = np.array([iv[1] for iv in b.intervals])
-        chunks.append(lo + rng.uniform(size=(count, len(b.intervals))) * (hi - lo))
-    return np.concatenate(chunks, axis=0)
-
-
-def test_region_random_matches_a_draw_per_box():
-    # one draw for all boxes gives the same points, bit for bit, and leaves
-    # the generator where the per-box draws leave it
-    rng = np.random.default_rng(7)
-    regions = [boundary_complex(3).region, full_cube(0).region, BoxRegion(3, ())]
-    for n in (1, 2, 3, 4):
-        for boxes in (1, 2, 5):
-            ends = np.sort(rng.uniform(size=(boxes, n, 2)), axis=2)
-            ends[rng.uniform(size=(boxes, n)) < 0.3] = 0.0  # pinned to the face 0
-            flat = rng.uniform(size=(boxes, n)) < 0.3
-            ends[flat, 1] = ends[flat, 0]  # degenerate inside
-            regions.append(BoxRegion(n, tuple(Box(tuple(map(tuple, box.tolist()))) for box in ends)))
-    for seed, R in enumerate(regions):
-        for count in (0, 1, 7):
-            new, old = np.random.default_rng(seed), np.random.default_rng(seed)
-            pts, ref = region_random(R, count, new), _region_random_per_box(R, count, old)
-            assert pts.shape == ref.shape == (len(R.boxes) * count, R.ambient_dim)
-            assert pts.tobytes() == ref.tobytes()
-            assert new.uniform() == old.uniform()

@@ -32,7 +32,7 @@ def _quadrature_table(monkeypatch, panels: int, nodes: int) -> None:
     monkeypatch.setattr(kernels, "_NODES", node_x)
     monkeypatch.setattr(kernels, "_WEIGHTS", weights)
     monkeypatch.setattr(kernels, "_EDGES", edges)
-    cumulative = np.concatenate([[0.0], np.cumsum(kernels._gauss(edges[:-1], edges[1:]))])
+    cumulative = np.concatenate([[0.0], np.cumsum(kernels._gauss(edges[:-1], edges[1:])[0])])
     monkeypatch.setattr(kernels, "_CUMULATIVE", cumulative)
 
 
@@ -108,15 +108,41 @@ SOURCE_MUTANTS = [
         "real = (x[di, 0] != P[k, j - 1]) & (di != 0)",
         _COLLAR_ROWS_TESTS,
     ),
-    # stacks only the samples of the first axis and side, so a later block
-    # reads another sample's value: the pinned boundary check's worst gap
-    # becomes 1.717 instead of 0.604
+    # stacks only the samples of the first axis and side, so a later side's
+    # comparisons read another sample's value: the pinned boundary check's
+    # worst gap becomes 1.717 instead of 0.604
     (
         "used-samples-of-first-block",
         tame, "_collar_rows", None,
-        "for *_, idx in blocks:",
-        "for *_, idx in blocks[:1]:",
+        "used[sample] = True",
+        "used[sample[key < 5]] = True",
         _COLLAR_ROWS_TESTS,
+    ),
+    # an int8 key index: the 130 keys of the 26 sides of I^13 wrap
+    (
+        "int8-key-index",
+        tame, "_collar_rows", test_tame,
+        "np.min_scalar_type(10 * n)",
+        "np.int8",
+        (test_tame.test_collar_rows_key_indices_do_not_wrap,),
+    ),
+    # keeps the last worst comparison of a part as its witness: 129 of the
+    # 178 failed reports of the scanned-regions test name another witness,
+    # each with the same worst gap
+    (
+        "witness-of-the-last-worst",
+        tame, "_collar_scan", test_tame,
+        "np.argmax(gaps, axis=0)",
+        "len(gaps) - 1 - np.argmax(gaps[::-1], axis=0)",
+        (test_tame.test_collar_scan_matches_naive_scan_on_scanned_regions,),
+    ),
+    # a numpy bool for the verdict, which json cannot write into a trace
+    (
+        "numpy-bool-verdict",
+        tame, "_collar_scan", None,
+        "passed = worst <= cfg.eq_tol",
+        "passed = np.bool_(worst <= cfg.eq_tol)",
+        (test_replace.test_scan_reports_keep_plain_python_types,),
     ),
     # skips a side whose boxes are all pinned along it, at one value or
     # not: boxes pinned MEMBERSHIP_TOL apart lose their moves onto each other
@@ -139,7 +165,7 @@ SOURCE_MUTANTS = [
     # the band's lambda(r) read from the last Gauss node, not from r
     (
         "lambda-of-the-last-node",
-        kernels, "_lambda_pair", None,
+        kernels, "_gauss", None,
         "lam[..., -1]",
         "lam[..., -2]",
         (test_kernels.test_smash_band_is_one_pass_of_both_kernels,),

@@ -340,7 +340,7 @@ def test_gate_refuses_with_its_message_and_report(call, error, message, check):
 
 def _past(x):
     """The next float above x."""
-    return float(np.nextafter(x, 1.0))
+    return float(np.nextafter(x, np.inf))
 
 
 def _before(x):
@@ -365,7 +365,7 @@ EDGES = [
     ("SmashParams-sigma-tau", lambda: SmashParams(_before(0.25), 0.25), lambda: SmashParams(0.25, 0.25)),
     ("SmashParams-tau", lambda: SmashParams(0.1, 0.5), lambda: SmashParams(0.1, _past(0.5))),
     ("slice-low", lambda: Homotopy(Coord(1, 2)).slice(0.0), lambda: Homotopy(Coord(1, 2)).slice(_before(0.0))),
-    ("slice-high", lambda: Homotopy(Coord(1, 2)).slice(1.0), lambda: Homotopy(Coord(1, 2)).slice(float(np.nextafter(1.0, 2.0)))),
+    ("slice-high", lambda: Homotopy(Coord(1, 2)).slice(1.0), lambda: Homotopy(Coord(1, 2)).slice(_past(1.0))),
     ("check_tame-eps", lambda: check_tame(Coord(1, 2), full_cube(2), 0.5, QUICK), lambda: check_tame(Coord(1, 2), full_cube(2), _past(0.5), QUICK)),
     (
         "check_admissible-eps",

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from tamecube.maps import Coord, compose
 import tamecube.replace as replace_mod
 from tamecube import tame
 from tamecube.replace import admissible_replace, face_chart
-from tamecube.tame import ToleranceConfig, _extensions, check_admissible
+from tamecube.tame import ToleranceConfig, _extensions, check_admissible, check_tame
 
 QUICK = ToleranceConfig(grid_res=11)
 MID = ToleranceConfig(grid_res=17)
@@ -253,6 +254,28 @@ def test_trace_structure():
     for s in trace.steps:
         assert s.sigma < 0.2**s.dim
         assert s.face_check_worst <= 1e-9
+
+
+def test_scan_reports_keep_plain_python_types():
+    # json writes no numpy scalar: the reports that a scan's vectorized
+    # reduction gives hold plain Python values, failed or passed, and so
+    # does a replacement's trace
+    f = random_smooth_map(np.random.default_rng(5), 2, out_dim=2)
+    L = CubicalComplex(2, (Face(2, ((1, 0),)),))
+    h = random_map_admissible_on(np.random.default_rng(2), 2, L, 0.2)
+    g, H, trace = admissible_replace(h, boundary_complex(2), L, 0.2, QUICK)
+    reports = [check_tame(f, full_cube(2), 0.2, QUICK), check_admissible(f, boundary_complex(2), 0.2, QUICK)]
+    assert [rep.passed for rep in reports + [trace.final_report]] == [False, False, True]
+    for rep in reports + [trace.final_report]:
+        assert type(rep.passed) is bool and type(rep.worst_violation) is float and type(rep.samples_checked) is int
+        json.dumps(rep.to_json())
+    for rep in reports:
+        w = rep.witness
+        assert type(w.axis) is int and type(w.alpha) is int and type(w.depth) is float
+        assert all(type(x) is float for x in w.point)
+    assert all(type(worst) is float and type(passed) is bool for _, _, worst, passed in reports[1].per_face)
+    assert all(type(s.face_check_worst) is float for s in trace.steps) and trace.steps
+    json.dumps(trace.to_json())
 
 
 def test_replace_validations():

@@ -18,7 +18,6 @@ from tamecube.cubes import (
     j_delta_region,
     positive_faces,
     region_grid,
-    region_random,
     unique_rows,
 )
 from tamecube.errors import DimensionError, DomainError, TamenessError
@@ -131,7 +130,6 @@ def test_empty_domain_passes_with_no_comparisons():
     # another input dimension is refused
     assert complex_grid(CubicalComplex(3, ()), 5).shape == (0, 3)
     assert region_grid(BoxRegion(3, ()), 5).shape == (0, 3)
-    assert region_random(BoxRegion(3, ()), 5, np.random.default_rng(0)).shape == (0, 3)
     f = Coord(1, 2)
     for check in (check_tame, check_admissible):
         for K in (CubicalComplex(2, ()), BoxRegion(2, ())):
@@ -537,10 +535,22 @@ def test_collar_scan_of_several_maps_is_one_scan_per_map(n):
 # --- collar membership per box ----------------------------------------------
 
 
+def _region_random_per_box(R, count, rng):
+    """``count`` uniform points of each box of R, one draw per box, stacked."""
+    if not R.boxes or count <= 0:
+        return np.zeros((0, R.ambient_dim))
+    chunks = []
+    for b in R.boxes:
+        lo = np.array([iv[0] for iv in b.intervals])
+        hi = np.array([iv[1] for iv in b.intervals])
+        chunks.append(lo + rng.uniform(size=(count, len(b.intervals))) * (hi - lo))
+    return np.concatenate(chunks, axis=0)
+
+
 def _collar_rows_by_distance(R, eps, cfg, seed):
     """``_collar_rows`` as it was written first: a full distance to R per move."""
     pts = region_grid(R, cfg.grid_res)
-    extra = region_random(R, cfg.grid_res, np.random.default_rng(seed))
+    extra = _region_random_per_box(R, cfg.grid_res, np.random.default_rng(seed))
     if len(extra):
         pts = np.concatenate([pts, extra], axis=0)
     rng = np.random.default_rng(seed)
@@ -583,26 +593,27 @@ def _real_moves(count, blocks, stacked):
     return int(used.sum()), kept, np.concatenate([pts[used]] + chunks, axis=0)
 
 
-def _per_depth(blocks):
-    """``_collar_rows`` blocks split into one (axis, side, depth, sample
-    indices) group per depth, in block order."""
+def _per_depth(keys, sample, key):
+    """``_collar_rows``' comparison table split into one (axis, side, depth,
+    sample indices) group per key, in key order."""
+    assert len(key) == len(sample) and np.all(np.diff(key) >= 0)  # key order
+    assert np.iinfo(key.dtype).max >= len(keys) - 1  # no key index wraps
     groups = []
-    for j, a, depths, di, idx in blocks:
-        assert di.dtype == np.int8 and len(di) == len(idx) > 0 and np.all(np.diff(di) >= 0)  # depth-major
-        for k in np.unique(di):
-            groups.append((j, a, float(depths[k]), idx[di == k]))
+    for k in np.unique(key):
+        groups.append((*keys[k], sample[key == k]))
     return groups
 
 
 def _assert_same_collar_rows(R, eps, cfg, seed):
     """Assert that ``_collar_rows`` gives the reference's real moves; return how
     many moves, self-moves included, the reference keeps in R."""
-    count, blocks, stacked = _collar_rows(R, eps, cfg, *tame_module._collar_draws(((R, eps),), cfg, seed))
+    count, keys, sample, key, stacked = _collar_rows(R, eps, cfg, *tame_module._collar_draws(((R, eps),), cfg, seed))
     reference = _collar_rows_by_distance(R, eps, cfg, seed)
     ref_count, ref_blocks, ref_stacked = _real_moves(*reference)
-    sides = [(j, a) for j, a, *_ in blocks]
-    assert len(sides) == len(set(sides)) <= 2 * R.ambient_dim  # one block per axis and side
-    blocks = _per_depth(blocks)
+    sides = [(j, a) for j, a, _ in keys[::5]]
+    assert len(keys) == 5 * len(sides) and len(sides) == len(set(sides)) <= 2 * R.ambient_dim  # five keys per side
+    assert np.array_equal(np.unique(key // 5), np.arange(len(sides)))  # each side has a comparison
+    blocks = _per_depth(keys, sample, key)
     assert count == ref_count and len(blocks) == len(ref_blocks)
     assert [(j, a, d) for j, a, d, _ in blocks] == [(j, a, d) for j, a, d, _ in ref_blocks]
     for (*_, idx), (*_, ref_idx) in zip(blocks, ref_blocks):
@@ -673,8 +684,19 @@ def test_collar_rows_skip_only_sides_pinned_at_one_value():
         for first, second in ((a, b), (b, a)):
             R = BoxRegion(2, (Box(((0.0, 1.0), (first, first))), Box(((0.0, 1.0), (second, second)))))
             _assert_same_collar_rows(R, eps, cfg, seed=1)
-            _, blocks, _ = _collar_rows(R, eps, cfg, *tame_module._collar_draws(((R, eps),), cfg, 1))
-            assert 2 in {j for j, *_ in blocks}
+            _, keys, *_ = _collar_rows(R, eps, cfg, *tame_module._collar_draws(((R, eps),), cfg, 1))
+            assert 2 in {j for j, *_ in keys}
+
+
+def test_collar_rows_key_indices_do_not_wrap():
+    # thirteen edges from the origin of I^13 keep all 26 sides, whose 130
+    # keys an int8 key index would wrap
+    n = 13
+    R = BoxRegion(n, tuple(Face(n, tuple((i, 0) for i in range(1, n + 1) if i != j)).box() for j in range(1, n + 1)))
+    cfg = ToleranceConfig(grid_res=3)
+    assert _assert_same_collar_rows(R, 0.25, cfg, seed=0) > 0
+    _, keys, *_ = _collar_rows(R, 0.25, cfg, *tame_module._collar_draws(((R, 0.25),), cfg, 0))
+    assert len(keys) == 130
 
 
 def _scanned_regions(n):
