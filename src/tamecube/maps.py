@@ -12,14 +12,16 @@ Nodes are hash-consed when built: equal trees are one object, ``==`` is
 skeleton induction does at every stage, holds it once.
 
 Trees evaluate on batches of points, exactly and with no interpolation.
-``eval_many`` evaluates its rows in slices of 16,384, which bounds its
-peak memory, and each slice evaluates each distinct node on every row
-that reaches it along any path.  Every node's height is fixed when it is
-built, and when no container can resume, every waiting node of the
-greatest height takes its turn on the concatenation of the distinct
-input arrays it was handed.  A row's value does not depend on its batch,
-so the values are those of a plain recursion over the expanded tree.
-The walk keeps its own lists and costs no Python frame per nesting level.
+``eval_many`` evaluates its rows in slices of 16,384, so the memory it
+works in is that of one slice, and each slice evaluates each distinct
+node on every row that reaches it along any path.  Every node's height
+is fixed when it is built, and when no container can resume, every
+waiting node of the greatest height takes its turn on the concatenation
+of the distinct input arrays it was handed.  An array is held only
+until the last node that reads it has run.  A row's value does not
+depend on its batch, so the values are those of a plain recursion over
+the expanded tree.  The walk keeps its own lists and costs no Python
+frame per nesting level.
 
 A canonical s-expression text format (``serialize_map``, ``parse_map``)
 records each node but not the input dimension.  The parser infers the
@@ -164,9 +166,12 @@ class SmoothMap(metaclass=_Interned):
 
     A leaf computes its value on a batch in ``_apply``.  A container lists
     its child nodes in ``_kids`` and evaluates in ``_steps``, a generator
-    that yields ``(child, rows)`` pairs (rows ``None`` for a child that
-    gets none), receives the children's values in that order, and returns
-    its own; ``_evaluate`` drives it.
+    that yields a list of ``(child, rows)`` pairs (rows ``None`` for a
+    child that gets none), receives the children's values in that order,
+    and returns its own; ``_evaluate`` drives it and empties each list once
+    it has asked.  A ``_steps`` keeps no reference to its input or to a
+    child's value across a ``yield``, so that an array lives only until
+    its last reader has run.
     """
 
     in_dim: ClassVar[int]
@@ -235,7 +240,8 @@ def _require_finite(A: np.ndarray, X: np.ndarray, message: str) -> None:
 class _Job:
     """One evaluation of a container in ``_evaluate``: its ``_steps``
     generator, the values of the children it asked for, how many of them
-    are still out, and the groups of requests for its own value."""
+    are still out, and per group of requests for its own value the group's
+    row count and its requests."""
 
     __slots__ = ("steps", "values", "left", "groups")
 
@@ -257,19 +263,34 @@ def _evaluate(root: SmoothMap, X: np.ndarray) -> np.ndarray:
     composition stages reach, as one ``Lambda()`` is reached by every
     ``lambda_map`` in a tree, evaluates again on those rows.
     ``Compose(f, f)`` is the smallest case.
+
+    An array is held only until the last node that reads it has run: a
+    round drops each node's entry once the node has run, a job keeps its
+    groups' row counts, not their rows, and ``ask`` empties the call list
+    a generator yielded, which was then the generator's only hold on its
+    input.  ``step`` and ``run`` are functions so that none of their
+    locals outlives them.
     """
     asked = {}  # height -> {id: (node, {id(rows): (rows, [(job, slot), ...])})}
     resume = []
 
-    def ask(node, rows, job, slot):
-        groups = asked.setdefault(node._height, {}).setdefault(id(node), (node, {}))[1]
-        groups.setdefault(id(rows), (rows, []))[1].append((job, slot))
+    def ask(job, calls):
+        """Queue ``job``'s requests for ``calls``, then empty the list."""
+        job.values = [None] * len(calls)
+        for slot, (kid, rows) in enumerate(calls):
+            if rows is not None:
+                job.left += 1
+                groups = asked.setdefault(kid._height, {}).setdefault(id(kid), (kid, {}))[1]
+                groups.setdefault(id(rows), (rows, []))[1].append((job, slot))
+        calls.clear()
+        if not job.left:
+            resume.append(job)
 
     def hand(groups, value):
         """Hand each group of requests its rows' slice of ``value``."""
         start = 0
-        for rows, requests in groups:
-            stop = start + len(rows)
+        for count, requests in groups:
+            stop = start + count
             part = value if len(groups) == 1 else value[start:stop]
             for job, slot in requests:
                 job.values[slot] = part
@@ -278,34 +299,38 @@ def _evaluate(root: SmoothMap, X: np.ndarray) -> np.ndarray:
                     resume.append(job)
             start = stop
 
+    def step(job):
+        """Resume ``job`` with its children's values."""
+        try:
+            calls = job.steps.send(job.values)
+        except StopIteration as done:
+            hand(job.groups, done.value)
+        else:
+            ask(job, calls)
+
+    def run(level, key):
+        """Evaluate the node of ``level[key]`` once on the distinct arrays it
+        was asked for, which drops them once they are joined."""
+        node, by_rows = level.pop(key)
+        groups = [(len(rows), requests) for rows, requests in by_rows.values()]
+        rows = [rows for rows, _ in by_rows.values()]
+        del by_rows
+        rows = rows[0] if len(rows) == 1 else np.concatenate(rows)
+        if node._kids:
+            resume.append(_Job(node._steps(rows), groups))
+        else:
+            hand(groups, node._apply(rows))
+
     top = _Job(None, None)  # receives the root's value
-    top.values, top.left = [None], 1
-    ask(root, X, top, 0)
-    while True:
+    ask(top, [(root, X)])
+    while top.left:
         if resume:
-            job = resume.pop()
-            if job is top:
-                return top.values[0]
-            try:
-                calls = job.steps.send(job.values)
-            except StopIteration as done:
-                hand(job.groups, done.value)
-                continue
-            job.values = [None] * len(calls)
-            for slot, (kid, rows) in enumerate(calls):
-                if rows is not None:
-                    job.left += 1
-                    ask(kid, rows, job, slot)
-            if not job.left:
-                resume.append(job)
+            step(resume.pop())
             continue
-        for node, by_rows in asked.pop(max(asked)).values():
-            groups = list(by_rows.values())
-            rows = groups[0][0] if len(groups) == 1 else np.concatenate([g[0] for g in groups])
-            if node._kids:
-                resume.append(_Job(node._steps(rows), groups))
-            else:
-                hand(groups, node._apply(rows))
+        level = asked.pop(max(asked))
+        for key in list(level):
+            run(level, key)
+    return top.values[0]
 
 
 class Const(SmoothMap):
@@ -416,8 +441,11 @@ class _Fold(_Siblings):
         return m
 
     def _steps(self, X):
-        acc = np.full((len(X), self.out_dim), self.unit)
-        for value in (yield [(c, X) for c in self.children]):
+        rows, calls = len(X), [(c, X) for c in self.children]
+        del X
+        values = yield calls
+        acc = np.full((rows, self.out_dim), self.unit)
+        for value in values:
             acc = self.op(acc, value)
         return acc
 
@@ -437,7 +465,9 @@ class TupleMap(_Siblings):
         return sum(c.out_dim for c in self.children)
 
     def _steps(self, X):
-        return np.concatenate((yield [(c, X) for c in self.children]), axis=1)
+        calls = [(c, X) for c in self.children]
+        del X
+        return np.concatenate((yield calls), axis=1)
 
 
 class Compose(SmoothMap):
@@ -455,9 +485,10 @@ class Compose(SmoothMap):
     _kids = property(attrgetter("outer", "inner"))
 
     def _steps(self, X):
-        (inner,) = yield [(self.inner, X)]
-        (outer,) = yield [(self.outer, inner)]
-        return outer
+        calls = [(self.inner, X)]
+        del X
+        calls = [(self.outer, (yield calls)[0])]
+        return (yield calls)[0]
 
 
 class Gamma(SmoothMap):
@@ -547,11 +578,12 @@ class PiecewiseAxis(SmoothMap):
     _kids = property(attrgetter("pieces"))
 
     def _steps(self, X):
-        t = X[:, self.axis - 1]
-        idx = np.searchsorted(np.array(self.breakpoints), t, side="right")
+        idx = np.searchsorted(np.array(self.breakpoints), X[:, self.axis - 1], side="right")
         masks = [idx == i for i in range(len(self.pieces))]
-        values = yield [(p, X[m] if m.any() else None) for p, m in zip(self.pieces, masks)]
-        out = np.empty((len(X), self.out_dim))
+        rows, calls = len(X), [(p, X[m] if m.any() else None) for p, m in zip(self.pieces, masks)]
+        del X, idx
+        values = yield calls
+        out = np.empty((rows, self.out_dim))
         for mask, value in zip(masks, values):
             if value is not None:
                 out[mask] = value

@@ -15,9 +15,10 @@ import pytest
 import test_acceptance
 import test_cubes
 import test_kernels
+import test_maps
 import test_replace
 import test_tame
-from tamecube import cubes, kernels, replace, tame
+from tamecube import cubes, kernels, maps, replace, tame
 from tamecube.suites import SuiteConfig, run_suite
 
 SEEDS = (0, 3, 7)
@@ -187,6 +188,17 @@ SOURCE_MUTANTS = [
         "dim_l = max(L.dim, 1)",
         "dim_l = max(L.dim, 2)",
         (test_replace.test_taming_widths_follow_the_dimension_of_L,),
+    ),
+    # the scheduler leaves the call lists a container yielded as they are,
+    # so every container holds its input rows, and a Compose its inner
+    # value, until it resumes: the same values, but the test's slices of g
+    # and of the homotopy peak at 7.0 and 8.1 MB traced
+    (
+        "call-lists-kept",
+        maps, "_evaluate", None,
+        "calls.clear()",
+        "calls.copy()",
+        (test_maps.test_a_slice_holds_each_array_only_until_its_last_reader_has_run,),
     ),
 ]
 
