@@ -6,10 +6,21 @@ the configured seed, so reports are reproducible; the reduction over
 samples is an exact max, so they do not depend on evaluation order.  A
 package error inside a suite replaces that suite's rows by one failing
 row, ``<suite>-error``, that names the error.
+
+``run_suite`` shares its suites among ``w`` workers, ``w`` the smaller of
+the number of suites and the number of CPUs this process may use: the
+calling process and ``w - 1`` children from ``os.fork``, each running the
+next suite of one queue until the queue is empty.  With one suite, one CPU,
+no ``os.fork`` or another live Python thread, ``w`` is 1 and the caller
+runs every suite itself.  The rows are put together in sorted-name order,
+so the report is the same for any ``w``.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import threading
 from dataclasses import asdict, dataclass
 from numbers import Integral, Real
 
@@ -346,10 +357,84 @@ def _run_one(name: str, cfg: SuiteConfig) -> list[PropertyResult]:
         return [PropertyResult(f"{name}-error", {"error": f"{type(exc).__name__}: {exc}"}, 1.0, 0.0)]
 
 
+def _workers(count: int) -> int:
+    """How many processes share ``count`` suites: one per CPU this process may
+    use, at most one per suite, and only the caller where forking is unsafe."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(count, cpus)
+
+
+def _take(queue: int, names: list[str], cfg: SuiteConfig) -> dict[int, list[PropertyResult]]:
+    """Run the suite of each index read from ``queue``, one byte each, until it is empty."""
+    done = {}
+    while index := os.read(queue, 1):
+        done[index[0]] = _run_one(names[index[0]], cfg)
+    return done
+
+
+def _child(queue: int, out: int, inherited: tuple[int, ...], names: list[str], cfg: SuiteConfig) -> None:
+    """A forked worker: close the caller's pipe ends ``inherited``, pickle its
+    rows, or the exception that stopped it, which the caller raises, to
+    ``out``, and leave by ``os._exit`` so none of the caller's code runs on."""
+    try:
+        try:
+            for fd in inherited:
+                os.close(fd)
+            payload = _take(queue, names, cfg)
+        except BaseException as exc:
+            payload = exc
+        with os.fdopen(out, "wb") as f:
+            pickle.dump(payload, f)
+    finally:
+        os._exit(0)
+
+
+def _run_all(names: list[str], cfg: SuiteConfig) -> list[PropertyResult]:
+    """The rows of the suites ``names``, in that order, from ``_workers`` workers."""
+    queue, feed = os.pipe()
+    os.write(feed, bytes(range(len(names))))
+    os.close(feed)
+    children = {}  # pid -> read end of its result pipe
+    try:
+        for _ in range(_workers(len(names)) - 1):
+            result, out = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(result)
+                os.close(out)
+                break
+            if pid == 0:
+                _child(queue, out, (result, *children.values()), names, cfg)
+            os.close(out)
+            children[pid] = result
+        done = _take(queue, names, cfg)
+        for result in children.values():
+            try:
+                with open(result, "rb", closefd=False) as f:
+                    payload = pickle.load(f)
+            except (EOFError, pickle.UnpicklingError):
+                continue  # the worker ended without a result: its suites are missing below
+            if isinstance(payload, BaseException):
+                raise payload
+            done.update(payload)
+    finally:
+        os.close(queue)
+        for pid, result in children.items():
+            os.close(result)
+            os.waitpid(pid, 0)
+    missing = [names[i] for i in range(len(names)) if i not in done]
+    if missing:
+        raise RuntimeError(f"a suite worker ended without a result; suites not run: {', '.join(missing)}")
+    return [r for i in range(len(names)) for r in done[i]]
+
+
 def run_suite(cfg: SuiteConfig) -> dict:
     """Execute a suite (or all of them) and assemble the JSON report."""
     names = sorted(SUITES) if cfg.suite == "all" else [cfg.suite]
-    results = [r for s in names for r in _run_one(s, cfg)]
+    results = _run_all(names, cfg)
     failures = sum(1 for r in results if not r.passed)
     return {
         "schema": SCHEMA_VERSION,

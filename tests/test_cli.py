@@ -1,9 +1,13 @@
+import errno
 import json
 import os
+import select
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +77,145 @@ def test_suites_evaluate_time_slices_as_rows(monkeypatch):
 
     monkeypatch.setattr(Homotopy, "slice", guarded)
     assert suites.run_suite(SuiteConfig("all"))["passed"]
+
+
+@contextmanager
+def _forked_workers(in_worker=None, in_caller=None):
+    """Run ``run_suite`` on two workers, the caller and one forked child, as on
+    two CPUs.  The caller's first suite waits until the child has begun one,
+    so both run suites.  ``in_worker(name)`` and ``in_caller(name)``, if
+    given, run before each suite in that process.  Yields a list that gets
+    the name of the child's first suite; on leaving, no child is left."""
+    caller, fork, forks, began = os.getpid(), os.fork, [], []
+    wait, signal = os.pipe()
+
+    def counted():
+        pid = fork()
+        forks.append(pid)
+        return pid
+
+    def shared(name, suite):
+        def run(cfg):
+            if os.getpid() != caller:
+                os.write(signal, f"{name}\n".encode())
+                if in_worker:
+                    in_worker(name)
+            else:
+                if forks and not began and select.select([wait], [], [], 60)[0]:
+                    began.append(os.read(wait, 64).decode().split("\n")[0])
+                if in_caller:
+                    in_caller(name)
+            return suite(cfg)
+
+        return run
+
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+            patch.setattr(os, "cpu_count", lambda: 2)
+            patch.setattr(os, "fork", counted)
+            for name, suite in list(suites.SUITES.items()):
+                patch.setitem(suites.SUITES, name, shared(name, suite))
+            yield began
+    finally:
+        os.close(wait)
+        os.close(signal)
+    assert len(forks) == 1 and began
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _in_process_rows(cfg: SuiteConfig) -> str:
+    names = sorted(suites.SUITES) if cfg.suite == "all" else [cfg.suite]
+    return json.dumps([r.to_json() for name in names for r in suites._run_one(name, cfg)])
+
+
+def _raises(exc):
+    def run(*args):
+        raise exc
+
+    return run
+
+
+def _first_suite_raises(exc):
+    ran = []
+
+    def in_worker(name):
+        ran.append(name)
+        if len(ran) == 1:
+            raise exc
+
+    return in_worker
+
+
+def test_forked_workers_give_the_in_process_rows():
+    for seed in (0, 3, 7):
+        cfg = SuiteConfig("all", seed=seed)
+        expected = _in_process_rows(cfg)
+        with _forked_workers():
+            report = suites.run_suite(cfg)
+        assert json.dumps(report["results"]) == expected
+
+
+def test_package_error_in_a_worker_is_its_suites_failing_row():
+    with _forked_workers(in_worker=_first_suite_raises(ReplacementError("no extension"))) as began:
+        report = suites.run_suite(SuiteConfig("all"))
+    failed = [r for r in report["results"] if not r["passed"]]
+    assert failed == [
+        {"name": f"{began[0]}-error", "params": {"error": "ReplacementError: no extension"}, "worst": 1.0, "tol": 0.0, "passed": False}
+    ]
+    assert report["failures"] == 1
+
+
+def test_other_error_in_a_worker_is_raised_in_the_caller():
+    with _forked_workers(in_worker=_first_suite_raises(ValueError("broken in the worker"))):
+        with pytest.raises(ValueError) as raised:
+            suites.run_suite(SuiteConfig("all"))
+    assert raised.type is ValueError and str(raised.value) == "broken in the worker"
+
+
+def test_worker_that_ends_without_a_result_names_its_suite():
+    with _forked_workers(in_worker=lambda name: os._exit(1)) as began:
+        with pytest.raises(RuntimeError) as raised:
+            suites.run_suite(SuiteConfig("all"))
+    assert str(raised.value) == f"a suite worker ended without a result; suites not run: {began[0]}"
+
+
+def test_error_in_the_callers_suite_leaves_no_worker():
+    with _forked_workers(in_caller=_raises(ValueError("broken in the caller"))):
+        with pytest.raises(ValueError, match="^broken in the caller$"):
+            suites.run_suite(SuiteConfig("all"))
+
+
+@pytest.mark.parametrize("case", ["helper-thread", "one-cpu", "one-cpu-count", "one-suite", "no-fork", "fork-fails"])
+def test_suites_run_in_process_where_no_worker_is_wanted(monkeypatch, case):
+    # the same report from the caller alone, with os.fork never called, or
+    # failing for want of a process
+    cfg = SuiteConfig("kernels" if case == "one-suite" else "all", seed=3)
+    expected = _in_process_rows(cfg)
+    cpus = 1 if case.startswith("one-cpu") else 2
+    if case == "one-cpu-count":
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    if case == "no-fork":
+        monkeypatch.delattr(os, "fork")
+    elif case == "fork-fails":
+        monkeypatch.setattr(os, "fork", _raises(OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))))
+    else:
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    stop = threading.Event()
+    helper = threading.Thread(target=stop.wait)
+    if case == "helper-thread":
+        helper.start()
+    try:
+        report = suites.run_suite(cfg)
+    finally:
+        stop.set()
+    if case == "helper-thread":
+        helper.join()
+    assert json.dumps(report["results"]) == expected
 
 
 def test_verify_kernels_report(tmp_path):

@@ -13,12 +13,13 @@ import numpy as np
 import pytest
 
 import test_acceptance
+import test_cli
 import test_cubes
 import test_kernels
 import test_maps
 import test_replace
 import test_tame
-from tamecube import cubes, kernels, maps, replace, tame
+from tamecube import cubes, kernels, maps, replace, suites, tame
 from tamecube.suites import SuiteConfig, run_suite
 
 SEEDS = (0, 3, 7)
@@ -200,6 +201,15 @@ SOURCE_MUTANTS = [
         "calls.copy()",
         (test_maps.test_a_slice_holds_each_array_only_until_its_last_reader_has_run,),
     ),
+    # puts the rows together in the order the workers returned them: the
+    # caller's suites first, then the forked worker's
+    (
+        "rows-in-worker-order",
+        suites, "_run_all", None,
+        "for i in range(len(names)) for r in done[i]",
+        "for rows in done.values() for r in rows",
+        (test_cli.test_forked_workers_give_the_in_process_rows,),
+    ),
 ]
 
 
@@ -224,3 +234,17 @@ def test_unmutated_copies_pass_the_tests(monkeypatch):
             assert getattr(where, name) is not shipped
             for test in must_fail:
                 test()
+
+
+def test_slice_guard_trips_in_forked_workers(monkeypatch):
+    # the replace suite slices a homotopy, in the caller or in the forked
+    # worker: the guard's AssertionError still reaches the test
+    _mutate(
+        monkeypatch, suites, "_replace_suite",
+        "_at_times(H, pts, (0.0, 1.0))",
+        "np.stack([H.slice(u).eval_many(pts) for u in (0.0, 1.0)])",
+    )
+    monkeypatch.setitem(suites.SUITES, "replace", suites._replace_suite)
+    with test_cli._forked_workers():
+        with pytest.raises(AssertionError, match="a suite sliced a homotopy"):
+            test_cli.test_suites_evaluate_time_slices_as_rows(monkeypatch)
