@@ -92,10 +92,7 @@ class Face:
 
     def subface_of(self, other: "Face") -> bool:
         """True when this face is contained in ``other`` (more pins, same values)."""
-        if self.ambient_dim != other.ambient_dim:
-            return False
-        mine = dict(self.pinned)
-        return all(mine.get(a) == v for a, v in other.pinned)
+        return self.ambient_dim == other.ambient_dim and set(other.pinned) <= set(self.pinned)
 
     def box(self, lo: float = 0.0, hi: float = 1.0) -> "Box":
         """The face as a box: pinned axes are degenerate, free axes span [lo, hi]."""

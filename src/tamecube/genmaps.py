@@ -88,9 +88,12 @@ def random_map_admissible_on(
     """A smooth map on I^n that is eps-admissible on L but wild elsewhere.
 
     Built as an exactly eps-tame map plus a perturbation gated to vanish
-    (with all derivatives) on a collar around every face of L.
+    (with all derivatives) on a collar around every face of L.  An L that
+    holds I^n leaves no room for the perturbation: the map is the tame part.
     """
     tame_part = random_tame_map(rng, n, eps, out_dim)
+    if any(not F.pinned for F in L.maximal_faces):
+        return tame_part
     wild = random_smooth_map(rng, n, out_dim)
     gates = []
     for F in L.maximal_faces:

@@ -14,18 +14,22 @@ of those whose input passed.  The faces are then walked in order, and the
 first whose extension input or face check failed raises
 ``ReplacementError`` naming the face.
 
-The union of the per-face extensions is represented as a nested
-piecewise tree that routes a point to a face containing it, with
-breakpoints inside the common flat collar of all pieces; on the complex
-this routing is value-exact because every piece is collar-constant at
-that width.
+The formula table, one formula per maximal face of L and per face
+extended so far, is the only record of the faces built.  Their union
+is represented as a nested piecewise tree that routes a point to a
+maximal face of the table containing it, with breakpoints inside the
+common flat collar of all pieces; on those faces this routing is
+value-exact because every piece is collar-constant at that width.  A
+vertex of K outside L has no formula, and its points get the tamed map's
+constant homotopy.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import asdict, dataclass
 
-from .cubes import CubicalComplex, Face, full_cube, skeleton
+from .cubes import CubicalComplex, Face, full_cube
 from .errors import DimensionError, DomainError, ReplacementError, TamenessError
 from .maps import (
     Affine,
@@ -118,24 +122,23 @@ class ReplacementTrace:
         }
 
 
-def _route_union(
-    complex_: CubicalComplex, formulas: dict[Face, SmoothMap], collar: float, fallback: SmoothMap
-) -> SmoothMap:
-    """Piecewise tree evaluating, on the complex, the union of per-face formulas.
+def _route_union(n: int, formulas: dict[Face, SmoothMap], collar: float, fallback: SmoothMap) -> SmoothMap:
+    """Piecewise tree evaluating, on the faces of ``formulas``, the union of their formulas.
 
-    Split axes carry breakpoints at (collar, 1-collar); a leaf signature
-    pins the non-middle axes and the leaf evaluates the formula of the
-    first maximal face containing that pinned face.  Off the complex the
-    value is whichever formula the routing lands on; nothing samples
-    there.
+    The routed faces are the maximal keys of ``formulas``, in complex
+    order.  Split axes carry breakpoints at (collar, 1-collar); a leaf
+    signature pins the non-middle axes and the leaf evaluates the formula
+    of the first routed face containing that pinned face, or ``fallback``
+    where none does.  Off the routed faces the value is whichever formula
+    the routing lands on; nothing samples there.
     """
-    n = complex_.ambient_dim
-    split_axes = sorted({a for f in complex_.maximal_faces for a, _ in f.pinned})
+    routed = CubicalComplex(n, tuple(formulas)).maximal_faces
+    split_axes = sorted({a for f in routed for a, _ in f.pinned})
 
     def build(axis_pos: int, pins: tuple[tuple[int, int], ...]) -> SmoothMap:
         if axis_pos == len(split_axes):
             leaf = Face(n, pins)
-            for M in complex_.maximal_faces:
+            for M in routed:
                 if leaf.subface_of(M):
                     return formulas[M]
             return fallback
@@ -230,22 +233,16 @@ def admissible_replace(
     f0, h_tame = tame_replace(f, sigma0, eps0)
 
     cert = sigma0
-    union = constant_homotopy(f0).map
-    fallback = union
-    formulas: dict[Face, SmoothMap] = {M: union for M in L.maximal_faces}
+    union = fallback = constant_homotopy(f0).map
+    formulas: dict[Face, SmoothMap] = {M: fallback for M in L.maximal_faces}
     steps: list[ExtensionStep] = []
-    for j in range(1, K.dim + 1):
-        faces_j = [
-            F
-            for F in K.faces(min_dim=j)
-            if F.dim == j and not any(F.subface_of(M) for M in L.maximal_faces)
-        ]
-        if faces_j:
-            sigma_j, stage_formulas, stage_steps = _extend_stage(union, faces_j, cert, eps, quick, seed)
-            formulas |= stage_formulas
-            steps += stage_steps
-            cert = sigma_j  # below cert: sigma_j = min(eps^(j+1), cert) / 2
-        union = _route_union(L.union(skeleton(K, j)), formulas, cert, fallback)
+    outside = [F for F in K.faces(min_dim=1) if not any(F.subface_of(M) for M in L.maximal_faces)]
+    for j, faces_j in itertools.groupby(outside, key=lambda F: F.dim):
+        sigma_j, stage_formulas, stage_steps = _extend_stage(union, list(faces_j), cert, eps, quick, seed)
+        formulas |= stage_formulas
+        steps += stage_steps
+        cert = sigma_j  # below cert: sigma_j = min(eps^(j+1), cert) / 2
+        union = _route_union(n, formulas, cert, fallback)
 
     h_ind = Homotopy(union)
     H = concat_homotopy(h_tame, h_ind, cfg)

@@ -19,7 +19,7 @@ import test_kernels
 import test_maps
 import test_replace
 import test_tame
-from tamecube import cubes, kernels, maps, replace, suites, tame
+from tamecube import cubes, genmaps, kernels, maps, replace, suites, tame
 from tamecube.suites import SuiteConfig, run_suite
 
 SEEDS = (0, 3, 7)
@@ -189,6 +189,26 @@ SOURCE_MUTANTS = [
         "dim_l = max(L.dim, 1)",
         "dim_l = max(L.dim, 2)",
         (test_replace.test_taming_widths_follow_the_dimension_of_L,),
+    ),
+    # routes over the maximal faces of L and the j-skeleton of K, each with
+    # its formula: a maximal vertex outside L has none, and a KeyError ends
+    # the replacement
+    (
+        "route-over-the-skeleton",
+        replace, "admissible_replace", test_replace,
+        "union = _route_union(n, formulas, cert, fallback)",
+        "union = _route_union(n, {M: formulas[M] for M in CubicalComplex("
+        "n, L.maximal_faces + tuple(F for F in K.faces() if F.dim <= j)).maximal_faces}, cert, fallback)",
+        (test_replace.test_replace_with_a_maximal_vertex_outside_L, test_replace.test_random_pairs_meet_the_contract),
+    ),
+    # gates no part of the map on an L that holds I^n: the wild part is
+    # added everywhere
+    (
+        "wild-on-the-full-cube",
+        genmaps, "random_map_admissible_on", test_replace,
+        "if any(not F.pinned for F in L.maximal_faces):",
+        "if False:",
+        (test_replace.test_random_map_admissible_on_the_full_cube,),
     ),
     # the scheduler leaves the call lists a container yielded as they are,
     # so every container holds its input rows, and a Compose its inner

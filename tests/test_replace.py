@@ -198,29 +198,80 @@ def test_replace_interval_identity():
     assert check_admissible(g, K, 0.25, MID).passed
 
 
+def _assert_contract(f, K, L, eps, cfg, seed):
+    """Replace f on K rel L and assert the contract: the final report passes,
+    H is f and g at times 0 and 1 on K's grid and f on L at five times, and
+    g passes an independent check on a finer grid with another seed.  Any
+    error of the replacement is raised as an ``AssertionError`` naming the pair."""
+    try:
+        g, H, trace = admissible_replace(f, K, L, eps, cfg, seed)
+    except Exception as e:
+        raise AssertionError(f"{K.describe()} rel {L.describe()}, eps {eps}: {e!r}") from e
+    assert trace.final_report.passed
+
+    def gap(u, pts, want):
+        at_u = np.concatenate([pts, np.full((len(pts), 1), u)], axis=1)
+        return np.max(np.abs(H.map.eval_many(at_u) - want.eval_many(pts)), initial=0.0)
+
+    pts = complex_grid(K, cfg.grid_res)
+    assert gap(0.0, pts, f) <= 1e-9 and gap(1.0, pts, g) <= 1e-9
+    lpts = complex_grid(L, cfg.grid_res)
+    assert all(gap(u, lpts, f) <= 1e-9 for u in (0.0, 0.25, 0.5, 0.75, 1.0))
+    assert check_admissible(g, K, eps, ToleranceConfig(grid_res=2 * cfg.grid_res - 1), seed + 1).passed
+
+
 @pytest.mark.parametrize(
     "n,l_pins",
     [(2, ((1, 0),)), (2, ((2, 1),)), (3, ((1, 0),)), (3, ((3, 1),))],
 )
 def test_replace_boundary_cases(n, l_pins):
     eps = 0.2
-    K = boundary_complex(n)
     L = CubicalComplex(n, (Face(n, l_pins),))
-    rng = np.random.default_rng(10 * n + l_pins[0][0])
-    f = random_map_admissible_on(rng, n, L, eps)
-    cfg = QUICK if n == 3 else MID
-    g, H, trace = admissible_replace(f, K, L, eps, cfg, seed=3)
-    assert trace.final_report.passed
-    # endpoints
-    pts = complex_grid(K, cfg.grid_res)
-    assert np.max(np.abs(H.slice(0.0).eval_many(pts) - f.eval_many(pts))) <= 1e-9
-    assert np.max(np.abs(H.slice(1.0).eval_many(pts) - g.eval_many(pts))) <= 1e-9
-    # relative to L
-    lpts = complex_grid(L, cfg.grid_res)
-    fl = f.eval_many(lpts)
-    for u in (0.0, 0.25, 0.5, 0.75, 1.0):
-        su = np.concatenate([lpts, np.full((len(lpts), 1), u)], axis=1)
-        assert np.max(np.abs(H.map.eval_many(su) - fl)) <= 1e-9
+    f = random_map_admissible_on(np.random.default_rng(10 * n + l_pins[0][0]), n, L, eps)
+    _assert_contract(f, boundary_complex(n), L, eps, QUICK if n == 3 else MID, seed=3)
+
+
+def test_replace_with_a_maximal_vertex_outside_L():
+    # the vertex (1, 1) has no face to extend over: its points keep the
+    # tamed map's constant homotopy
+    K = CubicalComplex(2, (Face(2, ((1, 1), (2, 1))), Face(2, ((2, 0),))))
+    f = random_smooth_map(np.random.default_rng(8), 2)
+    _assert_contract(f, K, CubicalComplex(2, ()), 0.2, MID, seed=0)
+
+
+def _random_face(rng, n):
+    return Face(n, tuple((a, int(v)) for a, v in enumerate(rng.integers(0, 3, n), 1) if v < 2))
+
+
+def _random_pair_case(i):
+    """Case i of the sweep: n = 1-3 at grid 17 for i < 60, then n = 4 at grid
+    9; K a union of 1-3 random faces, L a union of 0-2 faces of K."""
+    rng = np.random.default_rng(i)
+    n, grid = (1 + i % 3, 17) if i < 60 else (4, 9)
+    eps = (0.05, 0.1, 0.2, 0.3, 0.45)[i % 5]
+    K = CubicalComplex(n, tuple(_random_face(rng, n) for _ in range(rng.integers(1, 4))))
+    faces = K.faces()
+    L = CubicalComplex(n, tuple(faces[k] for k in rng.integers(0, len(faces), rng.integers(0, 3))))
+    return random_map_admissible_on(rng, n, L, eps), K, L, eps, ToleranceConfig(grid_res=grid), i
+
+
+def test_random_pairs_meet_the_contract():
+    # every case either meets the contract or is reported, all at once
+    failures = []
+    for i in range(64):
+        try:
+            _assert_contract(*_random_pair_case(i))
+        except AssertionError as e:
+            failures.append(f"case {i}: {e}")
+    assert not failures, "\n".join(failures)
+
+
+def test_random_map_admissible_on_the_full_cube():
+    # I^n pins no axis, so no gate leaves room for a wild part
+    for n in (1, 2, 3):
+        for seed in range(10):
+            f = random_map_admissible_on(np.random.default_rng(seed), n, full_cube(n), 0.2)
+            assert check_admissible(f, full_cube(n), 0.2).passed, (n, seed)
 
 
 def test_replace_with_empty_L():
