@@ -4,12 +4,23 @@ Exit codes: 0 all properties pass, 1 a property failed, 2 usage or parse
 error, 3 I/O error.  Reports are JSON with sorted keys; the timestamp
 lives in its own field so byte comparison modulo that field is stable
 across runs with the same seed.
+
+``sample`` shares its grid's slices of ``_EVAL_ROWS`` rows among the
+workers of ``workers.count``, one per CPU this process may use and at most
+one per slice: the caller and children from ``os.fork``, each pinned to a
+CPU other than the caller's.  Each worker makes the text of its slices,
+then writes each in turn to the file description they share, so the CSV
+is byte for byte the one-worker CSV, for a regular file, a pipe or a
+device.  With one slice, one CPU, no ``os.fork`` or another live Python
+thread, the caller writes every slice itself.  A peak RSS read with
+``getrusage(RUSAGE_SELF)`` counts the caller only, not its workers.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import warnings
 from dataclasses import fields
@@ -18,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import workers
 from .errors import TameCubeError
 from .maps import _EVAL_ROWS, parse_map
 from .suites import SuiteConfig, report_schema_version, run_suite
@@ -114,21 +126,142 @@ def _cmd_sample(args) -> int:
         with warnings.catch_warnings(record=True) as held, out.open("w", encoding="utf-8", newline="\n") as fh:
             warnings.simplefilter("default")
             fh.write(header + "\n")
-            for i in range(0, total, _EVAL_ROWS):
-                pts, cells = _grid_slice(args.grid, n, i, min(i + _EVAL_ROWS, total))
-                fh.write(_csv_lines(cells, f.eval_many(pts)))
-    except TameCubeError as exc:
-        # no partial CSV; a device or a link such as /dev/stdout stays
-        if out.is_file() and not out.is_symlink():
-            out.unlink()
-        print(f"tamecube sample: {exc}", file=sys.stderr)
-        return 2
+            fh.flush()  # before any worker writes to the file description they share
+            tagged = _write_grid(f, args.grid, total, fh, held)
     except OSError as exc:
         print(f"tamecube sample: cannot write CSV: {exc}", file=sys.stderr)
         return 3
-    for w in held:
-        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    except BaseException as exc:
+        # no partial CSV; a device or a link such as /dev/stdout stays
+        if out.is_file() and not out.is_symlink():
+            out.unlink()
+        if not isinstance(exc, TameCubeError):
+            raise
+        print(f"tamecube sample: {exc}", file=sys.stderr)
+        return 2
+    # each worker shows a warning once; the grid shows it once, from its first slice
+    shown = set()
+    for _, message, category, filename, lineno in sorted(tagged, key=lambda t: t[0]):
+        if (key := (str(message), category, filename, lineno)) not in shown:
+            shown.add(key)
+            warnings.warn_explicit(message, category, filename, lineno)
     return 0
+
+
+_GO, _STOP = b"g", b"s"
+
+
+def _write_grid(f, grid: int, total: int, fh, held: list) -> list[tuple]:
+    """Write the rows of the ``grid``^n grid to ``fh`` from ``workers.count`` workers.
+
+    The grid's slices of ``_EVAL_ROWS`` rows are shared among ``w``
+    workers, the caller and ``w - 1`` forked children: worker ``i`` takes the
+    slices ``k`` with ``k % w == i``, and the caller also those of a worker
+    whose fork failed.  ``ring[i]`` is a pipe that carries worker ``i``'s
+    turns (``_take_turns``).  Each child pins itself to a CPU other than the
+    caller's.  Returns numpy's warnings, each tagged with its slice; raises
+    the error of the first slice in row order that fails.
+    """
+    w = workers.count(-(-total // _EVAL_ROWS))
+    ring = [os.pipe() for _ in range(w)]
+    ends = {fd for pair in ring for fd in pair}
+    cpus = _other_cpus()
+    children = {}  # pid -> read end of its result pipe
+
+    def child(i: int) -> list[tuple]:
+        _keep_ends(ring, w, (i,))
+        if cpus:
+            try:
+                os.sched_setaffinity(0, {cpus[(i - 1) % len(cpus)]})
+            except OSError:
+                pass  # a CPU that is not there after all: the kernel places the worker
+        return _take_turns(f, grid, total, fh, ring, w, (i,), held)
+
+    try:
+        workers.fork(children, w, child)
+        mine = (0, *range(len(children) + 1, w))
+        ends = _keep_ends(ring, w, mine)
+        tagged = _take_turns(f, grid, total, fh, ring, w, mine, held)
+        for payload in workers.results(children):
+            if payload is None:
+                raise RuntimeError("a sample worker ended without a result")
+            tagged += payload
+        return tagged
+    finally:
+        for fd in ends:
+            os.close(fd)
+        workers.reap(children)
+
+
+def _other_cpus() -> list[int]:
+    """The CPUs this process may use other than the one it runs on, field 39
+    of ``/proc/self/stat``; none where either is unknown."""
+    try:
+        with open("/proc/self/stat", "rb") as stat:
+            cpu = int(stat.read().rsplit(b")", 1)[1].split()[36])
+        return sorted(os.sched_getaffinity(0) - {cpu})
+    except (AttributeError, OSError, IndexError, ValueError):
+        return []
+
+
+def _keep_ends(ring: list[tuple[int, int]], w: int, mine: tuple[int, ...]) -> set[int]:
+    """Close every end of ``ring`` but those of the workers ``mine``: the read
+    end of ``ring[i]`` and the write end of ``ring[(i + 1) % w]`` for each ``i``
+    of them.  Returns the ends kept."""
+    kept = {ring[i][0] for i in mine} | {ring[(i + 1) % w][1] for i in mine}
+    for fd in {fd for pair in ring for fd in pair} - kept:
+        os.close(fd)
+    return kept
+
+
+def _take_turns(
+    f, grid: int, total: int, fh, ring: list[tuple[int, int]], w: int, mine: tuple[int, ...], held: list
+) -> list[tuple]:
+    """Write to ``fh``, in row order, the CSV text of each slice ``k`` with ``k % w`` in ``mine``.
+
+    A slice's text is made first.  It is written once a token on
+    ``ring[k % w]`` says that slices 0 to ``k - 1`` are written, and dropped;
+    then the token for slice ``k + 1`` goes to ``ring[(k + 1) % w]``.  A
+    token that says stop, or a ring pipe with no writer left, ends the turns
+    with nothing more written.  The error of a slice that could not be made
+    or written is passed on as stop and raised once its turn has come, so
+    only the first in row order is raised.  Returns numpy's warnings, as
+    ``(slice, message, category, filename, lineno)``.
+    """
+    count = -(-total // _EVAL_ROWS)
+    tagged = []
+    for k in sorted(k for i in mine for k in range(i, count, w)):
+        seen, error = len(held), None
+        try:
+            text = _slice_text(f, grid, total, k)
+        except Exception as exc:
+            text, error = None, exc
+        tagged += [(k, m.message, m.category, m.filename, m.lineno) for m in held[seen:]]
+        turn = k == 0 or os.read(ring[k % w][0], 1) == _GO
+        if turn and error is None:
+            try:
+                fh.write(text)
+                fh.flush()
+            except Exception as exc:
+                error = exc
+        text = None
+        if k + 1 < count:
+            try:
+                os.write(ring[(k + 1) % w][1], _GO if turn and error is None else _STOP)
+            except BrokenPipeError:
+                pass  # the worker of slice k + 1 has ended without it
+        if not turn:
+            break
+        if error is not None:
+            raise error
+    return tagged
+
+
+def _slice_text(f, grid: int, total: int, k: int) -> str:
+    """The CSV lines of slice ``k`` of the ``grid``^n grid, rows ``k * _EVAL_ROWS`` on."""
+    start = k * _EVAL_ROWS
+    pts, cells = _grid_slice(grid, f.in_dim, start, min(start + _EVAL_ROWS, total))
+    return _csv_lines(cells, f.eval_many(pts))
 
 
 def _grid_slice(grid: int, n: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:

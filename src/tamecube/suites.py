@@ -7,20 +7,18 @@ samples is an exact max, so they do not depend on evaluation order.  A
 package error inside a suite replaces that suite's rows by one failing
 row, ``<suite>-error``, that names the error.
 
-``run_suite`` shares its suites among ``w`` workers, ``w`` the smaller of
-the number of suites and the number of CPUs this process may use: the
-calling process and ``w - 1`` children from ``os.fork``, each running the
-next suite of one queue until the queue is empty.  With one suite, one CPU,
-no ``os.fork`` or another live Python thread, ``w`` is 1 and the caller
-runs every suite itself.  The rows are put together in sorted-name order,
-so the report is the same for any ``w``.
+``run_suite`` shares its suites among the workers of ``workers.count``,
+one per CPU this process may use and at most one per suite: the calling
+process and children from ``os.fork``, each running the next suite of one
+queue until the queue is empty.  With one suite, one CPU, no ``os.fork`` or
+another live Python thread, the caller runs every suite itself.  The rows
+are put together in sorted-name order, so the report is the same for any
+number of workers.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
-import threading
 from dataclasses import asdict, dataclass
 from numbers import Integral, Real
 
@@ -29,6 +27,7 @@ import numpy as np
 from . import cubes as cb
 from . import kernels as kr
 from . import maps as mp
+from . import workers
 from .errors import DomainError, TameCubeError, _is_number
 from .genmaps import random_map_admissible_on, random_tame_map
 from .replace import admissible_replace
@@ -357,15 +356,6 @@ def _run_one(name: str, cfg: SuiteConfig) -> list[PropertyResult]:
         return [PropertyResult(f"{name}-error", {"error": f"{type(exc).__name__}: {exc}"}, 1.0, 0.0)]
 
 
-def _workers(count: int) -> int:
-    """How many processes share ``count`` suites: one per CPU this process may
-    use, at most one per suite, and only the caller where forking is unsafe."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return min(count, cpus)
-
-
 def _take(queue: int, names: list[str], cfg: SuiteConfig) -> dict[int, list[PropertyResult]]:
     """Run the suite of each index read from ``queue``, one byte each, until it is empty."""
     done = {}
@@ -374,57 +364,21 @@ def _take(queue: int, names: list[str], cfg: SuiteConfig) -> dict[int, list[Prop
     return done
 
 
-def _child(queue: int, out: int, inherited: tuple[int, ...], names: list[str], cfg: SuiteConfig) -> None:
-    """A forked worker: close the caller's pipe ends ``inherited``, pickle its
-    rows, or the exception that stopped it, which the caller raises, to
-    ``out``, and leave by ``os._exit`` so none of the caller's code runs on."""
-    try:
-        try:
-            for fd in inherited:
-                os.close(fd)
-            payload = _take(queue, names, cfg)
-        except BaseException as exc:
-            payload = exc
-        with os.fdopen(out, "wb") as f:
-            pickle.dump(payload, f)
-    finally:
-        os._exit(0)
-
-
 def _run_all(names: list[str], cfg: SuiteConfig) -> list[PropertyResult]:
-    """The rows of the suites ``names``, in that order, from ``_workers`` workers."""
+    """The rows of the suites ``names``, in that order, from ``workers.count`` workers."""
     queue, feed = os.pipe()
     os.write(feed, bytes(range(len(names))))
     os.close(feed)
     children = {}  # pid -> read end of its result pipe
     try:
-        for _ in range(_workers(len(names)) - 1):
-            result, out = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(result)
-                os.close(out)
-                break
-            if pid == 0:
-                _child(queue, out, (result, *children.values()), names, cfg)
-            os.close(out)
-            children[pid] = result
+        workers.fork(children, workers.count(len(names)), lambda i: _take(queue, names, cfg))
         done = _take(queue, names, cfg)
-        for result in children.values():
-            try:
-                with open(result, "rb", closefd=False) as f:
-                    payload = pickle.load(f)
-            except (EOFError, pickle.UnpicklingError):
-                continue  # the worker ended without a result: its suites are missing below
-            if isinstance(payload, BaseException):
-                raise payload
-            done.update(payload)
+        for payload in workers.results(children):
+            if payload is not None:  # a worker that ended without a result: its suites are missing below
+                done.update(payload)
     finally:
         os.close(queue)
-        for pid, result in children.items():
-            os.close(result)
-            os.waitpid(pid, 0)
+        workers.reap(children)
     missing = [names[i] for i in range(len(names)) if i not in done]
     if missing:
         raise RuntimeError(f"a suite worker ended without a result; suites not run: {', '.join(missing)}")

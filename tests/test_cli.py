@@ -1,13 +1,16 @@
 import errno
+import io
 import json
 import os
 import select
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 import tracemalloc
-from contextlib import contextmanager
+import warnings
+from contextlib import contextmanager, redirect_stderr
 from pathlib import Path
 
 import numpy as np
@@ -80,19 +83,37 @@ def test_suites_evaluate_time_slices_as_rows(monkeypatch):
 
 
 @contextmanager
+def _cpus(cpus=2, forks_that_work=None):
+    """Report ``cpus`` CPUs to this process and count its forks; yields the
+    list of the forks' pids.  With ``forks_that_work``, each fork after that
+    many fails for want of a process.  On leaving, no child is left."""
+    fork, forks = os.fork, []
+
+    def counted():
+        if forks_that_work is not None and len(forks) >= forks_that_work:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        pid = fork()
+        forks.append(pid)
+        return pid
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        patch.setattr(os, "cpu_count", lambda: cpus)
+        patch.setattr(os, "fork", counted)
+        yield forks
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextmanager
 def _forked_workers(in_worker=None, in_caller=None):
     """Run ``run_suite`` on two workers, the caller and one forked child, as on
     two CPUs.  The caller's first suite waits until the child has begun one,
     so both run suites.  ``in_worker(name)`` and ``in_caller(name)``, if
     given, run before each suite in that process.  Yields a list that gets
     the name of the child's first suite; on leaving, no child is left."""
-    caller, fork, forks, began = os.getpid(), os.fork, [], []
+    caller, began = os.getpid(), []
     wait, signal = os.pipe()
-
-    def counted():
-        pid = fork()
-        forks.append(pid)
-        return pid
 
     def shared(name, suite):
         def run(cfg):
@@ -110,19 +131,14 @@ def _forked_workers(in_worker=None, in_caller=None):
         return run
 
     try:
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-            patch.setattr(os, "cpu_count", lambda: 2)
-            patch.setattr(os, "fork", counted)
+        with _cpus() as forks, pytest.MonkeyPatch.context() as patch:
             for name, suite in list(suites.SUITES.items()):
                 patch.setitem(suites.SUITES, name, shared(name, suite))
             yield began
+            assert len(forks) == 1 and began
     finally:
         os.close(wait)
         os.close(signal)
-    assert len(forks) == 1 and began
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def _in_process_rows(cfg: SuiteConfig) -> str:
@@ -187,12 +203,12 @@ def test_error_in_the_callers_suite_leaves_no_worker():
             suites.run_suite(SuiteConfig("all"))
 
 
-@pytest.mark.parametrize("case", ["helper-thread", "one-cpu", "one-cpu-count", "one-suite", "no-fork", "fork-fails"])
-def test_suites_run_in_process_where_no_worker_is_wanted(monkeypatch, case):
-    # the same report from the caller alone, with os.fork never called, or
-    # failing for want of a process
-    cfg = SuiteConfig("kernels" if case == "one-suite" else "all", seed=3)
-    expected = _in_process_rows(cfg)
+@contextmanager
+def _in_process_only(monkeypatch, case: str):
+    """Set up ``case``, in which the caller alone must do the work: a live
+    helper thread, one CPU by affinity or by ``os.cpu_count()`` with no
+    ``os.sched_getaffinity``, no ``os.fork``, or a fork that fails for want of
+    a process.  In any other case ``os.fork`` fails the test if called."""
     cpus = 1 if case.startswith("one-cpu") else 2
     if case == "one-cpu-count":
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
@@ -210,11 +226,24 @@ def test_suites_run_in_process_where_no_worker_is_wanted(monkeypatch, case):
     if case == "helper-thread":
         helper.start()
     try:
-        report = suites.run_suite(cfg)
+        yield
     finally:
         stop.set()
-    if case == "helper-thread":
-        helper.join()
+        if case == "helper-thread":
+            helper.join()
+
+
+IN_PROCESS_CASES = ["helper-thread", "one-cpu", "one-cpu-count", "no-fork", "fork-fails"]
+
+
+@pytest.mark.parametrize("case", [*IN_PROCESS_CASES, "one-suite"])
+def test_suites_run_in_process_where_no_worker_is_wanted(monkeypatch, case):
+    # the same report from the caller alone, with os.fork never called, or
+    # failing for want of a process
+    cfg = SuiteConfig("kernels" if case == "one-suite" else "all", seed=3)
+    expected = _in_process_rows(cfg)
+    with _in_process_only(monkeypatch, case):
+        report = suites.run_suite(cfg)
     assert json.dumps(report["results"]) == expected
 
 
@@ -493,9 +522,209 @@ def test_sample_evaluates_in_slices(tmp_path, monkeypatch):
 
     monkeypatch.setattr(SmoothMap, "eval_many", recording)
     out = tmp_path / "s.csv"
-    assert main(["sample", "--map", "(lambda (coord 1))", "--grid", "40000", "--out", str(out)]) == 0
+    with _one_worker():
+        assert main(["sample", "--map", "(lambda (coord 1))", "--grid", "40000", "--out", str(out)]) == 0
     assert sizes == [_EVAL_ROWS, _EVAL_ROWS, 40000 - 2 * _EVAL_ROWS]
     assert len(out.read_text().splitlines()) == 1 + 40000
+
+
+@contextmanager
+def _one_worker():
+    """One CPU for this process: ``sample`` runs every slice in the caller."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        patch.setattr(os, "cpu_count", lambda: 1)
+        patch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        yield
+
+
+@contextmanager
+def _sample_workers(exit_in_child=False):
+    """Run ``sample`` on two workers, as on two CPUs: the caller and one forked
+    child.  Once the caller has evaluated its first slice, it waits until
+    the child waits for its first turn, so a child that wrote before its
+    turn would write first.  With ``exit_in_child``, the child leaves by
+    ``os._exit`` there instead.  On leaving, one fork was made and no child
+    is left."""
+    caller, read, eval_many = os.getpid(), os.read, SmoothMap.eval_many
+    wait, signal = os.pipe()
+    waited = []
+
+    def turn(fd, size):
+        if os.getpid() != caller:
+            os.write(signal, b".")
+            if exit_in_child:
+                os._exit(1)
+        return read(fd, size)
+
+    def evaluated(self, pts):
+        try:
+            return eval_many(self, pts)
+        finally:
+            if os.getpid() == caller and not waited:
+                waited.append(select.select([wait], [], [], 60)[0] == [wait])
+
+    try:
+        with _cpus() as forks, pytest.MonkeyPatch.context() as patch:
+            patch.setattr(os, "read", turn)
+            patch.setattr(SmoothMap, "eval_many", evaluated)
+            yield
+            assert len(forks) == 1 and waited == [True]
+    finally:
+        os.close(wait)
+        os.close(signal)
+
+
+def _sample_on(workers: int, expr: str, grid: int, out: Path, exit_in_child=False):
+    """The exit code, standard error and CSV bytes (None where no file is
+    left) of ``sample`` on one worker or on two."""
+    err = io.StringIO()
+    with _one_worker() if workers == 1 else _sample_workers(exit_in_child), redirect_stderr(err):
+        rc = main(["sample", "--map", expr, "--grid", str(grid), "--out", str(out)])
+    return rc, err.getvalue(), out.read_bytes() if out.is_file() else None
+
+
+# 2, 3 and 12 slices of _EVAL_ROWS rows
+SLICED = [
+    ("(tuple (coord 1) (lambda (coord 2)))", 129),
+    ("(lambda (coord 1))", 40000),
+    ("(tuple (coord 4) (lambda (coord 1)) (sum (coord 2) (coord 3)))", 21),
+]
+
+
+def test_sample_workers_write_the_one_worker_csv():
+    with tempfile.TemporaryDirectory() as tmp:
+        for expr, grid in SLICED:
+            one = _sample_on(1, expr, grid, Path(tmp) / "one.csv")
+            assert one[:2] == (0, "") and len(one[2].splitlines()) == 1 + grid ** parse_map(expr).in_dim
+            assert _sample_on(2, expr, grid, Path(tmp) / "two.csv") == one
+
+
+@pytest.mark.parametrize("forks_that_work", [None, 2])
+def test_sample_on_more_workers_than_cpus_writes_the_one_worker_csv(forks_that_work):
+    # four workers on this host's CPUs, the children pinned where they can be;
+    # where the third fork fails, the caller takes that worker's slices too
+    expr, grid = SLICED[-1]
+    with tempfile.TemporaryDirectory() as tmp:
+        expected = _sample_on(1, expr, grid, Path(tmp) / "one.csv")
+        with _cpus(4, forks_that_work) as forks:
+            assert main(["sample", "--map", expr, "--grid", str(grid), "--out", str(Path(tmp) / "four.csv")]) == 0
+        assert len(forks) == (3 if forks_that_work is None else 2)
+        assert (Path(tmp) / "four.csv").read_bytes() == expected[2]
+
+
+def test_sample_workers_write_to_a_pipe_in_row_order():
+    expr, grid = SLICED[-1]
+    with tempfile.TemporaryDirectory() as tmp:
+        fifo, copy = Path(tmp) / "fifo", Path(tmp) / "copy.csv"
+        os.mkfifo(fifo)
+        expected = _sample_on(1, expr, grid, Path(tmp) / "one.csv")[2]
+        with _sample_workers(), open(copy, "wb") as sink:
+            reader = subprocess.Popen(["cat", str(fifo)], stdout=sink)
+            try:
+                assert main(["sample", "--map", expr, "--grid", str(grid), "--out", str(fifo)]) == 0
+            finally:
+                assert reader.wait(60) == 0
+        assert copy.read_bytes() == expected
+
+
+def test_sample_workers_evaluate_each_slice_once(tmp_path):
+    # both processes append (pid, first point, rows) of each evaluation to one file
+    log = tmp_path / "evaluated.txt"
+    eval_many = SmoothMap.eval_many
+
+    def recording(self, pts):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {float(pts[0, 0])!r} {len(pts)}\n")
+        return eval_many(self, pts)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SmoothMap, "eval_many", recording)
+        rc, err, csv = _sample_on(2, "(lambda (coord 1))", 40000, tmp_path / "s.csv")
+    assert (rc, err) == (0, "") and len(csv.splitlines()) == 1 + 40000
+    rows = sorted((float(first), int(size), int(pid)) for pid, first, size in map(str.split, log.read_text().splitlines()))
+    step = 1.0 / 39999
+    assert [(first, size) for first, size, _ in rows] == [
+        (0.0, _EVAL_ROWS), (_EVAL_ROWS * step, _EVAL_ROWS), (2 * _EVAL_ROWS * step, 40000 - 2 * _EVAL_ROWS)
+    ]
+    # the caller takes slices 0 and 2, the child slice 1
+    assert rows[0][2] == rows[2][2] == os.getpid() != rows[1][2]
+
+
+# the slices of 40,000 rows are the caller's, the child's and the caller's
+WORKER_ERRORS = [
+    ("(compose recip (affine [[-1]] [1]))", 20000),  # fails only at t = 1, in slice 1: the child's
+    ("(affine [[1e308]] [1e308])", 40000),  # not finite from t = 0.7977 on: first in the child's slice, then in slice 2
+    ("(compose (affine [[1e308]] [1e308]) (affine [[-2]] [2]))", 40000),  # not finite below t = 0.6: slices 0 and 1
+]
+
+
+@pytest.mark.parametrize("expr, grid", WORKER_ERRORS)
+def test_sample_error_in_a_worker_is_the_first_in_row_order(expr, grid):
+    # the message of the whole grid's evaluation, which names the first point that fails
+    f = parse_map(expr)
+    with warnings.catch_warnings(), pytest.raises(DomainError) as raised:
+        warnings.simplefilter("ignore")
+        f.eval_many(box_grid(Box(((0.0, 1.0),)), grid))
+    expected = (2, f"tamecube sample: {raised.value}\n", None)
+    with tempfile.TemporaryDirectory() as tmp:
+        assert _sample_on(1, expr, grid, Path(tmp) / "one.csv") == expected
+        assert _sample_on(2, expr, grid, Path(tmp) / "two.csv") == expected
+
+
+@pytest.mark.parametrize(
+    "expr, grid",
+    [
+        ("(compose recip (affine [[1e308]] [0.85e308]))", 20000),  # overflows for t > 0.947: in slice 1, the child's, only
+        ("(compose recip (affine [[1e308]] [1e308]))", 40000),  # for t > 0.7977: in slice 1, the child's, and slice 2
+    ],
+)
+def test_sample_overflow_in_a_worker_warns_once(tmp_path, expr, grid):
+    shown = []
+    for workers in (1, 2):
+        with pytest.warns(RuntimeWarning) as record:
+            rc, err, csv = _sample_on(workers, expr, grid, tmp_path / f"{workers}.csv")
+        assert (rc, err) == (0, "")
+        shown.append([(w.category, str(w.message), w.filename, w.lineno) for w in record])
+    assert len(shown[0]) == 1 and "overflow" in shown[0][0][1]
+    assert shown[1] == shown[0]
+
+
+def test_sample_warnings_of_workers_are_shown_in_row_order(tmp_path):
+    # an overflow in an add only in slice 1, the child's, and one in a
+    # multiply only in slice 2, the caller's: the add is shown first
+    bump = "(prod (lambda (affine [[10]] [-5])) (lambda (affine [[-10]] [8])))"
+    ramp = "(affine [[2.1]] [0])"
+    expr = f"(sum (recip (compose (affine [[1e308]] [1e308]) {bump})) (recip (compose (affine [[1e308]] [1]) {ramp})))"
+    shown = []
+    for workers in (1, 2):
+        with pytest.warns(RuntimeWarning) as record:
+            assert _sample_on(workers, expr, 40000, tmp_path / f"{workers}.csv")[:2] == (0, "")
+        shown.append([str(w.message) for w in record])
+    assert shown == [["overflow encountered in add", "overflow encountered in multiply"]] * 2
+
+
+def test_sample_worker_that_ends_without_a_result_leaves_no_csv(tmp_path):
+    out = tmp_path / "s.csv"
+    for grid in (20000, 40000):
+        with pytest.raises(RuntimeError, match="^a sample worker ended without a result$"):
+            _sample_on(2, "(lambda (coord 1))", grid, out, exit_in_child=True)
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("case", [*IN_PROCESS_CASES, "one-slice"])
+def test_sample_runs_in_process_where_no_worker_is_wanted(monkeypatch, tmp_path, case):
+    # the same CSV from the caller alone, with os.fork never called, or
+    # failing for want of a process; a grid of at most one slice never forks
+    grid = _EVAL_ROWS if case == "one-slice" else 40000
+    pts = box_grid(Box(((0.0, 1.0),)), grid)
+    expected = "t1,y1\n" + _reference_csv(pts, parse_map("(lambda (coord 1))").eval_many(pts))
+    out = tmp_path / "s.csv"
+    with _in_process_only(monkeypatch, case):
+        assert main(["sample", "--map", "(lambda (coord 1))", "--grid", str(grid), "--out", str(out)]) == 0
+    assert out.read_bytes() == expected.encode("utf-8")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_suite_config_validation():

@@ -8,6 +8,7 @@ a comment, or a gap in the suites.  Mutants are applied with
 
 import inspect
 import textwrap
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ import test_kernels
 import test_maps
 import test_replace
 import test_tame
-from tamecube import cubes, genmaps, kernels, maps, replace, suites, tame
+from tamecube import cli, cubes, genmaps, kernels, maps, replace, suites, tame, workers
 from tamecube.suites import SuiteConfig, run_suite
 
 SEEDS = (0, 3, 7)
@@ -229,6 +230,25 @@ SOURCE_MUTANTS = [
         "for i in range(len(names)) for r in done[i]",
         "for rows in done.values() for r in rows",
         (test_cli.test_forked_workers_give_the_in_process_rows,),
+    ),
+    # each sample worker writes its slice as soon as it is made and only then
+    # waits for its turn: the child's slice comes out before the caller's first
+    (
+        "sample-writes-when-done",
+        cli, "_take_turns", None,
+        "turn = k == 0 or os.read(ring[k % w][0], 1) == _GO\n        if turn and error is None:",
+        "if error is None:\n            fh.write(text)\n            fh.flush()\n"
+        "        turn = k == 0 or os.read(ring[k % w][0], 1) == _GO\n        if False:",
+        (test_cli.test_sample_workers_write_the_one_worker_csv,),
+    ),
+    # a forked worker swallows the exception that stopped it and ends quietly:
+    # sample writes a CSV without the child's failing slice and exits 0
+    (
+        "sample-child-error-dropped",
+        workers, "_child", None,
+        "payload = exc",
+        "payload = []",
+        (partial(test_cli.test_sample_error_in_a_worker_is_the_first_in_row_order, *test_cli.WORKER_ERRORS[0]),),
     ),
 ]
 
